@@ -13,7 +13,7 @@ Run from the repository root:
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from lrssc import (
     s0l0_lrssc_solve,
     spectral_cluster,
 )
+from lrssc.parallel import map_tasks
 
 SOLVERS = {
     "gmc": gmc_lrssc_solve,
@@ -41,7 +42,8 @@ GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 MU_INITS = (1.0, 3.0, 5.0, 10.0, 20.0)
 
 
-def trial_ce(solver, cfg, spec, trial, tune_seed):
+def trial_ce(solver, spec, tune_seed, task):
+    (lam, gamma, mu), trial = task
     data_seed, cluster_seed = (
         s.generate_state(1)[0] for s in np.random.SeedSequence([tune_seed, trial]).spawn(2)
     )
@@ -56,19 +58,20 @@ def trial_ce(solver, cfg, spec, trial, tune_seed):
             seed=int(data_seed),
         )
     )
+    cfg = SolverConfig(lam=lam, gamma=gamma, mu2_init=mu)
     C, _ = SOLVERS[solver](data.X, cfg)
     labels = spectral_cluster(build_affinity(C), spec.num_subspaces, seed=int(cluster_seed))
     return clustering_error(labels, data.truth).ce
 
 
-def median_ce(solver, cfg, spec, trials, tune_seed, pool):
-    ces = list(
-        pool.map(lambda t: trial_ce(solver, cfg, spec, t, tune_seed), range(trials))
-    )
-    return float(np.median(ces)), ces
+def median_ces(solver, settings, spec, trials, tune_seed, jobs):
+    """Median clustering error of each (lam, gamma, mu) setting, in one map."""
+    tasks = [(setting, t) for setting in settings for t in range(trials)]
+    ces = map_tasks(partial(trial_ce, solver, spec, tune_seed), tasks, jobs)
+    return [float(np.median(ces[i:i + trials])) for i in range(0, len(ces), trials)]
 
 
-def tune(solver, spec, trials, tune_seed, pool):
+def tune(solver, spec, trials, tune_seed, jobs):
     if solver == "gmc":
         weight_grid = [(lam, g) for lam in GMC_LAMBDAS for g in GAMMAS]
     elif solver == "lrssc-convex":
@@ -76,18 +79,17 @@ def tune(solver, spec, trials, tune_seed, pool):
     else:
         weight_grid = [(lam, 0.6) for lam in S0L0_LAMBDAS]
 
-    def config(lam, gamma, mu):
-        return SolverConfig(lam=lam, gamma=gamma, mu2_init=mu)
-
     best = None
-    for lam, gamma in weight_grid:
-        med, _ = median_ce(solver, config(lam, gamma, 5.0), spec, trials, tune_seed, pool)
+    settings = [(lam, gamma, 5.0) for lam, gamma in weight_grid]
+    for (lam, gamma, mu), med in zip(
+            settings, median_ces(solver, settings, spec, trials, tune_seed, jobs)):
         if best is None or med < best[0]:
-            best = (med, lam, gamma, 5.0)
+            best = (med, lam, gamma, mu)
         print(f"  {solver}: lam={lam:.6f} gamma={gamma:.1f} mu=5  median={med:.4f}")
     _, lam, gamma, _ = best
-    for mu in MU_INITS:
-        med, ces = median_ce(solver, config(lam, gamma, mu), spec, trials, tune_seed, pool)
+    settings = [(lam, gamma, mu) for mu in MU_INITS]
+    for (_, _, mu), med in zip(
+            settings, median_ces(solver, settings, spec, trials, tune_seed, jobs)):
         if med < best[0]:
             best = (med, lam, gamma, mu)
         print(f"  {solver}: lam={lam:.6f} gamma={gamma:.1f} mu={mu:g}  median={med:.4f}")
@@ -106,12 +108,11 @@ def main():
 
     spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
     solvers = args.solver or sorted(SOLVERS)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for solver in solvers:
-            print(f"== {solver} (var={args.var}) ==")
-            med, lam, gamma, mu = tune(solver, spec, args.trials, args.tune_seed, pool)
-            print(f"--> {solver}: lam={lam:.6f} gamma={gamma:.1f} "
-                  f"mu2_init={mu:g} median CE={med:.4f}")
+    for solver in solvers:
+        print(f"== {solver} (var={args.var}) ==")
+        med, lam, gamma, mu = tune(solver, spec, args.trials, args.tune_seed, args.jobs)
+        print(f"--> {solver}: lam={lam:.6f} gamma={gamma:.1f} "
+              f"mu2_init={mu:g} median CE={med:.4f}")
     return 0
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from . import datasets, spectral
 from .baselines import convex_lrssc, lrr_noisy
 from .evaluation import clustering_error
 from .exceptions import DegenerateAffinityError, NumericalError
+from .parallel import map_tasks
 from .solvers import SolverConfig, gmc_lrssc_solve, s0l0_lrssc_solve
 
 TRACE_HEADER = "iter,r_jc1,r_jc2,r_jj,lagrangian,mu1,mu2"
@@ -189,7 +190,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell(args, cfgs, algorithm, per, var, per_idx, var_idx, trial):
+def _sweep_cell(args, cfgs, task):
+    algorithm, per, var, per_idx, var_idx, trial = task
     data_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 0])
                     .generate_state(1)[0])
     cluster_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 1])
@@ -214,6 +216,8 @@ def _sweep_cell(args, cfgs, algorithm, per, var, per_idx, var_idx, trial):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     pers = [int(v) for v in args.pers.split(",")]
     variances = [float(v) for v in args.vars.split(",")]
     algorithms = args.algorithms.split(",")
@@ -226,14 +230,7 @@ def cmd_sweep(args) -> int:
              for pi, per in enumerate(pers)
              for vi, var in enumerate(variances)
              for t in range(args.trials)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(
-                lambda task: _sweep_cell(args, cfgs, task[0], task[1], task[2],
-                                         task[3], task[4], task[5]), tasks))
-    else:
-        rows = [_sweep_cell(args, cfgs, alg, per, var, pi, vi, t)
-                for alg, per, var, pi, vi, t in tasks]
+    rows = map_tasks(partial(_sweep_cell, args, cfgs), tasks, args.jobs)
     args.out.write_text("\n".join([SWEEP_HEADER] + rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -288,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=3)
     p.add_argument("--union-rank", dest="union_rank", type=int, default=10)
     p.add_argument("--out", type=Path, required=True, help="results CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the cells, capped at the usable cores; "
+                        "above 1, each worker runs BLAS on one thread")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
 

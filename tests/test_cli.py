@@ -1,9 +1,11 @@
 """End-to-end command-line tests: synth, cluster, eval, sweep."""
 
+import os
+
 import numpy as np
 import pytest
 
-from lrssc import load_labels, load_matrix, save_labels
+from lrssc import load_labels, load_matrix, parallel, save_labels
 from lrssc.cli import SWEEP_HEADER, TRACE_HEADER, main
 
 SMALL_SYNTH = ["synth", "--n", "30", "--d", "3", "--L", "3", "--per", "10",
@@ -311,7 +313,8 @@ class TestSweep:
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         rows = []
-        for jobs in ("1", "2"):
+        # 8 is above the usable cores of a small machine, so it meets the cap
+        for jobs in ("1", "2", "8"):
             out = tmp_path / f"sweep_{jobs}.csv"
             code = run(["sweep", "--pers", "10", "--vars", "0.0,0.1",
                         "--algorithms", "gmc,s0l0", "--trials", "2",
@@ -321,7 +324,39 @@ class TestSweep:
             # drop the wall-clock column, the only nondeterministic field
             rows.append([line.rsplit(",", 1)[0]
                          for line in out.read_text().splitlines()])
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--pers", "10", "--vars", "0.0", "--trials", "1",
+                    "--jobs", jobs, "--out", out] + self.SMALL)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blas_threads", [None, "3"])
+    def test_failing_cell_in_worker_reports_like_serial(self, tmp_path, capsys,
+                                                        monkeypatch, blas_threads):
+        # force real workers even on a one-core machine
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if blas_threads is None:
+                monkeypatch.delenv(key, raising=False)
+            else:
+                monkeypatch.setenv(key, blas_threads)
+        errors = []
+        for jobs in ("1", "2"):
+            # --n 3 cannot host union rank 10: every cell raises
+            code = run(["sweep", "--pers", "10", "--trials", "2", "--n", "3",
+                        "--jobs", jobs, "--out", tmp_path / "sweep.csv"])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error:")
+        assert errors[0] == errors[1]
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+        assert os.environ.get("OMP_NUM_THREADS") == blas_threads
 
     def test_unknown_algorithm_fails(self, tmp_path, capsys):
         code = run(["sweep", "--pers", "10", "--vars", "0.0",
