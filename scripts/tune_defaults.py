@@ -105,6 +105,8 @@ def main():
     ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--solver", choices=sorted(SOLVERS), action="append")
     args = ap.parse_args()
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
     solvers = args.solver or sorted(SOLVERS)

@@ -31,8 +31,11 @@ def map_tasks(fn, tasks, jobs: int) -> list:
     Spawn re-imports the caller's ``__main__`` module in each worker, so a
     script that gets here must keep its entry point under
     ``if __name__ == "__main__":``.  This process's own environment is left as
-    it was.  An exception raised by ``fn`` is re-raised here.
+    it was.  An exception raised by ``fn`` is re-raised here.  ``jobs`` below 1
+    raises ``ValueError`` before any task runs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = list(tasks)
     workers = min(jobs, usable_cores(), len(tasks))
     if workers <= 1:

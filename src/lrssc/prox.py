@@ -119,17 +119,26 @@ def _svd(M):
         except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK dependent
             raise NumericalError(f"SVD did not converge: {err}") from err
 
-def svt_firm(M, params: ThresholdParams):
-    """Apply the firm threshold to the singular values of M."""
-    U, s, Vt = _svd(M)
-    return (U * firm_threshold(s, params)) @ Vt
+def _svt(U, s, Vt, return_spectrum):
+    mat = (U * s) @ Vt
+    return (mat, s) if return_spectrum else mat
 
-def svt_hard(M, lam):
+def svt_firm(M, params: ThresholdParams, *, return_spectrum=False):
+    """Apply the firm threshold to the singular values of M.
+
+    With ``return_spectrum`` it returns ``(matrix, s)``, where ``s`` holds the
+    thresholded singular values, i.e. the singular values of the matrix (the
+    same holds for :func:`svt_hard` and :func:`svt_soft`).
+    """
+    U, s, Vt = _svd(M)
+    return _svt(U, firm_threshold(s, params), Vt, return_spectrum)
+
+def svt_hard(M, lam, *, return_spectrum=False):
     """Apply the hard threshold to the singular values of M."""
     U, s, Vt = _svd(M)
-    return (U * hard_threshold(s, lam)) @ Vt
+    return _svt(U, hard_threshold(s, lam), Vt, return_spectrum)
 
-def svt_soft(M, lam):
+def svt_soft(M, lam, *, return_spectrum=False):
     """Apply the soft threshold to the singular values of M."""
     U, s, Vt = _svd(M)
-    return (U * soft_threshold(s, lam)) @ Vt
+    return _svt(U, soft_threshold(s, lam), Vt, return_spectrum)

@@ -152,8 +152,11 @@ class SolverTrace:
     r_jc2 the same for J - C2 (None for two-block runs), r_jj the change in
     J between iterations.  The Lagrangian is evaluated at the end of each
     iteration, after the multiplier update, with the mu values used during
-    that iteration.  ``gamma_substituted`` records that gamma = 1 was mapped
-    to a slightly separated firm knee.
+    that iteration.  Three-block runs take the singular values of C1 from the
+    C1 step instead of a second SVD, so the value agrees with
+    :func:`lagrangian_value` to rounding, not always to the last digit.
+    ``gamma_substituted`` records that gamma = 1 was mapped to a slightly
+    separated firm knee.
     """
 
     variant: str
@@ -229,10 +232,17 @@ def _check_gamma(cfg):
         raise ValueError(f"gamma must lie in (0, 1] for firm-threshold updates, got {cfg.gamma}")
 
 
-def _gmc_c1_update(state, cfg):
+def _gmc_c1_step(state, cfg):
+    """C1 update with its spectrum: (C1, singular values of C1, substituted)."""
     lam_eff, _ = effective_weights(cfg)
     params, substituted = _firm_params(lam_eff, state.mu1, cfg.gamma)
-    return prox.svt_firm(state.J + state.Lambda1 / state.mu1, params), substituted
+    C1, sv = prox.svt_firm(state.J + state.Lambda1 / state.mu1, params,
+                           return_spectrum=True)
+    return C1, sv, substituted
+
+def _gmc_c1_update(state, cfg):
+    C1, _, substituted = _gmc_c1_step(state, cfg)
+    return C1, substituted
 
 def gmc_c1_update(state, cfg) -> np.ndarray:
     """Firm threshold on the singular values of J + Lambda1/mu1."""
@@ -255,9 +265,12 @@ def gmc_c2_update(state, cfg) -> np.ndarray:
     return mat
 
 
-def _convex_c1_update(state, cfg):
+def _convex_c1_step(state, cfg):
+    """Soft-threshold twin of :func:`_gmc_c1_step`; never substitutes."""
     lam_eff, _ = effective_weights(cfg)
-    return prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1)
+    C1, sv = prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
+                           return_spectrum=True)
+    return C1, sv, False
 
 def _convex_c2_update(state, cfg):
     _, tau_eff = effective_weights(cfg)
@@ -322,7 +335,8 @@ def _count_nonzero_singular_values(M) -> int:
     return int(np.count_nonzero(s > _COUNT_FLOOR * s[0]))
 
 
-def lagrangian_value(X, state, cfg: SolverConfig, variant: str) -> float:
+def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
+                     c1_spectrum=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
     For the "gmc" variant the penalties are the scaled MC penalty on the
@@ -330,6 +344,10 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str) -> float:
     so the mu-quadratic subproblems stay convex; "convex" is the b = 0
     (nuclear norm / l1) case; "s0l0" counts singular values and entries
     whose magnitude exceeds 1e-12 times the largest.
+
+    ``c1_spectrum``, for three-block states only, supplies the singular
+    values of C1, such as those the C1 step has just thresholded; without
+    it they are computed by an SVD of C1.
     """
     X = np.asarray(X, dtype=float)
     lam_eff, tau_eff = effective_weights(cfg)
@@ -338,6 +356,8 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str) -> float:
     if isinstance(state, S0L0State):
         if variant != S0L0:
             raise ValueError(f"two-block state requires variant '{S0L0}', got {variant!r}")
+        if c1_spectrum is not None:
+            raise ValueError("a two-block state has no C1 spectrum")
         R = state.J - state.C + np.diag(np.diag(state.C))
         pen = (lam_eff * _count_nonzero_singular_values(state.C)
                + tau_eff * _count_nonzero_entries(state.C))
@@ -351,7 +371,7 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str) -> float:
         b1 = b2 = 0.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    sv = np.linalg.svd(state.C1, compute_uv=False)
+    sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
     pen = (lam_eff * prox.gmc_penalty_separable(sv, b1)
            + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
     R1 = state.J - state.C1
@@ -384,7 +404,7 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
         c1_map, _ = _gmc_c1_update(state, cfg)
         c2_map, _ = _gmc_c2_update(state, cfg)
     elif variant == CONVEX:
-        c1_map = _convex_c1_update(state, cfg)
+        c1_map, _, _ = _convex_c1_step(state, cfg)
         c2_map = _convex_c2_update(state, cfg)
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -418,9 +438,9 @@ def _run_three_block(X, cfg: SolverConfig, variant: str):
     trace = SolverTrace(variant=variant, r_jc2=[], mu1=[])
 
     if variant == GMC:
-        c1_step, c2_step = _gmc_c1_update, _gmc_c2_update
+        c1_step, c2_step = _gmc_c1_step, _gmc_c2_update
     else:
-        c1_step = lambda s, c: (_convex_c1_update(s, c), False)
+        c1_step = _convex_c1_step
         c2_step = lambda s, c: (_convex_c2_update(s, c), False)
 
     try:
@@ -429,7 +449,7 @@ def _run_three_block(X, cfg: SolverConfig, variant: str):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            state.C1, sub1 = c1_step(state, cfg)
+            state.C1, c1_spectrum, sub1 = c1_step(state, cfg)
             state.C2, sub2 = c2_step(state, cfg)
             trace.gamma_substituted |= sub1 or sub2
             state.Lambda1, state.Lambda2 = dual_update(state)
@@ -442,7 +462,8 @@ def _run_three_block(X, cfg: SolverConfig, variant: str):
             trace.r_jj.append(rj)
             trace.mu1.append(state.mu1)
             trace.mu2.append(state.mu2)
-            trace.lagrangian.append(lagrangian_value(X, state, cfg, variant))
+            trace.lagrangian.append(
+                lagrangian_value(X, state, cfg, variant, c1_spectrum=c1_spectrum))
 
             converged = stopping_check((r1, r2, rj), cfg)
             state.mu1 = mu_update(state.mu1, cfg)

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from lrssc import parallel
 
 _PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -16,3 +18,12 @@ def test_workers_run_with_blas_pinned_and_parent_env_restored(monkeypatch):
     assert parallel.map_tasks(os.getenv, tasks, jobs=2) == ["1"] * len(tasks)
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert os.environ["OMP_NUM_THREADS"] == "4"
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected_before_any_task_runs(jobs):
+    def never(task):
+        raise AssertionError("a task ran")
+
+    with pytest.raises(ValueError, match="at least 1"):
+        parallel.map_tasks(never, [1, 2], jobs=jobs)

@@ -242,6 +242,16 @@ class TestSingularValueThresholding:
         sv_out = np.linalg.svd(svt_soft(M, 0.7), compute_uv=False)
         np.testing.assert_allclose(sv_out, np.maximum(sv_in - 0.7, 0.0), atol=1e-10)
 
+    @pytest.mark.parametrize("svt, param", [(svt_firm, P12), (svt_hard, 0.3),
+                                            (svt_soft, 0.7)])
+    def test_returned_spectrum_is_the_output_spectrum(self, svt, param):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((8, 6))
+        out, sv = svt(M, param, return_spectrum=True)
+        np.testing.assert_array_equal(out, svt(M, param))
+        np.testing.assert_allclose(sv, np.linalg.svd(out, compute_uv=False),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_svt_rejects_non_finite_input(self):
         from lrssc import NumericalError
         M = np.array([[1.0, np.nan], [0.0, 1.0]])

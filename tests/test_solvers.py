@@ -33,7 +33,7 @@ from lrssc import (
     stopping_check,
     svt_hard,
 )
-from lrssc.solvers import GMC, S0L0, GramSolver
+from lrssc.solvers import CONVEX, GMC, S0L0, GramSolver
 
 
 class TestConfigValidation:
@@ -316,6 +316,12 @@ class TestLagrangianValue:
         with pytest.raises(ValueError):
             lagrangian_value(np.zeros((2, 3)), SolverState.zeros(3, cfg), cfg, "bogus")
 
+    def test_two_block_state_rejects_c1_spectrum(self):
+        cfg = SolverConfig()
+        with pytest.raises(ValueError, match="no C1 spectrum"):
+            lagrangian_value(np.zeros((2, 3)), S0L0State.zeros(3, cfg), cfg, S0L0,
+                             c1_spectrum=np.zeros(3))
+
 
 class TestKktResiduals:
     def test_zero_point_is_stationary(self):
@@ -425,6 +431,55 @@ class TestSolverRuns:
             state.mu = mu_update(state.mu, cfg)
         np.testing.assert_array_equal(C_solver, state.C)
 
+    @pytest.mark.parametrize("variant", [GMC, CONVEX])
+    def test_trace_lagrangian_matches_svd_oracle(self, small_dataset, variant):
+        """The loop's Lagrangian, built from the C1 step's spectrum, matches the
+        value lagrangian_value computes from its own SVD of C1."""
+        from lrssc.solvers import _convex_c1_step, _convex_c2_update
+        X = small_dataset.X
+        cfg = SolverConfig(max_iters=6, epsilon=1e-300)
+        if variant == GMC:
+            _, trace = gmc_lrssc_solve(X, cfg)
+            c1_update, c2_update = gmc_c1_update, gmc_c2_update
+        else:
+            _, trace = convex_lrssc(X, cfg)
+            c1_update = lambda s, c: _convex_c1_step(s, c)[0]
+            c2_update = _convex_c2_update
+        assert trace.n_iters == cfg.max_iters
+
+        gram = GramSolver(X)
+        state = SolverState.zeros(X.shape[1], cfg)
+        for k in range(cfg.max_iters):
+            state.J = j_update(X, state, gram)
+            if cfg.normalize_j:
+                state.J = normalize_columns(state.J)
+            state.C1 = c1_update(state, cfg)
+            state.C2 = c2_update(state, cfg)
+            state.Lambda1, state.Lambda2 = dual_update(state)
+            oracle = lagrangian_value(X, state, cfg, variant)
+            assert trace.lagrangian[k] == pytest.approx(oracle, rel=1e-12)
+            state.mu1 = mu_update(state.mu1, cfg)
+            state.mu2 = mu_update(state.mu2, cfg)
+
+    @pytest.mark.parametrize("solve, svds_per_iter", [
+        (gmc_lrssc_solve, 1), (convex_lrssc, 1), (s0l0_lrssc_solve, 2)])
+    def test_svd_count(self, small_dataset, monkeypatch, solve, svds_per_iter):
+        """Three-block runs do one SVD per iteration (the C1 step); two-block
+        runs also pay one in the Lagrangian's rank count.  Both add one for the
+        C map of the exit KKT."""
+        real = np.linalg.svd
+        calls = {"n": 0}
+
+        def counting(*args, **kw):
+            calls["n"] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        k = 4
+        _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
+        assert trace.n_iters == k
+        assert calls["n"] == svds_per_iter * k + 1
+
     def test_hollow_diagonal_every_iteration(self, small_dataset):
         """The sparse block keeps an exactly zero diagonal at every step."""
         X = small_dataset.X
@@ -505,11 +560,11 @@ class TestSolverRuns:
         real = prox_module.svt_firm
         calls = {"n": 0}
 
-        def failing(M, params):
+        def failing(M, params, **kw):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise NumericalError("synthetic failure")
-            return real(M, params)
+            return real(M, params, **kw)
 
         monkeypatch.setattr(prox_module, "svt_firm", failing)
         with pytest.raises(NumericalError) as excinfo:
