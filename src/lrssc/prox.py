@@ -4,6 +4,14 @@ Scalar soft/firm/hard thresholding, their entrywise matrix versions, the
 singular-value thresholding (SVT) variants built on them, and the scaled
 minimax-concave (MC) penalty family that the firm operator is the prox of.
 All operators accept scalars or arrays and broadcast entrywise.
+
+An SVT of an m x n matrix M (m >= n) costs one n x n symmetric
+eigendecomposition of M^T M instead of an SVD of M: that gives V and the
+squared singular values, and the result is (M V) diag(f(s)/s) V^T over the
+components f keeps.  Squaring loses the singular values below about
+sqrt(eps) * s_max, so when the threshold's dead zone reaches down to
+1e3 * sqrt(eps) * s_max, or the eigensolver fails, the SVT runs on an SVD
+(gesdd, retried with gesvd) instead.
 """
 
 from __future__ import annotations
@@ -89,7 +97,11 @@ def scaled_mc_penalty(y, b):
     bsq = b * b
     if bsq == 0:  # covers b so small that b*b underflows
         return ay[()]
-    return np.where(ay <= 1.0 / bsq, ay - 0.5 * bsq * y * y, 0.5 / bsq)[()]
+    out = np.multiply(ay, 0.5 * bsq, out=np.empty_like(y))
+    out *= ay
+    np.subtract(ay, out, out=out)
+    np.copyto(out, 0.5 / bsq, where=ay > 1.0 / bsq)
+    return out[()]
 
 def gmc_penalty_separable(z, b):
     """Sum of the scaled MC penalty over all entries of z (the B^T B diagonal case)."""
@@ -105,10 +117,18 @@ def entrywise_hard(M, lam):
     return hard_threshold(np.asarray(M, dtype=float), lam)
 
 
-def _svd(M):
+# Below this multiple of sqrt(eps) * s_max a dead zone is left to the SVD.
+_GRAM_CUT = 1e3 * math.sqrt(np.finfo(float).eps)
+
+
+def _finite(M):
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise NumericalError("SVD input contains non-finite entries")
+    return M
+
+def _svd(M):
+    M = _finite(M)
     try:
         return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -119,26 +139,52 @@ def _svd(M):
         except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK dependent
             raise NumericalError(f"SVD did not converge: {err}") from err
 
-def _svt(U, s, Vt, return_spectrum):
-    mat = (U * s) @ Vt
-    return (mat, s) if return_spectrum else mat
+def _svt_gesdd(M, shrink, return_spectrum):
+    """SVT through a full SVD: the fallback of :func:`_svt` and its test oracle."""
+    U, s, Vt = _svd(M)
+    fs = shrink(s)
+    mat = (U * fs) @ Vt
+    return (mat, fs) if return_spectrum else mat
+
+def _svt(M, shrink, dead_zone, return_spectrum):
+    """SVT through the Gram eigendecomposition; see the module docstring.
+
+    ``shrink`` maps singular values to thresholded ones and is zero on
+    [0, dead_zone].  A wide M is handled as svt(M^T)^T.
+    """
+    M = _finite(M)
+    wide = M.shape[0] < M.shape[1]
+    A = M.T if wide else M
+    try:
+        w, V = np.linalg.eigh(A.T @ A)
+    except np.linalg.LinAlgError:
+        return _svt_gesdd(M, shrink, return_spectrum)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    if s.size and dead_zone < _GRAM_CUT * s[0]:
+        return _svt_gesdd(M, shrink, return_spectrum)
+    fs = shrink(s)
+    keep = fs != 0.0
+    Vk = V[:, ::-1][:, keep]
+    mat = ((A @ Vk) * (fs[keep] / s[keep])) @ Vk.T
+    if wide:
+        mat = mat.T
+    return (mat, fs) if return_spectrum else mat
 
 def svt_firm(M, params: ThresholdParams, *, return_spectrum=False):
     """Apply the firm threshold to the singular values of M.
 
     With ``return_spectrum`` it returns ``(matrix, s)``, where ``s`` holds the
-    thresholded singular values, i.e. the singular values of the matrix (the
-    same holds for :func:`svt_hard` and :func:`svt_soft`).
+    thresholded singular values in descending order, i.e. the singular values
+    of the matrix (the same holds for :func:`svt_hard` and :func:`svt_soft`).
     """
-    U, s, Vt = _svd(M)
-    return _svt(U, firm_threshold(s, params), Vt, return_spectrum)
+    return _svt(M, lambda s: firm_threshold(s, params), params.lam, return_spectrum)
 
 def svt_hard(M, lam, *, return_spectrum=False):
     """Apply the hard threshold to the singular values of M."""
-    U, s, Vt = _svd(M)
-    return _svt(U, hard_threshold(s, lam), Vt, return_spectrum)
+    # A nonpositive lam gets dead zone 0 here and is rejected by hard_threshold.
+    return _svt(M, lambda s: hard_threshold(s, lam), math.sqrt(2.0 * max(lam, 0.0)),
+                return_spectrum)
 
 def svt_soft(M, lam, *, return_spectrum=False):
     """Apply the soft threshold to the singular values of M."""
-    U, s, Vt = _svd(M)
-    return _svt(U, soft_threshold(s, lam), Vt, return_spectrum)
+    return _svt(M, lambda s: soft_threshold(s, lam), lam, return_spectrum)

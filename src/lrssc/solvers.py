@@ -153,8 +153,10 @@ class SolverTrace:
     J between iterations.  The Lagrangian is evaluated at the end of each
     iteration, after the multiplier update, with the mu values used during
     that iteration.  Three-block runs take the singular values of C1 from the
-    C1 step instead of a second SVD, so the value agrees with
-    :func:`lagrangian_value` to rounding, not always to the last digit.
+    C1 step, so an iteration costs one N x N symmetric eigendecomposition
+    (the SVT's, see :mod:`lrssc.prox`) and no SVD; the value agrees with
+    :func:`lagrangian_value`, which runs its own SVD, to rounding, not
+    always to the last digit.
     ``gamma_substituted`` records that gamma = 1 was mapped to a slightly
     separated firm knee.
     """

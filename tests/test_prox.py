@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrssc import prox
 from lrssc import (
     GmcParams,
+    NumericalError,
     ThresholdParams,
     entrywise_firm,
     entrywise_hard,
@@ -257,6 +259,117 @@ class TestSingularValueThresholding:
         M = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(NumericalError):
             svt_soft(M, 0.5)
+
+
+def _svt_case(kind, t):
+    """(SVT, its argument, the same threshold on a vector), with dead zone [0, t]."""
+    if kind == "firm":
+        p = ThresholdParams(lam=t, a=2.0 * t)
+        return svt_firm, p, lambda s: firm_threshold(s, p)
+    if kind == "soft":
+        return svt_soft, t, lambda s: soft_threshold(s, t)
+    return svt_hard, t * t / 2.0, lambda s: hard_threshold(s, t * t / 2.0)
+
+
+def _with_spectrum(shape, s, seed):
+    """An m x n matrix whose nonzero singular values are s."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    U, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (U * s) @ V.T
+
+
+def _rng_matrix(shape, seed, rank=None):
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    if rank is None:
+        return rng.standard_normal(shape)
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+class TestGramKernel:
+    """The Gram-eigendecomposition SVT against the SVD (gesdd) SVT it replaces."""
+
+    def check(self, monkeypatch, kind, M, t, fallback):
+        svt, arg, shrink = _svt_case(kind, t)
+        ref, ref_sv = prox._svt_gesdd(M, shrink, True)
+        svds = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kw):
+            svds.append(args)
+            return real_svd(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        out, sv = svt(M, arg, return_spectrum=True)
+        assert len(svds) == int(fallback)
+        assert out.shape == M.shape
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.all(np.diff(sv) <= 0.0)
+        scale = 1e-10 * max(ref_sv[0], 1.0)
+        np.testing.assert_allclose(sv, ref_sv, rtol=0, atol=scale)
+        np.testing.assert_allclose(sv, np.linalg.svd(out, compute_uv=False),
+                                   rtol=0, atol=scale)
+        np.testing.assert_array_equal(svt(M, arg), out)
+        return out, ref
+
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
+    @pytest.mark.parametrize("shape, rank", [
+        ((20, 20), None), ((30, 12), None), ((12, 30), None),
+        ((20, 20), 4), ((30, 12), 5), ((12, 30), 3)])
+    def test_matches_svd_path(self, monkeypatch, kind, shape, rank):
+        M = _rng_matrix(shape, seed=sum(shape), rank=rank)
+        s_max = np.linalg.norm(M, 2)
+        for t in (0.05 * s_max, 0.3 * s_max, 2.0 * s_max):
+            self.check(monkeypatch, kind, M, t, fallback=False)
+
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+    def test_all_zero_input(self, monkeypatch, kind, shape):
+        out, _ = self.check(monkeypatch, kind, np.zeros(shape), 0.5, fallback=False)
+        np.testing.assert_array_equal(out, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
+    @pytest.mark.parametrize("decades", [4, 8, 12, 16])
+    def test_geometric_spectra_on_both_sides_of_the_cut(self, monkeypatch, kind, decades):
+        n = 60
+        s = np.logspace(0.0, -decades, n)
+        for shape in ((n, n), (n + 20, n), (n, n + 20)):
+            M = _with_spectrum(shape, s, seed=decades)
+            cut = prox._GRAM_CUT * np.linalg.norm(M, 2)
+            for factor in (10.0, 1e3):
+                self.check(monkeypatch, kind, M, factor * cut, fallback=False)
+            for factor in (0.1, 1e-4):
+                out, ref = self.check(monkeypatch, kind, M, factor * cut, fallback=True)
+                np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
+    def test_eigensolver_failure_falls_back_to_svd(self, monkeypatch, kind):
+        def failing(*args, **kw):
+            raise np.linalg.LinAlgError("synthetic eigh failure")
+
+        M = _rng_matrix((15, 10), seed=4)
+        svt, arg, shrink = _svt_case(kind, 0.5)
+        ref, ref_sv = prox._svt_gesdd(M, shrink, True)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        out, sv = svt(M, arg, return_spectrum=True)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(sv, ref_sv)
+
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_lapack(self, monkeypatch, kind, bad):
+        def never(*args, **kw):
+            raise AssertionError("LAPACK reached with a non-finite input")
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, never)
+        M = np.ones((4, 3))
+        M[2, 1] = bad
+        svt, arg, _ = _svt_case(kind, 0.5)
+        with pytest.raises(NumericalError):
+            svt(M, arg)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,6 +16,7 @@ from lrssc import (
     S0L0State,
     SolverConfig,
     SolverState,
+    build_affinity,
     convex_lrssc,
     dual_update,
     effective_weights,
@@ -30,6 +31,7 @@ from lrssc import (
     normalize_columns,
     s0l0_c_update,
     s0l0_lrssc_solve,
+    spectral_cluster,
     stopping_check,
     svt_hard,
 )
@@ -462,23 +464,52 @@ class TestSolverRuns:
             state.mu2 = mu_update(state.mu2, cfg)
 
     @pytest.mark.parametrize("solve, svds_per_iter", [
-        (gmc_lrssc_solve, 1), (convex_lrssc, 1), (s0l0_lrssc_solve, 2)])
+        (gmc_lrssc_solve, 0), (convex_lrssc, 0), (s0l0_lrssc_solve, 1)])
     def test_svd_count(self, small_dataset, monkeypatch, solve, svds_per_iter):
-        """Three-block runs do one SVD per iteration (the C1 step); two-block
-        runs also pay one in the Lagrangian's rank count.  Both add one for the
-        C map of the exit KKT."""
-        real = np.linalg.svd
-        calls = {"n": 0}
+        """Every run does k + 2 symmetric eigendecompositions: X^T X, the SVT
+        of each iteration (through the Gram matrix) and the SVT in the C map
+        of the exit KKT.  Two-block runs also pay one SVD per iteration, for
+        the Lagrangian's rank count."""
+        calls = {"svd": 0, "eigh": 0}
 
-        def counting(*args, **kw):
-            calls["n"] += 1
-            return real(*args, **kw)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         k = 4
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
-        assert calls["n"] == svds_per_iter * k + 1
+        assert calls == {"svd": svds_per_iter * k, "eigh": k + 2}
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
+    @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
+    def test_gram_svt_matches_svd_path(self, request, monkeypatch, dataset, solve):
+        """Whole solves agree with solves whose every SVT runs on the SVD."""
+        import lrssc.prox as prox_module
+        ds = request.getfixturevalue(dataset)
+        n_clusters = int(ds.truth.max()) + 1
+        runs = []
+        for _ in range(2):
+            C, trace = solve(ds.X, SolverConfig())
+            labels = spectral_cluster(build_affinity(C), n_clusters=n_clusters, seed=0)
+            runs.append((C, trace, labels))
+            monkeypatch.setattr(
+                prox_module, "_svt",
+                lambda M, shrink, dead_zone, return_spectrum:
+                    prox_module._svt_gesdd(M, shrink, return_spectrum))
+        (C, trace, labels), (C_ref, trace_ref, labels_ref) = runs
+        assert np.linalg.norm(C - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
+        np.testing.assert_array_equal(labels, labels_ref)
+        assert trace.n_iters == trace_ref.n_iters
+        assert trace.termination == trace_ref.termination
+        assert trace.mu1 == trace_ref.mu1
+        assert trace.mu2 == trace_ref.mu2
 
     def test_hollow_diagonal_every_iteration(self, small_dataset):
         """The sparse block keeps an exactly zero diagonal at every step."""
