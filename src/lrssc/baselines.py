@@ -1,12 +1,10 @@
-"""Closed-form low-rank representation solutions and the convex solver baseline."""
+"""Closed-form low-rank representation (LRR) solutions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .solvers import CONVEX, SolverConfig, _run_three_block
 
 # Singular values below max(n, N) * sigma_1 * this factor count as zero.
 _RANK_TOL_FACTOR = 1e-12
@@ -54,15 +52,3 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
     V1 = Vt[keep].T
     shrink = 1.0 - 1.0 / (lam * s[keep] ** 2)
     return LrrSolution(C=(V1 * shrink) @ V1.T, active_set=keep)
-
-
-def convex_lrssc(X, cfg: SolverConfig | None = None):
-    """Three-block solver with soft-threshold updates (nuclear norm + l1).
-
-    Identical loop and trace contract as the firm-threshold solver; gamma in
-    the config is ignored.
-    """
-    cfg = cfg or SolverConfig()
-    if cfg.lam <= 0 or cfg.tau <= 0:
-        raise ValueError(f"needs lam > 0 and tau > 0, got lam={cfg.lam}, tau={cfg.tau}")
-    return _run_three_block(X, cfg, CONVEX)

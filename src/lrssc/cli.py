@@ -17,27 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, spectral
-from .baselines import convex_lrssc, lrr_noisy
+from .baselines import lrr_noiseless, lrr_noisy
 from .evaluation import clustering_error
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
-from .solvers import SolverConfig, gmc_lrssc_solve, s0l0_lrssc_solve
+from .solvers import ALGORITHMS, SolverConfig
 
 TRACE_HEADER = "iter,r_jc1,r_jc2,r_jj,lagrangian,mu1,mu2"
 SWEEP_HEADER = "algorithm,per,var,trial,ce,iters,seconds"
-_ITERATIVE = {
-    "gmc": gmc_lrssc_solve,
-    "s0l0": s0l0_lrssc_solve,
-    "lrssc-convex": convex_lrssc,
-}
+# The CLI calls each solve through this dict, so that perfbench can wrap one
+# for the duration of a traced call without touching ALGORITHMS.
+_ITERATIVE = {name: algorithm.solve for name, algorithm in ALGORITHMS.items()}
 _ALGORITHMS = sorted(_ITERATIVE) + ["lrr"]
-# Benchmark-tuned built-in settings per algorithm (scripts/tune_defaults.py);
-# SolverConfig's own defaults already carry the gmc values.
-_ALGORITHM_DEFAULTS = {
-    "gmc": {},
-    "s0l0": {"lam": 0.5, "mu2_init": 5.0},
-    "lrssc-convex": {"lam": 1.0 / 1.1, "mu2_init": 1.0},
-}
 _LRR_DEFAULT_LAM = 2.0
 
 _CONFIG_FIELD_TYPES = {f.name: f for f in fields(SolverConfig)}
@@ -89,7 +80,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args, algorithm: str) -> SolverConfig:
-    merged = dict(_ALGORITHM_DEFAULTS.get(algorithm, {}))
+    merged = dict(ALGORITHMS[algorithm].defaults)
     if args.config is not None:
         merged.update(_parse_config_file(args.config))
     for name in _CONFIG_FIELD_TYPES:
@@ -97,13 +88,6 @@ def _solver_config(args, algorithm: str) -> SolverConfig:
         if value is not None:
             merged[name] = value
     return SolverConfig(**merged)
-
-
-def _realized_rank(X) -> int:
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > max(X.shape) * s[0] * 1e-12))
 
 
 def cmd_synth(args) -> int:
@@ -117,7 +101,7 @@ def cmd_synth(args) -> int:
     ds = datasets.generate_synthetic(spec)
     datasets.save_matrix(out_dir / "X.csv", ds.X)
     datasets.save_labels(out_dir / "labels.txt", ds.truth)
-    print(f"rank={_realized_rank(ds.X)}")
+    print(f"rank={lrr_noiseless(ds.X).active_set.size}")
     print(f"wrote {out_dir / 'X.csv'} and {out_dir / 'labels.txt'}", file=sys.stderr)
     return 0
 

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import spectral
-from .baselines import convex_lrssc
-from .solvers import SolverConfig, gmc_lrssc_solve, s0l0_lrssc_solve
+from .solvers import ALGORITHMS, SolverConfig
 
 
 @dataclass
@@ -59,13 +58,6 @@ def clustering_error(pred, truth) -> EvalReport:
         missing_clusters=missing,
         n_points=int(pred.size),
     )
-
-
-_SOLVERS = {
-    "gmc": gmc_lrssc_solve,
-    "s0l0": s0l0_lrssc_solve,
-    "lrssc-convex": convex_lrssc,
-}
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,11 @@ def grid_search(X, truth, algorithm: str, grid: GridSpec, trials: int = 1,
     spectral stage with per-trial seeds.  Ties keep the lexicographically
     first cell in (lam, gamma, mu) grid order.
     """
-    if algorithm not in _SOLVERS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(_SOLVERS)}")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    solve = _SOLVERS[algorithm]
+    solve = ALGORITHMS[algorithm].solve
     truth = np.asarray(truth, dtype=int)
     n_clusters = len(np.unique(truth))
     base = base_config if base_config is not None else SolverConfig()

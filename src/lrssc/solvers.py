@@ -1,22 +1,23 @@
 """ADMM solvers for low-rank plus sparse self-expressive representations.
 
-Given a data matrix X (columns are points), both solvers look for a
+Given a data matrix X (columns are points), every solver looks for a
 representation C with X ~= XC whose affinity |C| + |C|^T feeds spectral
-clustering.  The three-block solver splits the representation into a
-low-rank block C1 (firm-thresholded singular values) and a sparse block C2
-(firm-thresholded entries, zero diagonal); its soft-threshold twin is the
-convex baseline in :mod:`lrssc.baselines`.  The two-block solver keeps a
-single C and combines rank and sparsity hard-threshold prox maps by
-proximal averaging.
+clustering.  The three-block solvers split the representation into a
+low-rank block C1 (thresholded singular values) and a sparse block C2
+(thresholded entries, zero diagonal), with firm thresholds in gmc and soft
+ones in the convex baseline.  The two-block s0l0 solver keeps a single C
+and averages rank and sparsity hard-threshold prox maps.  All three run one
+ADMM loop over the splits J = C_k of their state; :data:`ALGORITHMS`
+registers them with their tuned defaults.
 
-This module also exposes the individual update steps, the augmented
-Lagrangian, and stationarity (KKT) residuals so the solvers can be probed
-piece by piece.
+The update steps, the augmented Lagrangian and the stationarity (KKT)
+residuals are exposed so the solvers can be probed piece by piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class SolverConfig:
 
     The numeric defaults are the values that minimized median clustering
     error for gmc_lrssc_solve on the synthetic benchmark (grid search over
-    lam, gamma, and mu2_init; see scripts/tune_defaults.py).
+    lam, gamma, and mu2_init; see scripts/tune_defaults.py).  The tuned
+    overrides of the other solvers live in :data:`ALGORITHMS`.
     """
 
     lam: float = 1.0 / 1.1
@@ -101,6 +103,10 @@ class SolverState:
     mu2: float
     iteration: int = 0
 
+    # (C, Lambda, mu) attribute names of each split J = C_k, in update order;
+    # the last is the sparse split, whose Lagrangian terms skip the diagonal.
+    SPLITS = (("C1", "Lambda1", "mu1"), ("C2", "Lambda2", "mu2"))
+
     @classmethod
     def zeros(cls, n_points: int, cfg: SolverConfig) -> "SolverState":
         z = lambda: np.zeros((n_points, n_points))
@@ -117,6 +123,8 @@ class S0L0State:
     Lambda: np.ndarray
     mu: float
     iteration: int = 0
+
+    SPLITS = (("C", "Lambda", "mu"),)
 
     @classmethod
     def zeros(cls, n_points: int, cfg: SolverConfig) -> "S0L0State":
@@ -194,20 +202,33 @@ class GramSolver:
         return self.evecs @ coeffs
 
 
+def _splits(state) -> list:
+    """(C, Lambda, mu) of each split of a state, in update order."""
+    return [tuple(getattr(state, name) for name in split) for split in state.SPLITS]
+
+
+def _assign(state, slot: int, values) -> None:
+    """Set slot 0 (C), 1 (Lambda) or 2 (mu) of every split, in update order."""
+    for split, value in zip(state.SPLITS, values, strict=True):
+        setattr(state, split[slot], value)
+
+
 def j_update(X, state, gram: GramSolver | None = None) -> np.ndarray:
-    """Exact minimizer of the augmented Lagrangian over J (ridge-type solve)."""
+    """Exact minimizer of the augmented Lagrangian over J (ridge-type solve).
+
+    J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k).
+    """
     if gram is None:
         gram = GramSolver(X)
-    if isinstance(state, S0L0State):
-        if not state.mu > 0:
-            raise ValueError("mu must be positive")
-        rhs = gram.gram + state.mu * state.C - state.Lambda
-        return gram.solve(state.mu, rhs)
-    if not (state.mu1 > 0 and state.mu2 > 0):
-        raise ValueError("mu1 and mu2 must be positive")
-    rhs = (gram.gram + state.mu1 * state.C1 + state.mu2 * state.C2
-           - state.Lambda1 - state.Lambda2)
-    return gram.solve(state.mu1 + state.mu2, rhs)
+    splits = _splits(state)
+    if not all(mu > 0 for _, _, mu in splits):
+        raise ValueError("every mu must be positive")
+    rhs = gram.gram
+    for C, _, mu in splits:
+        rhs = rhs + mu * C
+    for _, Lambda, _ in splits:
+        rhs = rhs - Lambda
+    return gram.solve(sum(mu for _, _, mu in splits), rhs)
 
 
 def normalize_columns(J) -> np.ndarray:
@@ -268,11 +289,10 @@ def gmc_c2_update(state, cfg) -> np.ndarray:
 
 
 def _convex_c1_step(state, cfg):
-    """Soft-threshold twin of :func:`_gmc_c1_step`; never substitutes."""
+    """Soft-threshold twin of :func:`_gmc_c1_step`: (C1, singular values of C1)."""
     lam_eff, _ = effective_weights(cfg)
-    C1, sv = prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
-                           return_spectrum=True)
-    return C1, sv, False
+    return prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
+                         return_spectrum=True)
 
 def _convex_c2_update(state, cfg):
     _, tau_eff = effective_weights(cfg)
@@ -305,12 +325,42 @@ def s0l0_c_update(state, cfg) -> np.ndarray:
     return cfg.lam * P_rank + cfg.tau * P_sparse
 
 
+def _gmc_c_maps(state, cfg):
+    C1, sv, sub1 = _gmc_c1_step(state, cfg)
+    C2, sub2 = _gmc_c2_update(state, cfg)
+    return (C1, C2), sv, sub1 or sub2
+
+def _convex_c_maps(state, cfg):
+    C1, sv = _convex_c1_step(state, cfg)
+    return (C1, _convex_c2_update(state, cfg)), sv, False
+
+
+# Variant -> (state class, C maps).  The C maps return the new C of each split
+# in update order, the singular values of C1 (None if not at hand) and whether
+# gamma = 1 was substituted.  The loop and the exit KKT share them.
+_VARIANTS = {
+    GMC: (SolverState, _gmc_c_maps),
+    CONVEX: (SolverState, _convex_c_maps),
+    S0L0: (S0L0State, lambda state, cfg: ((s0l0_c_update(state, cfg),), None, False)),
+}
+
+
+def _c_maps(state, variant: str):
+    """The variant's C maps; ValueError unless the state is of the variant's kind."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    state_cls, c_maps = _VARIANTS[variant]
+    if type(state) is not state_cls:
+        raise ValueError(f"variant {variant!r} needs a {state_cls.__name__}, "
+                         f"got a {type(state).__name__}")
+    return c_maps
+
+
 def dual_update(state):
-    """Multiplier ascent step(s); returns the updated multiplier(s)."""
-    if isinstance(state, S0L0State):
-        return state.Lambda + state.mu * (state.J - state.C)
-    return (state.Lambda1 + state.mu1 * (state.J - state.C1),
-            state.Lambda2 + state.mu2 * (state.J - state.C2))
+    """Multiplier ascent step of each split: the pair (Lambda1, Lambda2) for a
+    three-block state, the single Lambda for a two-block state."""
+    steps = tuple(Lambda + mu * (state.J - C) for C, Lambda, mu in _splits(state))
+    return steps if len(steps) > 1 else steps[0]
 
 
 def mu_update(mu: float, cfg: SolverConfig) -> float:
@@ -351,37 +401,34 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     values of C1, such as those the C1 step has just thresholded; without
     it they are computed by an SVD of C1.
     """
+    _c_maps(state, variant)
     X = np.asarray(X, dtype=float)
     lam_eff, tau_eff = effective_weights(cfg)
     fid = 0.5 * np.linalg.norm(X - X @ state.J, "fro") ** 2
 
-    if isinstance(state, S0L0State):
-        if variant != S0L0:
-            raise ValueError(f"two-block state requires variant '{S0L0}', got {variant!r}")
+    if variant == S0L0:
         if c1_spectrum is not None:
             raise ValueError("a two-block state has no C1 spectrum")
-        R = state.J - state.C + np.diag(np.diag(state.C))
         pen = (lam_eff * _count_nonzero_singular_values(state.C)
                + tau_eff * _count_nonzero_entries(state.C))
-        return float(pen + fid + 0.5 * state.mu * np.linalg.norm(R, "fro") ** 2
-                     + np.sum(state.Lambda * R))
-
-    if variant == GMC:
-        b1 = prox.GmcParams.for_subproblem(lam_eff, state.mu1, cfg.gamma).b
-        b2 = prox.GmcParams.for_subproblem(tau_eff, state.mu2, cfg.gamma).b
-    elif variant == CONVEX:
-        b1 = b2 = 0.0
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
-    pen = (lam_eff * prox.gmc_penalty_separable(sv, b1)
-           + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
-    R1 = state.J - state.C1
-    R2 = state.J - state.C2 + np.diag(np.diag(state.C2))
-    return float(pen + fid
-                 + 0.5 * state.mu1 * np.linalg.norm(R1, "fro") ** 2
-                 + 0.5 * state.mu2 * np.linalg.norm(R2, "fro") ** 2
-                 + np.sum(state.Lambda1 * R1) + np.sum(state.Lambda2 * R2))
+        b1 = b2 = 0.0
+        if variant == GMC:
+            b1 = prox.GmcParams.for_subproblem(lam_eff, state.mu1, cfg.gamma).b
+            b2 = prox.GmcParams.for_subproblem(tau_eff, state.mu2, cfg.gamma).b
+        sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
+        pen = (lam_eff * prox.gmc_penalty_separable(sv, b1)
+               + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
+
+    splits = _splits(state)
+    residuals = [state.J - C for C, _, _ in splits]
+    residuals[-1] = residuals[-1] + np.diag(np.diag(splits[-1][0]))
+    value = pen + fid
+    for R, (_, _, mu) in zip(residuals, splits):
+        value += 0.5 * mu * np.linalg.norm(R, "fro") ** 2
+    for R, (_, Lambda, _) in zip(residuals, splits):
+        value += np.sum(Lambda * R)
+    return float(value)
 
 
 def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
@@ -390,33 +437,19 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     The fixed-point residuals r4/r5 reuse the variant's own C update maps,
     evaluated with the state's current multipliers and mu values.
     """
+    c_maps = _c_maps(state, variant)
     X = np.asarray(X, dtype=float)
-    grad_fid = -X.T @ (X - X @ state.J)
-    if isinstance(state, S0L0State):
-        if variant != S0L0:
-            raise ValueError(f"two-block state requires variant '{S0L0}', got {variant!r}")
-        return KktResiduals(
-            r1=float(np.linalg.norm(state.J - state.C, "fro")),
-            r2=None,
-            r3=float(np.linalg.norm(grad_fid + state.Lambda, "fro")),
-            r4=float(np.linalg.norm(state.C - s0l0_c_update(state, cfg), "fro")),
-            r5=None,
-        )
-    if variant == GMC:
-        c1_map, _ = _gmc_c1_update(state, cfg)
-        c2_map, _ = _gmc_c2_update(state, cfg)
-    elif variant == CONVEX:
-        c1_map, _, _ = _convex_c1_step(state, cfg)
-        c2_map = _convex_c2_update(state, cfg)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return KktResiduals(
-        r1=float(np.linalg.norm(state.J - state.C1, "fro")),
-        r2=float(np.linalg.norm(state.J - state.C2, "fro")),
-        r3=float(np.linalg.norm(grad_fid + state.Lambda1 + state.Lambda2, "fro")),
-        r4=float(np.linalg.norm(state.C1 - c1_map, "fro")),
-        r5=float(np.linalg.norm(state.C2 - c2_map, "fro")),
-    )
+    grad = -X.T @ (X - X @ state.J)
+    splits = _splits(state)
+    maps, _, _ = c_maps(state, cfg)
+    for _, Lambda, _ in splits:
+        grad = grad + Lambda
+    gaps = [float(np.linalg.norm(state.J - C, "fro")) for C, _, _ in splits]
+    fixed = [float(np.linalg.norm(C - C_map, "fro")) for (C, _, _), C_map in zip(splits, maps)]
+    # a two-block state has one split and leaves r2 and r5 None
+    r1, r2 = (gaps + [None])[:2]
+    r4, r5 = (fixed + [None])[:2]
+    return KktResiduals(r1=r1, r2=r2, r3=float(np.linalg.norm(grad, "fro")), r4=r4, r5=r5)
 
 
 def _linf(M) -> float:
@@ -432,18 +465,15 @@ def _check_data(X) -> np.ndarray:
     return X
 
 
-def _run_three_block(X, cfg: SolverConfig, variant: str):
+def _solve(X, cfg: SolverConfig, variant: str):
+    """The ADMM loop of every variant; returns (C of the first split, trace)."""
     X = _check_data(X)
-    n_points = X.shape[1]
+    state_cls, c_maps = _VARIANTS[variant]
     gram = GramSolver(X)
-    state = SolverState.zeros(n_points, cfg)
-    trace = SolverTrace(variant=variant, r_jc2=[], mu1=[])
-
-    if variant == GMC:
-        c1_step, c2_step = _gmc_c1_step, _gmc_c2_update
-    else:
-        c1_step = _convex_c1_step
-        c2_step = lambda s, c: (_convex_c2_update(s, c), False)
+    state = state_cls.zeros(X.shape[1], cfg)
+    two_splits = len(state.SPLITS) == 2
+    trace = SolverTrace(variant=variant, r_jc2=[] if two_splits else None,
+                        mu1=[] if two_splits else None)
 
     try:
         for _ in range(cfg.max_iters):
@@ -451,25 +481,27 @@ def _run_three_block(X, cfg: SolverConfig, variant: str):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            state.C1, c1_spectrum, sub1 = c1_step(state, cfg)
-            state.C2, sub2 = c2_step(state, cfg)
-            trace.gamma_substituted |= sub1 or sub2
-            state.Lambda1, state.Lambda2 = dual_update(state)
+            blocks, c1_spectrum, substituted = c_maps(state, cfg)
+            _assign(state, 0, blocks)
+            trace.gamma_substituted |= substituted
+            lambdas = dual_update(state)
+            _assign(state, 1, lambdas if two_splits else (lambdas,))
 
-            r1 = _linf(state.J - state.C1)
-            r2 = _linf(state.J - state.C2)
+            gaps = [_linf(state.J - C) for C in blocks]
             rj = _linf(state.J - J_prev)
-            trace.r_jc1.append(r1)
-            trace.r_jc2.append(r2)
+            mus = [mu for _, _, mu in _splits(state)]
+            trace.r_jc1.append(gaps[0])
             trace.r_jj.append(rj)
-            trace.mu1.append(state.mu1)
-            trace.mu2.append(state.mu2)
+            # a two-block run's one mu starts at mu2_init and is traced as mu2
+            trace.mu2.append(mus[-1])
+            if two_splits:
+                trace.r_jc2.append(gaps[1])
+                trace.mu1.append(mus[0])
             trace.lagrangian.append(
                 lagrangian_value(X, state, cfg, variant, c1_spectrum=c1_spectrum))
 
-            converged = stopping_check((r1, r2, rj), cfg)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
+            converged = stopping_check(gaps + [rj], cfg)
+            _assign(state, 2, [mu_update(mu, cfg) for mu in mus])
             state.iteration += 1
             if converged:
                 trace.termination = "converged"
@@ -478,7 +510,7 @@ def _run_three_block(X, cfg: SolverConfig, variant: str):
         err.trace = trace
         raise
     trace.kkt = kkt_residuals(X, state, cfg, variant)
-    return state.C1, trace
+    return _splits(state)[0][0], trace
 
 
 def gmc_lrssc_solve(X, cfg: SolverConfig | None = None):
@@ -500,7 +532,19 @@ def gmc_lrssc_solve(X, cfg: SolverConfig | None = None):
     if cfg.lam <= 0 or cfg.tau <= 0:
         raise ValueError(f"needs lam > 0 and tau > 0, got lam={cfg.lam}, tau={cfg.tau}")
     _check_gamma(cfg)
-    return _run_three_block(X, cfg, GMC)
+    return _solve(X, cfg, GMC)
+
+
+def convex_lrssc(X, cfg: SolverConfig | None = None):
+    """Three-block solver with soft-threshold updates (nuclear norm + l1).
+
+    Same loop and return contract as :func:`gmc_lrssc_solve`; gamma in the
+    config is ignored.
+    """
+    cfg = cfg or SolverConfig()
+    if cfg.lam <= 0 or cfg.tau <= 0:
+        raise ValueError(f"needs lam > 0 and tau > 0, got lam={cfg.lam}, tau={cfg.tau}")
+    return _solve(X, cfg, CONVEX)
 
 
 def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
@@ -513,36 +557,19 @@ def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
     if cfg.lam < 0 or cfg.tau < 0 or abs(cfg.lam + cfg.tau - 1.0) > 1e-12:
         raise ValueError(
             f"needs lam + tau = 1 with both nonnegative, got lam={cfg.lam}, tau={cfg.tau}")
-    X = _check_data(X)
-    n_points = X.shape[1]
-    gram = GramSolver(X)
-    state = S0L0State.zeros(n_points, cfg)
-    trace = SolverTrace(variant=S0L0, r_jc2=None, mu1=None)
+    return _solve(X, cfg, S0L0)
 
-    try:
-        for _ in range(cfg.max_iters):
-            J_prev = state.J
-            state.J = j_update(X, state, gram)
-            if cfg.normalize_j:
-                state.J = normalize_columns(state.J)
-            state.C = s0l0_c_update(state, cfg)
-            state.Lambda = dual_update(state)
 
-            r1 = _linf(state.J - state.C)
-            rj = _linf(state.J - J_prev)
-            trace.r_jc1.append(r1)
-            trace.r_jj.append(rj)
-            trace.mu2.append(state.mu)
-            trace.lagrangian.append(lagrangian_value(X, state, cfg, S0L0))
+class Algorithm(NamedTuple):
+    """An iterative solver and the SolverConfig overrides it was tuned with."""
+    solve: Callable
+    defaults: dict
 
-            converged = stopping_check((r1, rj), cfg)
-            state.mu = mu_update(state.mu, cfg)
-            state.iteration += 1
-            if converged:
-                trace.termination = "converged"
-                break
-    except NumericalError as err:
-        err.trace = trace
-        raise
-    trace.kkt = kkt_residuals(X, state, cfg, S0L0)
-    return state.C, trace
+
+# Each iterative solver under its command-line name.  The overrides minimized
+# median clustering error on the synthetic benchmark (scripts/tune_defaults.py).
+ALGORITHMS = {
+    "gmc": Algorithm(gmc_lrssc_solve, {}),
+    "s0l0": Algorithm(s0l0_lrssc_solve, {"lam": 0.5, "mu2_init": 5.0}),
+    "lrssc-convex": Algorithm(convex_lrssc, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
+}

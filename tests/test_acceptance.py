@@ -42,6 +42,7 @@ from lrssc import (
 from lrssc import cli, prox
 from lrssc.parallel import map_tasks
 from lrssc.solvers import (
+    ALGORITHMS,
     GMC,
     GramSolver,
     SolverState,
@@ -207,9 +208,9 @@ def test_criterion_06_benchmark_clustering_quality():
         "s0l0": SolverConfig(lam=0.5, mu2_init=5.0),
         "lrssc-convex": SolverConfig(lam=1.0 / 1.1, mu2_init=1.0),
     }
-    # keep this table in lockstep with the CLI's built-in settings
-    for name, overrides in cli._ALGORITHM_DEFAULTS.items():
-        assert configs[name] == SolverConfig(**overrides)
+    # keep this table in lockstep with the registered built-in settings
+    for name, algorithm in ALGORITHMS.items():
+        assert configs[name] == SolverConfig(**algorithm.defaults)
 
     tasks = [(name, var, trial)
              for name in configs

@@ -311,12 +311,14 @@ class TestLagrangianValue:
         expect = lam_eff * nuclear + tau_eff * np.abs(C).sum()
         assert value == pytest.approx(expect, rel=1e-12)
 
-    def test_variant_state_mismatch_rejected(self):
+    @pytest.mark.parametrize("fn", [lagrangian_value, kkt_residuals],
+                             ids=["lagrangian_value", "kkt_residuals"])
+    @pytest.mark.parametrize("state_cls, variant", [
+        (S0L0State, GMC), (SolverState, "bogus"), (SolverState, S0L0)])
+    def test_variant_state_mismatch_rejected(self, fn, state_cls, variant):
         cfg = SolverConfig()
         with pytest.raises(ValueError):
-            lagrangian_value(np.zeros((2, 3)), S0L0State.zeros(3, cfg), cfg, GMC)
-        with pytest.raises(ValueError):
-            lagrangian_value(np.zeros((2, 3)), SolverState.zeros(3, cfg), cfg, "bogus")
+            fn(np.zeros((2, 3)), state_cls.zeros(3, cfg), cfg, variant)
 
     def test_two_block_state_rejects_c1_spectrum(self):
         cfg = SolverConfig()
@@ -397,11 +399,19 @@ class TestSolverRuns:
         assert len(trace.r_jc1) == len(trace.r_jc2) == len(trace.r_jj) == n
         assert len(trace.lagrangian) == len(trace.mu1) == len(trace.mu2) == n
 
-    def test_three_block_loop_matches_manual_redrive(self, small_dataset):
-        """Re-driving the exported update steps reproduces the solver exactly."""
+    @pytest.mark.parametrize("variant", [GMC, CONVEX])
+    def test_three_block_loop_matches_manual_redrive(self, small_dataset, variant):
+        """Re-driving the update steps reproduces the solver exactly."""
+        from lrssc.solvers import _convex_c1_step, _convex_c2_update
         X = small_dataset.X
         cfg = SolverConfig(max_iters=6, epsilon=1e-300)
-        C_solver, trace = gmc_lrssc_solve(X, cfg)
+        if variant == GMC:
+            C_solver, trace = gmc_lrssc_solve(X, cfg)
+            c1_update, c2_update = gmc_c1_update, gmc_c2_update
+        else:
+            C_solver, trace = convex_lrssc(X, cfg)
+            c1_update = lambda s, c: _convex_c1_step(s, c)[0]
+            c2_update = _convex_c2_update
 
         gram = GramSolver(X)
         state = SolverState.zeros(X.shape[1], cfg)
@@ -409,8 +419,8 @@ class TestSolverRuns:
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            state.C1 = gmc_c1_update(state, cfg)
-            state.C2 = gmc_c2_update(state, cfg)
+            state.C1 = c1_update(state, cfg)
+            state.C2 = c2_update(state, cfg)
             state.Lambda1, state.Lambda2 = dual_update(state)
             state.mu1 = mu_update(state.mu1, cfg)
             state.mu2 = mu_update(state.mu2, cfg)
