@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .baselines import lrr_noiseless, lrr_noisy
 from .evaluation import clustering_error
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
-from .solvers import ALGORITHMS, SolverConfig
+from .solvers import ALGORITHMS, SolverConfig, SolverTrace
 
 TRACE_HEADER = "iter,r_jc1,r_jc2,r_jj,lagrangian,mu1,mu2"
 SWEEP_HEADER = "algorithm,per,var,trial,ce,iters,seconds"
@@ -31,7 +31,8 @@ _ITERATIVE = {name: algorithm.solve for name, algorithm in ALGORITHMS.items()}
 _ALGORITHMS = sorted(_ITERATIVE) + ["lrr"]
 _LRR_DEFAULT_LAM = 2.0
 
-_CONFIG_FIELD_TYPES = {f.name: f for f in fields(SolverConfig)}
+# Each setting's type (bool, int or float), read off SolverConfig's defaults.
+_SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).items()}
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
@@ -47,16 +48,14 @@ def _parse_config_file(path: Path) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in _SETTING_TYPES:
             raise ValueError(f"{path}: line {lineno}: unknown setting {key!r}")
-        if key in ("normalize_j", "scale_by_mu"):
+        if _SETTING_TYPES[key] is bool:
             if value.lower() not in _BOOL_WORDS:
                 raise ValueError(f"{path}: line {lineno}: {key} wants a boolean, got {value!r}")
             out[key] = _BOOL_WORDS[value.lower()]
-        elif key == "max_iters":
-            out[key] = int(value)
         else:
-            out[key] = float(value)
+            out[key] = _SETTING_TYPES[key](value)
     return out
 
 
@@ -79,11 +78,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--config", type=Path, help="key = value file with solver settings")
 
 
-def _solver_config(args, algorithm: str) -> SolverConfig:
+def _solver_config(args, algorithm: str) -> SolverConfig | None:
+    """Settings of a registered algorithm; None for one outside ALGORITHMS."""
+    if algorithm not in ALGORITHMS:
+        return None
     merged = dict(ALGORITHMS[algorithm].defaults)
     if args.config is not None:
         merged.update(_parse_config_file(args.config))
-    for name in _CONFIG_FIELD_TYPES:
+    for name in _SETTING_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -111,49 +113,48 @@ def _format_cell(value) -> str:
 
 
 def _write_trace(path, trace) -> None:
-    lines = [TRACE_HEADER]
-    if trace is None:
-        # closed-form run: single placeholder row
-        lines.append("0,,,,,,")
-    else:
-        for k in range(trace.n_iters):
-            lines.append(",".join([
-                str(k),
-                _format_cell(trace.r_jc1[k]),
-                _format_cell(trace.r_jc2[k] if trace.r_jc2 is not None else None),
-                _format_cell(trace.r_jj[k]),
-                _format_cell(trace.lagrangian[k]),
-                _format_cell(trace.mu1[k] if trace.mu1 is not None else None),
-                _format_cell(trace.mu2[k]),
-            ]))
+    """One row per iteration; each column after iter is the SolverTrace field
+    of its name, and a field that is None leaves its column empty."""
+    columns = [getattr(trace, name) for name in TRACE_HEADER.split(",")[1:]]
+    lines = [TRACE_HEADER] + [
+        ",".join([str(k)] + [_format_cell(None if col is None else col[k]) for col in columns])
+        for k in range(trace.n_iters)]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
+    """Cluster the columns of X with one algorithm: (labels, SolverTrace).
+
+    ``cfg`` is the algorithm's ``_solver_config``.  Closed-form LRR takes its
+    weight from --lam (_LRR_DEFAULT_LAM without it), runs once and returns a
+    one-row trace with every column empty and no exit KKT.
+    """
+    if algorithm in _ITERATIVE:
+        C, trace = _ITERATIVE[algorithm](X, cfg)
+    else:
+        lam = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
+        C = lrr_noisy(X, lam).C
+        trace = SolverTrace(variant=algorithm, r_jc1=[None], r_jj=[None], lagrangian=[None],
+                            mu2=[None], termination="closed_form")
+    labels = spectral.spectral_cluster(spectral.build_affinity(C), n_clusters, seed)
+    return labels, trace
 
 
 def cmd_cluster(args) -> int:
     X = datasets.load_matrix(args.input)
-    trace = None
-    if args.algorithm == "lrr":
-        lam = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
-        C = lrr_noisy(X, lam).C
-    else:
-        cfg = _solver_config(args, args.algorithm)
-        solve = _ITERATIVE[args.algorithm]
-        try:
-            C, trace = solve(X, cfg)
-        except NumericalError as err:
-            if err.trace is not None and args.trace_out is not None:
-                _write_trace(args.trace_out, err.trace)
-            raise
-    W = spectral.build_affinity(C)
-    labels = spectral.spectral_cluster(W, args.clusters, args.seed)
+    cfg = _solver_config(args, args.algorithm)
+    try:
+        labels, trace = _solve_and_label(args, args.algorithm, cfg, X, args.clusters, args.seed)
+    except NumericalError as err:
+        if err.trace is not None and args.trace_out is not None:
+            _write_trace(args.trace_out, err.trace)
+        raise
     datasets.save_labels(args.labels_out, labels)
     if args.trace_out is not None:
         _write_trace(args.trace_out, trace)
-    if trace is not None:
+    if trace.kkt is not None:
         print(f"termination={trace.termination} iters={trace.n_iters}")
-        kkt = trace.kkt
-        for name in ("r1", "r2", "r3", "r4", "r5"):
-            value = getattr(kkt, name)
+        for name, value in asdict(trace.kkt).items():
             if value is not None:
                 print(f"kkt_{name}={value:.6e}")
     print(f"wrote {args.labels_out}", file=sys.stderr)
@@ -186,17 +187,10 @@ def _sweep_cell(args, cfgs, task):
         union_rank=args.union_rank, seed=data_seed)
     ds = datasets.generate_synthetic(spec)
     start = time.perf_counter()
-    if algorithm == "lrr":
-        lam = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
-        C, iters = lrr_noisy(ds.X, lam).C, 1
-    else:
-        C, trace = _ITERATIVE[algorithm](ds.X, cfgs[algorithm])
-        iters = trace.n_iters
-    W = spectral.build_affinity(C)
-    labels = spectral.spectral_cluster(W, args.L, cluster_seed)
+    labels, trace = _solve_and_label(args, algorithm, cfgs[algorithm], ds.X, args.L, cluster_seed)
     seconds = time.perf_counter() - start
     ce = clustering_error(labels, ds.truth).ce
-    return f"{algorithm},{per},{var:g},{trial},{ce:.6f},{iters},{seconds:.3f}"
+    return f"{algorithm},{per},{var:g},{trial},{ce:.6f},{trace.n_iters},{seconds:.3f}"
 
 
 def cmd_sweep(args) -> int:
@@ -208,7 +202,7 @@ def cmd_sweep(args) -> int:
     unknown = [a for a in algorithms if a not in _ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm(s) {unknown}, expected subset of {_ALGORITHMS}")
-    cfgs = {alg: _solver_config(args, alg) for alg in algorithms if alg != "lrr"}
+    cfgs = {alg: _solver_config(args, alg) for alg in algorithms}
     tasks = [(alg, per, var, pi, vi, t)
              for alg in algorithms
              for pi, per in enumerate(pers)

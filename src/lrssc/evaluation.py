@@ -144,11 +144,7 @@ def grid_search(X, truth, algorithm: str, grid: GridSpec, trials: int = 1,
     table: list[GridPoint] = []
 
     def best_of(points):
-        chosen = None
-        for p in points:
-            if chosen is None or p.mean_ce < chosen.mean_ce:
-                chosen = p
-        return chosen
+        return min(points, key=lambda p: p.mean_ce)
 
     if grid.two_phase:
         phase1 = [score(lam, g, base.mu2_init) for lam in grid.lambdas for g in gammas]

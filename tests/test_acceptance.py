@@ -165,8 +165,6 @@ _KKT_CONFIGS = {
     "s0l0": SolverConfig(lam=0.5, rho=3.0, mu2_init=5.0, epsilon=1e-6,
                          max_iters=300, normalize_j=False, scale_by_mu=True),
 }
-_KKT_SOLVERS = {"gmc": gmc_lrssc_solve, "lrssc-convex": convex_lrssc,
-                "s0l0": s0l0_lrssc_solve}
 
 
 def test_criterion_05_converged_runs_satisfy_kkt_bound():
@@ -176,8 +174,8 @@ def test_criterion_05_converged_runs_satisfy_kkt_bound():
     for var in (0.0, 0.1):
         spec = replace(SMALL_SPEC, noise_variance=var, seed=11)
         X = generate_synthetic(spec).X
-        for name, solve in _KKT_SOLVERS.items():
-            _, trace = solve(X, _KKT_CONFIGS[name])
+        for name, cfg in _KKT_CONFIGS.items():
+            _, trace = ALGORITHMS[name].solve(X, cfg)
             all_converged &= trace.termination == "converged"
             worst = max(worst, trace.kkt.max_residual())
     ok = all_converged and worst <= 1e-3
@@ -190,7 +188,7 @@ def _benchmark_trial(configs, task):
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence([2024, trial]).spawn(2)]
     ds = generate_synthetic(SyntheticSpec(noise_variance=var, seed=seeds[0]))
-    C, _ = _KKT_SOLVERS[name](ds.X, configs[name])
+    C, _ = ALGORITHMS[name].solve(ds.X, configs[name])
     labels = spectral_cluster(build_affinity(C), 3, seeds[1])
     return clustering_error(labels, ds.truth).ce
 

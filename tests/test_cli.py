@@ -1,15 +1,41 @@
 """End-to-end command-line tests: synth, cluster, eval, sweep."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lrssc import load_labels, load_matrix, parallel, save_labels
-from lrssc.cli import SWEEP_HEADER, TRACE_HEADER, main
+from lrssc import (
+    NumericalError,
+    SolverConfig,
+    cli,
+    datasets,
+    load_labels,
+    load_matrix,
+    parallel,
+    prox,
+    save_labels,
+)
+from lrssc.cli import SWEEP_HEADER, TRACE_HEADER, build_parser, main
 
 SMALL_SYNTH = ["synth", "--n", "30", "--d", "3", "--L", "3", "--per", "10",
                "--union-rank", "6", "--seed", "5"]
+
+# A non-default value of every SolverConfig field: (config-file value, flags).
+SETTING_CASES = {
+    "lam": ("0.5", ["--lam", "0.5"]),
+    "tau": ("0.05", ["--tau", "0.05"]),
+    "gamma": ("0.5", ["--gamma", "0.5"]),
+    "rho": ("2", ["--rho", "2"]),
+    "mu1_init": ("0.5", ["--mu1", "0.5"]),
+    "mu2_init": ("7", ["--mu2", "7"]),
+    "mu_max": ("100", ["--mu-max", "100"]),
+    "epsilon": ("1e-6", ["--epsilon", "1e-6"]),
+    "max_iters": ("7", ["--max-iters", "7"]),
+    "normalize_j": ("off", ["--no-normalize-j"]),
+    "scale_by_mu": ("off", ["--no-scale-by-mu"]),
+}
 
 
 def run(args):
@@ -158,6 +184,20 @@ class TestCluster:
         assert code == 0
         assert trace_a.read_bytes() == trace_b.read_bytes()
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)])
+    def test_config_file_entry_parses_like_its_flag(self, tmp_path, name):
+        value, flags = SETTING_CASES[name]
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        base = ["cluster", "--input", "X.csv", "--clusters", "3"]
+        parser = build_parser()
+        from_file = cli._solver_config(parser.parse_args(base + ["--config", str(cfg)]), "gmc")
+        from_flag = cli._solver_config(parser.parse_args(base + flags), "gmc")
+        assert from_file == from_flag
+        assert from_file != SolverConfig()
+        # 7 == 7.0 and True == 1, so equality alone would miss a wrong type
+        assert type(getattr(from_file, name)) is type(getattr(from_flag, name))
+
     def test_unknown_config_key_fails(self, small_data_dir, tmp_path, capsys):
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("warp_factor = 9\n")
@@ -185,6 +225,32 @@ class TestCluster:
                     "--labels-out", tmp_path / "pred.txt", "--config", cfg])
         assert code == 1
         assert "boolean" in capsys.readouterr().err
+
+    def test_numerical_failure_writes_partial_trace(self, small_data_dir, tmp_path,
+                                                    capsys, monkeypatch):
+        real = prox.svt_firm
+        calls = {"n": 0}
+
+        def failing(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                raise NumericalError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prox, "svt_firm", failing)
+        labels_out = tmp_path / "pred.txt"
+        trace_out = tmp_path / "trace.csv"
+        code = run(["cluster", "--input", small_data_dir / "X.csv",
+                    "--algorithm", "gmc", "--clusters", "3",
+                    "--labels-out", labels_out, "--trace-out", trace_out,
+                    "--epsilon", "1e-300"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: synthetic failure\n"
+        lines = trace_out.read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+        assert all("" not in line.split(",") for line in lines[1:])
+        assert not labels_out.exists()
 
     def test_missing_input_file_fails(self, tmp_path, capsys):
         code = run(["cluster", "--input", tmp_path / "absent.csv",
@@ -374,3 +440,37 @@ class TestSweep:
         fields = out.read_text().splitlines()[1].split(",")
         assert fields[0] == "lrr"
         assert fields[5] == "1"  # closed form counts as a single iteration
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("cluster-lrr", {"gmc": 0, "lrr_noisy": 1, "clustering_error": 0,
+                     "generate_synthetic": 0}),
+    ("sweep-gmc-lrr", {"gmc": 1, "lrr_noisy": 1, "clustering_error": 2,
+                       "generate_synthetic": 2}),
+])
+def test_commands_reach_layers_through_module_attributes(small_data_dir, tmp_path,
+                                                         monkeypatch, command, expected):
+    """Each layer is looked up through the name a wrapper can replace at run time."""
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(cli._ITERATIVE, "gmc", counting("gmc", cli._ITERATIVE["gmc"]))
+    monkeypatch.setattr(cli, "lrr_noisy", counting("lrr_noisy", cli.lrr_noisy))
+    monkeypatch.setattr(cli, "clustering_error",
+                        counting("clustering_error", cli.clustering_error))
+    monkeypatch.setattr(datasets, "generate_synthetic",
+                        counting("generate_synthetic", datasets.generate_synthetic))
+    if command == "cluster-lrr":
+        argv = ["cluster", "--input", small_data_dir / "X.csv", "--algorithm", "lrr",
+                "--clusters", "3", "--labels-out", tmp_path / "pred.txt"]
+    else:
+        argv = ["sweep", "--jobs", "1", "--algorithms", "gmc,lrr", "--pers", "10",
+                "--vars", "0.0", "--trials", "1", "--out", tmp_path / "sweep.csv"]
+        argv += TestSweep.SMALL
+    assert run(argv) == 0
+    assert calls == expected
