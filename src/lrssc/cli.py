@@ -79,12 +79,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args, algorithm: str) -> SolverConfig | None:
-    """Settings of a registered algorithm; None for one outside ALGORITHMS."""
+    """Settings of a registered algorithm; None for one outside ALGORITHMS.
+
+    The config file is parsed for every algorithm, so a malformed file is
+    rejected the same way even where its settings go unused.
+    """
+    from_file = _parse_config_file(args.config) if args.config is not None else {}
     if algorithm not in ALGORITHMS:
         return None
     merged = dict(ALGORITHMS[algorithm].defaults)
-    if args.config is not None:
-        merged.update(_parse_config_file(args.config))
+    merged.update(from_file)
     for name in _SETTING_TYPES:
         value = getattr(args, name, None)
         if value is not None:

@@ -116,7 +116,8 @@ def grid_search(X, truth, algorithm: str, grid: GridSpec, trials: int = 1,
 
     The solver runs once per cell (it is deterministic); trials re-run the
     spectral stage with per-trial seeds.  Ties keep the lexicographically
-    first cell in (lam, gamma, mu) grid order.
+    first cell in (lam, gamma, mu) grid order.  Without ``base_config`` the
+    search starts from the algorithm's tuned defaults in ALGORITHMS.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
@@ -125,7 +126,8 @@ def grid_search(X, truth, algorithm: str, grid: GridSpec, trials: int = 1,
     solve = ALGORITHMS[algorithm].solve
     truth = np.asarray(truth, dtype=int)
     n_clusters = len(np.unique(truth))
-    base = base_config if base_config is not None else SolverConfig()
+    base = (base_config if base_config is not None
+            else SolverConfig(**ALGORITHMS[algorithm].defaults))
 
     def score(lam, gamma, mu) -> GridPoint:
         cfg = replace(base, lam=lam, tau=1.0 - lam, gamma=gamma, mu2_init=mu)

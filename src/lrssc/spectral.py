@@ -2,15 +2,18 @@
 
 The pipeline is the usual one: symmetrize |C| + |C|^T, form
 I - D^{-1/2} W D^{-1/2}, embed each point by the eigenvectors of the
-smallest eigenvalues, normalize rows, and run k-means.  k-means is kept
-in-package so its constants (k-means++ seeding, 20 replicates, 300
-iterations, relative inertia tolerance 1e-9, ties to the lowest replicate
-index) are pinned for reproducibility.
+n_clusters smallest eigenvalues, normalize rows, and run k-means.  The
+embedding asks LAPACK's subset eigensolver for those n_clusters eigenpairs
+only, never for the full N x N eigenbasis.  k-means is kept in-package so
+its constants (k-means++ seeding, 20 replicates, 300 iterations, relative
+inertia tolerance 1e-9, ties to the lowest replicate index) are pinned for
+reproducibility.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import DegenerateAffinityError
 
@@ -36,7 +39,9 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     Embeds each vertex by the n_clusters eigenvectors of the normalized
     Laplacian with smallest eigenvalues (rows normalized to unit norm,
     all-zero rows left alone), then labels the rows by seeded k-means.
-    Returns integer labels in [0, n_clusters).
+    Returns integer labels in [0, n_clusters).  Raises ValueError for a
+    non-square or non-finite affinity or an out-of-range n_clusters, and
+    DegenerateAffinityError for an all-zero affinity.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -44,13 +49,14 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     n = W.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
+    if not np.isfinite(W).all():
+        raise ValueError("affinity has non-finite entries (NaN or inf)")
     if not np.any(W):
         raise DegenerateAffinityError("affinity matrix is identically zero")
 
     inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), _DEGREE_FLOOR))
     lap = np.eye(n) - (inv_sqrt_deg[:, None] * W) * inv_sqrt_deg[None, :]
-    _, vecs = np.linalg.eigh(lap)
-    emb = vecs[:, :n_clusters].copy()
+    _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR
     emb[rows] /= norms[rows, None]

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own code paths: prox outputs
 are checked against brute-force objective minimization, clustering error
-against explicit permutation search, and the closed-form low-rank solution
-against a proximal-gradient iteration run to stationarity.
+against explicit permutation search, the closed-form low-rank solution
+against a proximal-gradient iteration run to stationarity, and the subset
+eigensolver of the spectral embedding against a full eigendecomposition.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lrssc import SolverConfig, SyntheticSpec, generate_synthetic
+from lrssc import SolverConfig, SyntheticSpec, generate_synthetic, spectral
 
 
 def brute_force_prox_objective(y, penalty, candidates):
@@ -96,6 +97,24 @@ def block_affinity(block_sizes, off_block=0.0, seed=0):
         start = stop
     np.fill_diagonal(W, 0.0)
     return W, truth
+
+
+def full_eigh_spectral_labels(W, n_clusters, seed):
+    """spectral_cluster with the embedding taken from the full eigenbasis.
+
+    Runs np.linalg.eigh on the whole normalized Laplacian and keeps the first
+    n_clusters eigenvectors; the floors, row normalization and k-means are
+    the library's, so only the eigensolver differs from spectral_cluster.
+    """
+    W = np.asarray(W, dtype=float)
+    inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), spectral._DEGREE_FLOOR))
+    lap = np.eye(W.shape[0]) - (inv_sqrt_deg[:, None] * W) * inv_sqrt_deg[None, :]
+    _, vecs = np.linalg.eigh(lap)
+    emb = vecs[:, :n_clusters].copy()
+    norms = np.linalg.norm(emb, axis=1)
+    rows = norms > spectral._ROW_NORM_FLOOR
+    emb[rows] /= norms[rows, None]
+    return spectral._kmeans(emb, n_clusters, seed)
 
 
 SMALL_SPEC = SyntheticSpec(ambient_dim=30, subspace_dim=3, num_subspaces=3,

@@ -217,6 +217,21 @@ class TestCluster:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_lrr_rejects_malformed_config_and_ignores_a_valid_one(self, small_data_dir,
+                                                                   tmp_path, capsys):
+        base = ["cluster", "--input", small_data_dir / "X.csv", "--algorithm", "lrr",
+                "--clusters", "3"]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("not a setting\n")
+        assert run(base + ["--labels-out", tmp_path / "bad.txt", "--config", bad]) == 1
+        assert "expected key = value" in capsys.readouterr().err
+        assert not (tmp_path / "bad.txt").exists()
+        good = tmp_path / "good.cfg"
+        good.write_text("lam = 0.1\nmax_iters = 5\n")
+        assert run(base + ["--labels-out", tmp_path / "plain.txt"]) == 0
+        assert run(base + ["--labels-out", tmp_path / "good.txt", "--config", good]) == 0
+        assert (tmp_path / "good.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
     def test_bad_boolean_in_config_fails(self, small_data_dir, tmp_path, capsys):
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("normalize_j = maybe\n")
@@ -250,6 +265,24 @@ class TestCluster:
         assert lines[0] == TRACE_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
         assert all("" not in line.split(",") for line in lines[1:])
+        assert not labels_out.exists()
+
+    def test_non_finite_representation_fails_with_one_error_line(self, small_data_dir,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+        real = cli.lrr_noisy
+
+        def poisoned(X, lam):
+            sol = real(X, lam)
+            sol.C[0, 1] = np.nan
+            return sol
+
+        monkeypatch.setattr(cli, "lrr_noisy", poisoned)
+        labels_out = tmp_path / "pred.txt"
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--algorithm", "lrr",
+                    "--clusters", "3", "--labels-out", labels_out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: affinity has non-finite entries (NaN or inf)\n"
         assert not labels_out.exists()
 
     def test_missing_input_file_fails(self, tmp_path, capsys):
@@ -430,6 +463,16 @@ class TestSweep:
                     "--out", tmp_path / "sweep.csv"] + self.SMALL)
         assert code == 1
         assert "mystery" in capsys.readouterr().err
+
+    def test_lrr_only_sweep_rejects_malformed_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("not a setting\n")
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--pers", "10", "--vars", "0.0", "--algorithms", "lrr",
+                    "--trials", "1", "--out", out, "--config", cfg] + self.SMALL)
+        assert code == 1
+        assert "expected key = value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_closed_form_baseline_row(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -206,6 +206,13 @@ class TestGridSearch:
                              base_config=SolverConfig(max_iters=10))
         assert result.best_config.tau == pytest.approx(0.7)
 
+    def test_default_base_is_the_registry_defaults(self, ideal):
+        # s0l0 ships mu2_init 5.0; phase 1 must score at that, not at the
+        # SolverConfig() value 3.0
+        grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,))
+        result = grid_search(ideal.X, ideal.truth, "s0l0", grid)
+        assert [p.mu2_init for p in result.table] == [5.0, 5.0]
+
     def test_input_validation(self, ideal):
         grid = GridSpec(lambdas=(0.5,))
         with pytest.raises(ValueError):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import lrssc.spectral as spectral_module
 from lrssc import (
     DegenerateAffinityError,
     build_affinity,
     clustering_error,
+    lrr_noisy,
     spectral_cluster,
 )
-from conftest import block_affinity
+from conftest import block_affinity, full_eigh_spectral_labels
 
 
 class TestBuildAffinity:
@@ -98,13 +101,19 @@ class TestSpectralCluster:
         with pytest.raises(DegenerateAffinityError):
             spectral_cluster(np.zeros((6, 6)), 2, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_affinity_by_name(self, bad):
+        W, _ = block_affinity([4, 4], seed=11)
+        W[0, 5] = W[5, 0] = bad
+        with pytest.raises(ValueError, match="affinity has non-finite entries"):
+            spectral_cluster(W, 2, seed=0)
+
     def test_rejects_non_square_affinity(self):
         with pytest.raises(ValueError):
             spectral_cluster(np.zeros((3, 5)), 2, seed=0)
 
     def test_embedding_rows_unit_norm(self, monkeypatch):
         """The k-means stage receives row-normalized eigenvector embeddings."""
-        import lrssc.spectral as spectral_module
         captured = {}
         real = spectral_module._kmeans
 
@@ -119,3 +128,55 @@ class TestSpectralCluster:
         nonzero = norms > 1e-12
         np.testing.assert_allclose(norms[nonzero], 1.0, atol=1e-10)
         assert captured["points"].shape == (18, 3)
+
+
+class TestSubsetEmbeddingMatchesFullEigh:
+    """The n_clusters-eigenpair embedding labels like the full eigendecomposition."""
+
+    @pytest.mark.parametrize("sizes", [[8], [5, 7], [4, 6, 8], [3, 4, 5, 6], [3, 4, 5, 6, 7]])
+    @pytest.mark.parametrize("off_block", [0.0, 1e-6, 0.2])
+    def test_block_fixtures(self, sizes, off_block):
+        W, _ = block_affinity(sizes, off_block=off_block, seed=len(sizes))
+        for seed in (0, 1, 12345):
+            np.testing.assert_array_equal(spectral_cluster(W, len(sizes), seed),
+                                          full_eigh_spectral_labels(W, len(sizes), seed))
+
+    def test_isolated_vertex(self):
+        W = np.zeros((11, 11))
+        W[:-1, :-1] = block_affinity([5, 5], seed=8)[0]  # last vertex has zero degree
+        np.testing.assert_array_equal(spectral_cluster(W, 2, seed=0),
+                                      full_eigh_spectral_labels(W, 2, seed=0))
+
+    @pytest.mark.parametrize("n_clusters", [1, 12])
+    def test_cluster_count_extremes(self, n_clusters):
+        W, _ = block_affinity([6, 6], off_block=0.3, seed=6)
+        np.testing.assert_array_equal(spectral_cluster(W, n_clusters, seed=3),
+                                      full_eigh_spectral_labels(W, n_clusters, seed=3))
+
+    def test_lrr_affinity_of_the_benchmark_dataset(self, bench_dataset):
+        W = build_affinity(lrr_noisy(bench_dataset.X, 2.0).C)
+        for seed in (0, 7, 2024):
+            np.testing.assert_array_equal(spectral_cluster(W, 3, seed),
+                                          full_eigh_spectral_labels(W, 3, seed))
+
+
+@pytest.mark.parametrize("sizes, n_clusters", [([8], 1), ([4, 6, 8], 3), ([3, 3], 6)])
+def test_embedding_asks_for_n_clusters_eigenpairs_only(monkeypatch, sizes, n_clusters):
+    W = block_affinity(sizes, off_block=0.1, seed=2)[0]
+    requested, shapes = [], []
+    real = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        requested.append(kwargs.get("subset_by_index"))
+        vals, vecs = real(a, *args, **kwargs)
+        shapes.append(vecs.shape)
+        return vals, vecs
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral_cluster reached the full np.linalg.eigh")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    spectral_cluster(W, n_clusters, seed=0)
+    assert requested == [[0, n_clusters - 1]]
+    assert shapes == [(W.shape[0], n_clusters)]
