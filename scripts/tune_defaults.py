@@ -1,9 +1,10 @@
 """Pick default (lam, gamma, mu2_init) values for the synthetic benchmark.
 
-Replicates the benchmark tuning loop: a lambda (x gamma) phase at the base
-mu, then a mu phase for the winning weights, scored by median clustering
-error over freshly generated datasets.  Each phase keeps the first minimum
-in grid order.  At the command below it picks the shipped defaults
+Runs ``lrssc.grid_search``, the benchmark tuning loop: a lambda (x gamma)
+phase at mu2_init 5, then a mu phase for the winning weights, scored by
+median clustering error over freshly generated datasets, and prints every
+scored cell.  gmc tunes gamma over 0.1 ... 1.0; the other solvers keep it
+at 0.6.  At the command below it picks the shipped defaults
 (``lrssc.solvers.ALGORITHMS``) for gmc and lrssc-convex; for s0l0 it picks
 lam 0.8 (median 0.070) over the shipped 0.5 (median 0.087).
 
@@ -15,58 +16,17 @@ Run from the repository root:
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
-
-import numpy as np
 
 from lrssc import (
-    GridSpec,
     SolverConfig,
     SyntheticSpec,
-    build_affinity,
-    clustering_error,
-    generate_synthetic,
     gmc_default_grid,
+    grid_search,
     s0l0_default_grid,
-    spectral_cluster,
 )
-from lrssc.parallel import map_tasks
 from lrssc.solvers import ALGORITHMS
 
 GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
-
-
-def trial_ce(solver, spec, tune_seed, task):
-    (lam, gamma, mu), trial = task
-    data_seed, cluster_seed = (
-        s.generate_state(1)[0] for s in np.random.SeedSequence([tune_seed, trial]).spawn(2)
-    )
-    data = generate_synthetic(replace(spec, seed=int(data_seed)))
-    cfg = SolverConfig(lam=lam, gamma=gamma, mu2_init=mu)
-    C, _ = ALGORITHMS[solver].solve(data.X, cfg)
-    labels = spectral_cluster(build_affinity(C), spec.num_subspaces, seed=int(cluster_seed))
-    return clustering_error(labels, data.truth).ce
-
-
-def best_setting(solver, settings, spec, trials, tune_seed, jobs):
-    """Print the median clustering error of each (lam, gamma, mu) setting and
-    return (median, lam, gamma, mu) of the first minimum in grid order."""
-    tasks = [(setting, t) for setting in settings for t in range(trials)]
-    ces = map_tasks(partial(trial_ce, solver, spec, tune_seed), tasks, jobs)
-    scored = [(float(np.median(ces[i * trials:(i + 1) * trials])), *setting)
-              for i, setting in enumerate(settings)]
-    for med, lam, gamma, mu in scored:
-        print(f"  {solver}: lam={lam:.6f} gamma={gamma:.1f} mu={mu:g}  median={med:.4f}")
-    return min(scored, key=lambda row: row[0])
-
-
-def tune(solver, spec, trials, tune_seed, jobs):
-    grid = s0l0_default_grid() if solver == "s0l0" else gmc_default_grid()
-    gammas = GAMMAS if solver == "gmc" else (0.6,)
-    weights = [(lam, gamma, 5.0) for lam in grid.lambdas for gamma in gammas]
-    _, lam, gamma, _ = best_setting(solver, weights, spec, trials, tune_seed, jobs)
-    mus = [(lam, gamma, mu) for mu in GridSpec.mu_inits]
-    return best_setting(solver, mus, spec, trials, tune_seed, jobs)
 
 
 def main():
@@ -78,16 +38,23 @@ def main():
     ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--solver", choices=sorted(ALGORITHMS), action="append")
     args = ap.parse_args()
-    if args.jobs < 1:
-        ap.error(f"--jobs must be at least 1, got {args.jobs}")
+    for flag in ("trials", "jobs"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
     spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
-    solvers = args.solver or sorted(ALGORITHMS)
-    for solver in solvers:
+    for solver in args.solver or sorted(ALGORITHMS):
         print(f"== {solver} (var={args.var}) ==")
-        med, lam, gamma, mu = tune(solver, spec, args.trials, args.tune_seed, args.jobs)
-        print(f"--> {solver}: lam={lam:.6f} gamma={gamma:.1f} "
-              f"mu2_init={mu:g} median CE={med:.4f}")
+        grid = s0l0_default_grid() if solver == "s0l0" else gmc_default_grid()
+        grid = replace(grid, gammas=GAMMAS if solver == "gmc" else (0.6,))
+        result = grid_search(spec, solver, grid, trials=args.trials, seed=args.tune_seed,
+                             base_config=SolverConfig(mu2_init=5.0), jobs=args.jobs)
+        for p in result.table:
+            print(f"  {solver}: lam={p.lam:.6f} gamma={p.gamma:.1f} mu={p.mu2_init:g}"
+                  f"  median={p.median_ce:.4f}")
+        best = result.best_config
+        print(f"--> {solver}: lam={best.lam:.6f} gamma={best.gamma:.1f} "
+              f"mu2_init={best.mu2_init:g} median CE={result.best_median_ce:.4f}")
     return 0
 
 

@@ -22,6 +22,8 @@ def _checked_svd(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite entries")
     if not np.any(X):
         raise ValueError("X must contain at least one nonzero entry")
     return np.linalg.svd(X, full_matrices=False)

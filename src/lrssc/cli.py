@@ -198,8 +198,9 @@ def _sweep_cell(args, cfgs, task):
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    for flag in ("trials", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     pers = [int(v) for v in args.pers.split(",")]
     variances = [float(v) for v in args.vars.split(",")]
     algorithms = args.algorithms.split(",")

@@ -2,19 +2,24 @@
 
 The clustering error is 1 - (best fraction of agreeing points over all
 label permutations); the optimum is found exactly as a max-weight
-assignment on the confusion matrix.  The grid search mirrors the usual
-benchmark protocol: tune the penalty split first with everything else at
-its default, then the initial mu, or exhaustively when asked.
+assignment on the confusion matrix.  The grid search is the one tuning
+path and follows the synthetic benchmark protocol: tune the penalty split
+(lam, and gamma when given) at the base initial mu, then the initial mu at
+the winner, scoring each cell by its median clustering error over freshly
+generated datasets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import spectral
+from .datasets import SyntheticSpec, generate_synthetic
+from .parallel import map_tasks
 from .solvers import ALGORITHMS, SolverConfig
 
 
@@ -64,15 +69,13 @@ def clustering_error(pred, truth) -> EvalReport:
 class GridSpec:
     """Hyperparameter grid: lambdas (with taus = 1 - lam), initial mus, gammas.
 
-    An empty gamma tuple keeps the base config's gamma fixed.  Two-phase
-    search sweeps (lam, gamma) first at the base initial mu, then mu at the
-    winner; otherwise the full Cartesian product is scored.
+    An empty gamma tuple keeps the base config's gamma fixed.  The search
+    sweeps (lam, gamma) first at the base initial mu, then mu at the winner.
     """
 
     lambdas: tuple
     mu_inits: tuple = (1.0, 3.0, 5.0, 10.0, 20.0)
     gammas: tuple = ()
-    two_phase: bool = True
 
 
 def gmc_default_grid() -> GridSpec:
@@ -88,78 +91,70 @@ def s0l0_default_grid() -> GridSpec:
 
 @dataclass
 class GridPoint:
-    """One scored grid cell."""
+    """One scored grid cell: its clustering error per trial and their median."""
 
     lam: float
     gamma: float
     mu2_init: float
     ces: tuple
-    mean_ce: float
     median_ce: float
-    std_ce: float
 
 
 @dataclass
 class GridSearchResult:
     best_config: SolverConfig
-    best_mean_ce: float
+    best_median_ce: float
     table: list
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+def _trial_ce(algorithm: str, spec: SyntheticSpec, base: SolverConfig, seed: int,
+              task) -> float:
+    """Clustering error of one (lam, gamma, mu) cell on trial t's own dataset."""
+    (lam, gamma, mu), trial = task
+    data_seed, cluster_seed = (
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence([seed, trial]).spawn(2))
+    data = generate_synthetic(replace(spec, seed=data_seed))
+    cfg = replace(base, lam=lam, tau=1.0 - lam, gamma=gamma, mu2_init=mu)
+    C, _ = ALGORITHMS[algorithm].solve(data.X, cfg)
+    labels = spectral.spectral_cluster(spectral.build_affinity(C), spec.num_subspaces,
+                                       cluster_seed)
+    return clustering_error(labels, data.truth).ce
 
 
-def grid_search(X, truth, algorithm: str, grid: GridSpec, trials: int = 1,
-                seed: int = 0, base_config: SolverConfig | None = None) -> GridSearchResult:
-    """Score every grid cell by mean clustering error over seeded trials.
+def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int = 1,
+                seed: int = 0, base_config: SolverConfig | None = None,
+                jobs: int = 1) -> GridSearchResult:
+    """Tune in two phases, scoring each cell by median clustering error.
 
-    The solver runs once per cell (it is deterministic); trials re-run the
-    spectral stage with per-trial seeds.  Ties keep the lexicographically
-    first cell in (lam, gamma, mu) grid order.  Without ``base_config`` the
-    search starts from the algorithm's tuned defaults in ALGORITHMS.
+    Phase one scores every (lam, gamma) at the base initial mu, phase two
+    every initial mu at phase one's winner.  Trial t draws a fresh dataset
+    from ``spec`` and seeds k-means, both from
+    ``np.random.SeedSequence([seed, t]).spawn(2)``; ``spec.seed`` is not used.
+    Each phase keeps its first minimum in grid order.  The (cell, trial)
+    runs of a phase go through :func:`lrssc.parallel.map_tasks` with
+    ``jobs`` workers.  Without ``base_config`` the search starts from the
+    algorithm's tuned defaults in ALGORITHMS.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    solve = ALGORITHMS[algorithm].solve
-    truth = np.asarray(truth, dtype=int)
-    n_clusters = len(np.unique(truth))
     base = (base_config if base_config is not None
             else SolverConfig(**ALGORITHMS[algorithm].defaults))
-
-    def score(lam, gamma, mu) -> GridPoint:
-        cfg = replace(base, lam=lam, tau=1.0 - lam, gamma=gamma, mu2_init=mu)
-        C, _ = solve(X, cfg)
-        W = spectral.build_affinity(C)
-        ces = tuple(
-            clustering_error(
-                spectral.spectral_cluster(W, n_clusters, _trial_seed(seed, t)), truth).ce
-            for t in range(trials))
-        arr = np.asarray(ces)
-        return GridPoint(lam=lam, gamma=gamma, mu2_init=mu, ces=ces,
-                         mean_ce=float(arr.mean()), median_ce=float(np.median(arr)),
-                         std_ce=float(arr.std()))
-
-    gammas = grid.gammas if grid.gammas else (base.gamma,)
+    run_trial = partial(_trial_ce, algorithm, spec, base, seed)
     table: list[GridPoint] = []
 
-    def best_of(points):
-        return min(points, key=lambda p: p.mean_ce)
+    def best_of(cells) -> GridPoint:
+        ces = map_tasks(run_trial, [(cell, t) for cell in cells for t in range(trials)], jobs)
+        per_cell = [tuple(ces[i:i + trials]) for i in range(0, len(ces), trials)]
+        points = [GridPoint(*cell, ces=c, median_ce=float(np.median(c)))
+                  for cell, c in zip(cells, per_cell)]
+        table.extend(points)
+        return min(points, key=lambda p: p.median_ce)
 
-    if grid.two_phase:
-        phase1 = [score(lam, g, base.mu2_init) for lam in grid.lambdas for g in gammas]
-        table.extend(phase1)
-        head = best_of(phase1)
-        phase2 = [score(head.lam, head.gamma, mu) for mu in grid.mu_inits]
-        table.extend(phase2)
-        winner = best_of(phase2)
-    else:
-        table = [score(lam, g, mu)
-                 for lam in grid.lambdas for g in gammas for mu in grid.mu_inits]
-        winner = best_of(table)
-
+    head = best_of([(lam, g, base.mu2_init)
+                    for lam in grid.lambdas for g in grid.gammas or (base.gamma,)])
+    winner = best_of([(head.lam, head.gamma, mu) for mu in grid.mu_inits])
     best_cfg = replace(base, lam=winner.lam, tau=1.0 - winner.lam,
                        gamma=winner.gamma, mu2_init=winner.mu2_init)
-    return GridSearchResult(best_config=best_cfg, best_mean_ce=winner.mean_ce, table=table)
+    return GridSearchResult(best_config=best_cfg, best_median_ce=winner.median_ce, table=table)

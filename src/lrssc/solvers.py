@@ -48,9 +48,10 @@ class SolverConfig:
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
     the other solvers live in :data:`ALGORITHMS`.  ``scripts/tune_defaults.py
-    --trials 10 --var 0.0`` picks the shipped values for gmc and
-    lrssc-convex.  For s0l0 it picks lam 0.8 (median error 0.070) over the
-    shipped 0.5 (0.087 in the same run).
+    --trials 10 --var 0.0``, which runs :func:`lrssc.evaluation.grid_search`,
+    picks the shipped values for gmc and lrssc-convex.  For s0l0 it picks
+    lam 0.8 (median error 0.070) over the shipped 0.5 (0.087 in the same
+    run).
     """
 
     lam: float = 1.0 / 1.1
@@ -164,7 +165,9 @@ class SolverTrace:
     C1 step, so an iteration costs one N x N symmetric eigendecomposition
     (the SVT's, see :mod:`lrssc.prox`) and no SVD; the value agrees with
     :func:`lagrangian_value`, which runs its own SVD, to rounding, not
-    always to the last digit.
+    always to the last digit.  Two-block (s0l0) runs pay one values-only
+    N x N SVD per iteration on top of their SVT, only to count the rank of
+    C for the Lagrangian.
     ``gamma_substituted`` records that gamma = 1 was mapped to a slightly
     separated firm knee.
     """

@@ -12,6 +12,20 @@ def low_rank_matrix(rows, cols, rank, seed=0):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+@pytest.mark.parametrize("solve", [lrr_noiseless, lambda X: lrr_noisy(X, 2.0)],
+                         ids=["noiseless", "noisy"])
+def test_rejects_non_finite_input_before_the_svd(monkeypatch, solve, entry):
+    def unreachable(*args, **kw):
+        raise AssertionError("SVD reached with a non-finite input")
+
+    X = low_rank_matrix(6, 10, 3)
+    X[2, 4] = entry
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    with pytest.raises(ValueError, match="^X contains non-finite entries$"):
+        solve(X)
+
+
 class TestNoiseless:
     def test_identity_input_gives_identity(self):
         sol = lrr_noiseless(np.eye(3))

@@ -285,6 +285,19 @@ class TestCluster:
         assert capsys.readouterr().err == "error: affinity has non-finite entries (NaN or inf)\n"
         assert not labels_out.exists()
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_lrr_rejects_non_finite_input(self, small_data_dir, tmp_path, capsys, entry):
+        X = load_matrix(small_data_dir / "X.csv")
+        X[0, 1] = float(entry)
+        bad = tmp_path / "X.csv"
+        datasets.save_matrix(bad, X)
+        labels_out = tmp_path / "pred.txt"
+        code = run(["cluster", "--input", bad, "--algorithm", "lrr",
+                    "--clusters", "3", "--labels-out", labels_out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: X contains non-finite entries\n"
+        assert not labels_out.exists()
+
     def test_missing_input_file_fails(self, tmp_path, capsys):
         code = run(["cluster", "--input", tmp_path / "absent.csv",
                     "--algorithm", "gmc", "--clusters", "3",
@@ -433,6 +446,15 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--jobs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_fails(self, tmp_path, capsys, trials):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--pers", "10", "--vars", "0.0", "--trials", trials,
+                    "--jobs", "1", "--out", out] + self.SMALL)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --trials must be at least 1, got {trials}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("blas_threads", [None, "3"])

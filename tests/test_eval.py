@@ -1,5 +1,7 @@
 """Clustering-error scoring and the hyperparameter grid search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,16 @@ from lrssc import (
     GridSpec,
     SolverConfig,
     SyntheticSpec,
+    build_affinity,
     clustering_error,
     generate_synthetic,
     gmc_default_grid,
     grid_search,
+    parallel,
     s0l0_default_grid,
+    spectral_cluster,
 )
+from lrssc.solvers import ALGORITHMS
 from conftest import brute_force_ce
 
 
@@ -116,7 +122,6 @@ class TestGridSpecs:
         expect = [1.0 / (1.0 + 10.0**k) for k in range(-3, 4)]
         assert list(grid.lambdas) == pytest.approx(expect)
         assert grid.mu_inits == (1.0, 3.0, 5.0, 10.0, 20.0)
-        assert grid.two_phase
 
     def test_s0l0_grid_lambda_values(self):
         grid = s0l0_default_grid()
@@ -124,98 +129,121 @@ class TestGridSpecs:
             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 
 
+# independent subspaces: easy instances where good settings reach CE 0
 IDEAL_SPEC = SyntheticSpec(ambient_dim=30, subspace_dim=3, num_subspaces=3,
-                           points_per_subspace=10, union_rank=9, seed=6)
-
-
-@pytest.fixture(scope="module")
-def ideal():
-    # independent subspaces: easy instance where good settings reach CE 0
-    return generate_synthetic(IDEAL_SPEC)
+                           points_per_subspace=10, union_rank=9)
+# overlapping subspaces under heavy noise: errors vary from trial to trial
+NOISY_SPEC = replace(IDEAL_SPEC, union_rank=6, noise_variance=0.3)
 
 
 class TestGridSearch:
 
-    def test_single_point_grid(self, ideal):
-        grid = GridSpec(lambdas=(0.5,), mu_inits=(3.0,), two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "gmc", grid,
+    def test_single_point_grid(self):
+        grid = GridSpec(lambdas=(0.5,), mu_inits=(3.0,))
+        result = grid_search(IDEAL_SPEC, "gmc", grid,
                              base_config=SolverConfig(gamma=0.6, max_iters=30))
-        assert len(result.table) == 1
+        # one cell per phase, both at the same setting
+        assert [(p.lam, p.mu2_init) for p in result.table] == [(0.5, 3.0)] * 2
         assert result.best_config.lam == 0.5
         assert result.best_config.mu2_init == 3.0
-        assert result.best_mean_ce == result.table[0].mean_ce
+        assert result.best_median_ce == result.table[-1].median_ce
 
-    def test_perfect_config_selected(self, ideal):
-        grid = GridSpec(lambdas=(0.5, 0.9), mu_inits=(3.0,), two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "gmc", grid,
+    def test_perfect_config_selected(self):
+        grid = GridSpec(lambdas=(0.5, 0.9), mu_inits=(3.0,))
+        result = grid_search(IDEAL_SPEC, "gmc", grid,
                              base_config=SolverConfig(gamma=0.6, max_iters=30))
-        assert result.best_mean_ce == 0.0
+        assert result.best_median_ce == 0.0
 
-    def test_two_phase_evaluation_count(self, ideal):
-        result = grid_search(ideal.X, ideal.truth, "gmc", gmc_default_grid(),
+    def test_two_phase_evaluation_count(self):
+        result = grid_search(IDEAL_SPEC, "gmc", gmc_default_grid(),
                              base_config=SolverConfig(gamma=0.6, max_iters=10))
         # 7 lambdas at the base mu, then 5 mu values at the winning lambda
         assert len(result.table) == 12
+        assert {p.mu2_init for p in result.table[:7]} == {3.0}
+        assert {p.lam for p in result.table[7:]} == {result.best_config.lam}
 
-    def test_full_cartesian_count(self, ideal):
-        grid = GridSpec(lambdas=(0.3, 0.5, 0.7), mu_inits=(1.0, 5.0),
-                        two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "s0l0", grid,
+    def test_gamma_axis_included_when_given(self):
+        grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,), gammas=(0.3, 0.8))
+        result = grid_search(IDEAL_SPEC, "gmc", grid,
                              base_config=SolverConfig(max_iters=10))
-        assert len(result.table) == 6
-
-    def test_gamma_axis_included_when_given(self, ideal):
-        grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,), gammas=(0.3, 0.8),
-                        two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "gmc", grid,
-                             base_config=SolverConfig(max_iters=10))
-        assert [p.gamma for p in result.table] == [0.3, 0.8]
+        assert [p.gamma for p in result.table[:2]] == [0.3, 0.8]
+        assert result.table[2].gamma == result.best_config.gamma
         assert result.best_config.gamma in (0.3, 0.8)
 
-    def test_ties_keep_first_grid_cell(self, ideal):
-        grid = GridSpec(lambdas=(0.5, 0.6), mu_inits=(3.0,), two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "gmc", grid,
-                             base_config=SolverConfig(gamma=0.6, max_iters=30))
-        tied_best = [p for p in result.table
-                     if p.mean_ce == result.best_mean_ce]
-        first = tied_best[0]
-        assert result.best_config.lam == first.lam
-        assert result.best_config.mu2_init == first.mu2_init
+    def test_ties_keep_first_grid_cell(self):
+        def first_minimum(points):
+            return next(p for p in points
+                        if p.median_ce == min(q.median_ce for q in points))
 
-    def test_trials_rerun_spectral_stage(self, ideal):
-        grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,), two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "gmc", grid, trials=3,
+        grid = GridSpec(lambdas=(0.5, 0.9, 0.1), mu_inits=(1.0, 5.0, 20.0))
+        for spec in (IDEAL_SPEC, NOISY_SPEC):
+            result = grid_search(spec, "gmc", grid, trials=2, seed=4,
+                                 base_config=SolverConfig(max_iters=10))
+            phase1, phase2 = result.table[:3], result.table[3:]
+            assert {p.lam for p in phase2} == {first_minimum(phase1).lam}
+            winner = first_minimum(phase2)
+            assert result.best_config.lam == winner.lam
+            assert result.best_config.mu2_init == winner.mu2_init
+            assert result.best_median_ce == winner.median_ce
+
+    def test_trials_rerun_spectral_stage(self):
+        grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,))
+        result = grid_search(NOISY_SPEC, "gmc", grid, trials=3,
                              seed=4, base_config=SolverConfig(max_iters=10))
-        point = result.table[0]
-        assert len(point.ces) == 3
-        assert point.mean_ce == pytest.approx(np.mean(point.ces))
-        assert point.median_ce == pytest.approx(np.median(point.ces))
-        assert point.std_ce == pytest.approx(np.std(point.ces))
+        for point in result.table:
+            assert len(point.ces) == 3
+            assert point.median_ce == pytest.approx(np.median(point.ces))
 
-    def test_deterministic_given_seed(self, ideal):
-        grid = GridSpec(lambdas=(0.4, 0.6), mu_inits=(5.0,), two_phase=False)
+    def test_trial_t_draws_data_and_kmeans_seeds_from_its_seed_sequence(self):
+        base = SolverConfig(lam=0.5, gamma=0.6, max_iters=10)
+        grid = GridSpec(lambdas=(0.5,), mu_inits=(3.0,))
+        result = grid_search(NOISY_SPEC, "gmc", grid, trials=3, seed=9, base_config=base)
+        expected = []
+        for t in range(3):
+            data_seed, kmeans_seed = (int(s.generate_state(1)[0])
+                                      for s in np.random.SeedSequence([9, t]).spawn(2))
+            data = generate_synthetic(replace(NOISY_SPEC, seed=data_seed))
+            C, _ = ALGORITHMS["gmc"].solve(data.X, base)
+            labels = spectral_cluster(build_affinity(C), 3, kmeans_seed)
+            expected.append(clustering_error(labels, data.truth).ce)
+        assert result.table[0].ces == tuple(expected)
+
+    def test_deterministic_given_seed(self):
+        grid = GridSpec(lambdas=(0.4, 0.6), mu_inits=(5.0,))
         kwargs = dict(trials=2, seed=11, base_config=SolverConfig(max_iters=8))
-        a = grid_search(ideal.X, ideal.truth, "s0l0", grid, **kwargs)
-        b = grid_search(ideal.X, ideal.truth, "s0l0", grid, **kwargs)
+        a = grid_search(NOISY_SPEC, "s0l0", grid, **kwargs)
+        b = grid_search(NOISY_SPEC, "s0l0", grid, **kwargs)
         assert [p.ces for p in a.table] == [p.ces for p in b.table]
         assert a.best_config == b.best_config
 
-    def test_tau_follows_lambda_in_best_config(self, ideal):
-        grid = GridSpec(lambdas=(0.3,), mu_inits=(5.0,), two_phase=False)
-        result = grid_search(ideal.X, ideal.truth, "s0l0", grid,
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        # force real workers even on a one-core machine
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        grid = GridSpec(lambdas=(0.5, 0.9), mu_inits=(1.0, 5.0))
+        kwargs = dict(trials=2, seed=3, base_config=SolverConfig(max_iters=10))
+        serial = grid_search(NOISY_SPEC, "gmc", grid, jobs=1, **kwargs)
+        pooled = grid_search(NOISY_SPEC, "gmc", grid, jobs=2, **kwargs)
+        assert pooled.table == serial.table
+        assert pooled.best_config == serial.best_config
+
+    def test_tau_follows_lambda_in_best_config(self):
+        grid = GridSpec(lambdas=(0.3,), mu_inits=(5.0,))
+        result = grid_search(IDEAL_SPEC, "s0l0", grid,
                              base_config=SolverConfig(max_iters=10))
         assert result.best_config.tau == pytest.approx(0.7)
 
-    def test_default_base_is_the_registry_defaults(self, ideal):
+    def test_default_base_is_the_registry_defaults(self):
         # s0l0 ships mu2_init 5.0; phase 1 must score at that, not at the
         # SolverConfig() value 3.0
         grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,))
-        result = grid_search(ideal.X, ideal.truth, "s0l0", grid)
+        result = grid_search(IDEAL_SPEC, "s0l0", grid)
         assert [p.mu2_init for p in result.table] == [5.0, 5.0]
 
-    def test_input_validation(self, ideal):
+    def test_input_validation(self):
         grid = GridSpec(lambdas=(0.5,))
         with pytest.raises(ValueError):
-            grid_search(ideal.X, ideal.truth, "nonsense", grid)
+            grid_search(IDEAL_SPEC, "nonsense", grid)
         with pytest.raises(ValueError):
-            grid_search(ideal.X, ideal.truth, "gmc", grid, trials=0)
+            grid_search(IDEAL_SPEC, "gmc", grid, trials=0)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            grid_search(IDEAL_SPEC, "gmc", grid, jobs=0)

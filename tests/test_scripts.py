@@ -7,6 +7,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The script's tuning output, pinned byte for byte: grid_search must keep the
+# trial seeding, median scoring and first-minimum picks that produced it.
+TUNE_CONVEX_STDOUT = (
+    "== lrssc-convex (var=0.0) ==\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=5  median=0.1667\n"
+    "  lrssc-convex: lam=0.990099 gamma=0.6 mu=5  median=0.2000\n"
+    "  lrssc-convex: lam=0.909091 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.500000 gamma=0.6 mu=5  median=0.2333\n"
+    "  lrssc-convex: lam=0.090909 gamma=0.6 mu=5  median=0.2667\n"
+    "  lrssc-convex: lam=0.009901 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.000999 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=1  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=3  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=5  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=10  median=0.2000\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=20  median=0.1667\n"
+    "--> lrssc-convex: lam=0.999001 gamma=0.6 mu2_init=1 median CE=0.1667\n"
+)
+
 
 def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -16,16 +35,24 @@ def _run(script, *args):
 
 
 def test_tune_defaults_small_grid():
-    done = _run("tune_defaults.py", "--solver", "lrssc-convex", "--trials", "1",
+    done = _run("tune_defaults.py", "--solver", "lrssc-convex", "--trials", "3",
                 "--per", "10", "--jobs", "1")
     assert done.returncode == 0, done.stderr
-    assert "\n--> lrssc-convex: lam=" in done.stdout
+    assert done.stdout == TUNE_CONVEX_STDOUT
 
 
 def test_tune_defaults_rejects_zero_jobs():
     done = _run("tune_defaults.py", "--jobs", "0")
     assert done.returncode == 2
     assert "--jobs must be at least 1" in done.stderr
+
+
+def test_tune_defaults_rejects_zero_trials():
+    done = _run("tune_defaults.py", "--solver", "lrssc-convex", "--trials", "0",
+                "--per", "10", "--jobs", "1")
+    assert done.returncode == 2
+    assert "--trials must be at least 1, got 0" in done.stderr
+    assert done.stdout == ""
 
 
 def test_benchmark_sweep_prints_a_table_per_algorithm(tmp_path):
