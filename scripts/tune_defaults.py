@@ -42,7 +42,10 @@ def main():
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
-    spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
+    try:
+        spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
+    except ValueError as err:
+        ap.error(str(err))
     for solver in args.solver or sorted(ALGORITHMS):
         print(f"== {solver} (var={args.var}) ==")
         grid = s0l0_default_grid() if solver == "s0l0" else gmc_default_grid()

@@ -73,8 +73,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
     g.add_argument("--normalize-j", dest="normalize_j", action=argparse.BooleanOptionalAction,
                    default=None, help="rescale J columns to unit norm each iteration")
-    g.add_argument("--scale-by-mu", dest="scale_by_mu", action=argparse.BooleanOptionalAction,
-                   default=None, help="rescale lam/tau by the initial mu2")
     g.add_argument("--config", type=Path, help="key = value file with solver settings")
 
 

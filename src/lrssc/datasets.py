@@ -104,17 +104,6 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(X=X, truth=truth)
 
 
-def add_gaussian_noise(X, variance: float, seed: int) -> np.ndarray:
-    """Entrywise N(0, variance) noise; variance 0 returns an unchanged copy."""
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    X = np.array(X, dtype=float)
-    if variance == 0:
-        return X
-    rng = np.random.default_rng(seed)
-    return X + rng.normal(0.0, np.sqrt(variance), size=X.shape)
-
-
 def save_matrix(path, X) -> None:
     """Write a matrix as comma-separated rows, 17 significant digits per entry."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import spectral
 from .datasets import SyntheticSpec, generate_synthetic
@@ -40,6 +39,9 @@ class EvalReport:
 
 def clustering_error(pred, truth) -> EvalReport:
     """Exact minimum misassignment rate between two label vectors."""
+    # imported here so that commands that never score (cluster) skip loading scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if pred.ndim != 1 or pred.shape != truth.shape:

@@ -7,8 +7,9 @@ low-rank block C1 (thresholded singular values) and a sparse block C2
 (thresholded entries, zero diagonal), with firm thresholds in gmc and soft
 ones in the convex baseline.  The two-block s0l0 solver keeps a single C
 and averages rank and sparsity hard-threshold prox maps.  All three run one
-ADMM loop over the splits J = C_k of their state; :data:`ALGORITHMS`
-registers them with their tuned defaults.
+ADMM loop over the splits J = C_k of their state.  :data:`ALGORITHMS` holds
+each of them once, under its command-line name: its solve function, state
+type, C maps, Lagrangian penalty, settings rule and tuned defaults.
 
 The update steps, the augmented Lagrangian and the stationarity (KKT)
 residuals are exposed so the solvers can be probed piece by piece.
@@ -26,7 +27,7 @@ from .exceptions import NumericalError
 
 GMC = "gmc"
 S0L0 = "s0l0"
-CONVEX = "convex"
+CONVEX = "lrssc-convex"
 
 # gamma = 1 collapses the firm knee onto the threshold; nudge it apart.
 _GAMMA_KNEE_NUDGE = 1e-9
@@ -39,11 +40,11 @@ _COUNT_FLOOR = 1e-12
 class SolverConfig:
     """Hyperparameters shared by the ADMM solvers.
 
-    tau defaults to 1 - lam.  With ``scale_by_mu`` on, the penalty weights
-    used by the updates are lam * mu2_init and tau * mu2_init; the proximal
-    average in the two-block solver keeps (lam, tau) as combination weights
-    either way.  ``normalize_j`` rescales the columns of J to unit l2 norm
-    after each J update.
+    tau defaults to 1 - lam.  The penalty weights used by the updates are
+    always lam * mu2_init and tau * mu2_init (:func:`effective_weights`); the
+    proximal average in the two-block solver keeps (lam, tau) as its
+    combination weights.  ``normalize_j`` rescales the columns of J to unit
+    l2 norm after each J update.
 
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
@@ -64,7 +65,6 @@ class SolverConfig:
     epsilon: float = 1e-4
     max_iters: int = 100
     normalize_j: bool = True
-    scale_by_mu: bool = True
 
     def __post_init__(self):
         if self.tau is None:
@@ -88,9 +88,8 @@ class SolverConfig:
 
 
 def effective_weights(cfg: SolverConfig) -> tuple[float, float]:
-    """Penalty weights the updates actually use (optionally rescaled by mu2_init)."""
-    scale = cfg.mu2_init if cfg.scale_by_mu else 1.0
-    return cfg.lam * scale, cfg.tau * scale
+    """Penalty weights the updates actually use: (lam * mu2_init, tau * mu2_init)."""
+    return cfg.lam * cfg.mu2_init, cfg.tau * cfg.mu2_init
 
 
 @dataclass
@@ -157,7 +156,7 @@ class KktResiduals:
 class SolverTrace:
     """Per-iteration diagnostics: residuals, Lagrangian, mu schedule, exit info.
 
-    r_jc1 holds the max-abs entry of J - C1 (J - C for two-block runs),
+    ``variant`` is the algorithm's key in :data:`ALGORITHMS`.  r_jc1 holds the max-abs entry of J - C1 (J - C for two-block runs),
     r_jc2 the same for J - C2 (None for two-block runs), r_jj the change in
     J between iterations.  The Lagrangian is evaluated at the end of each
     iteration, after the multiplier update, with the mu values used during
@@ -168,8 +167,6 @@ class SolverTrace:
     always to the last digit.  Two-block (s0l0) runs pay one values-only
     N x N SVD per iteration on top of their SVT, only to count the rank of
     C for the Lagrangian.
-    ``gamma_substituted`` records that gamma = 1 was mapped to a slightly
-    separated firm knee.
     """
 
     variant: str
@@ -181,7 +178,6 @@ class SolverTrace:
     mu2: list = field(default_factory=list)
     termination: str = "max_iters"
     kkt: KktResiduals | None = None
-    gamma_substituted: bool = False
 
     @property
     def n_iters(self) -> int:
@@ -243,14 +239,13 @@ def normalize_columns(J) -> np.ndarray:
     return J
 
 
-def _firm_params(weight: float, mu: float, gamma: float):
-    """Threshold/knee pair for a firm prox step; returns (params, substituted)."""
+def _firm_params(weight: float, mu: float, gamma: float) -> prox.ThresholdParams:
+    """Threshold/knee pair for a firm prox step."""
     thr = weight / mu
     knee = weight / (gamma * mu)
-    substituted = not knee > thr
-    if substituted:
+    if not knee > thr:
         knee = thr * (1.0 + _GAMMA_KNEE_NUDGE)
-    return prox.ThresholdParams(lam=thr, a=knee), substituted
+    return prox.ThresholdParams(lam=thr, a=knee)
 
 
 def _check_gamma(cfg):
@@ -277,47 +272,23 @@ def _check_average_weights(cfg):
 
 
 def _gmc_c1_step(state, cfg):
-    """C1 update with its spectrum: (C1, singular values of C1, substituted)."""
+    """C1 update with its spectrum: (C1, singular values of C1)."""
     lam_eff, _ = effective_weights(cfg)
-    params, substituted = _firm_params(lam_eff, state.mu1, cfg.gamma)
-    C1, sv = prox.svt_firm(state.J + state.Lambda1 / state.mu1, params,
-                           return_spectrum=True)
-    return C1, sv, substituted
-
-def _gmc_c1_update(state, cfg):
-    C1, _, substituted = _gmc_c1_step(state, cfg)
-    return C1, substituted
+    return prox.svt_firm(state.J + state.Lambda1 / state.mu1,
+                         _firm_params(lam_eff, state.mu1, cfg.gamma), return_spectrum=True)
 
 def gmc_c1_update(state, cfg) -> np.ndarray:
     """Firm threshold on the singular values of J + Lambda1/mu1."""
     _check_gamma(cfg)
-    mat, _ = _gmc_c1_update(state, cfg)
-    return mat
+    return _gmc_c1_step(state, cfg)[0]
 
-
-def _gmc_c2_update(state, cfg):
-    _, tau_eff = effective_weights(cfg)
-    params, substituted = _firm_params(tau_eff, state.mu2, cfg.gamma)
-    C2 = prox.entrywise_firm(state.J + state.Lambda2 / state.mu2, params)
-    np.fill_diagonal(C2, 0.0)
-    return C2, substituted
 
 def gmc_c2_update(state, cfg) -> np.ndarray:
     """Entrywise firm threshold of J + Lambda2/mu2 with the diagonal zeroed."""
     _check_gamma(cfg)
-    mat, _ = _gmc_c2_update(state, cfg)
-    return mat
-
-
-def _convex_c1_step(state, cfg):
-    """Soft-threshold twin of :func:`_gmc_c1_step`: (C1, singular values of C1)."""
-    lam_eff, _ = effective_weights(cfg)
-    return prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
-                         return_spectrum=True)
-
-def _convex_c2_update(state, cfg):
     _, tau_eff = effective_weights(cfg)
-    C2 = prox.soft_threshold(state.J + state.Lambda2 / state.mu2, tau_eff / state.mu2)
+    C2 = prox.entrywise_firm(state.J + state.Lambda2 / state.mu2,
+                             _firm_params(tau_eff, state.mu2, cfg.gamma))
     np.fill_diagonal(C2, 0.0)
     return C2
 
@@ -344,36 +315,17 @@ def s0l0_c_update(state, cfg) -> np.ndarray:
 
 
 def _gmc_c_maps(state, cfg):
-    C1, sv, sub1 = _gmc_c1_step(state, cfg)
-    C2, sub2 = _gmc_c2_update(state, cfg)
-    return (C1, C2), sv, sub1 or sub2
+    C1, sv = _gmc_c1_step(state, cfg)
+    return (C1, gmc_c2_update(state, cfg)), sv
 
 def _convex_c_maps(state, cfg):
-    C1, sv = _convex_c1_step(state, cfg)
-    return (C1, _convex_c2_update(state, cfg)), sv, False
-
-
-# Variant -> (state class, C maps, settings rule).  The C maps return the new C
-# of each split in update order, the singular values of C1 (None if not at
-# hand) and whether gamma = 1 was substituted.  The loop and the exit KKT share
-# them.  The settings rule raises ValueError on a config the variant rejects.
-_VARIANTS = {
-    GMC: (SolverState, _gmc_c_maps, _check_gmc),
-    CONVEX: (SolverState, _convex_c_maps, _check_positive_weights),
-    S0L0: (S0L0State, lambda state, cfg: ((s0l0_c_update(state, cfg),), None, False),
-           _check_average_weights),
-}
-
-
-def _c_maps(state, variant: str):
-    """The variant's C maps; ValueError unless the state is of the variant's kind."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    state_cls, c_maps, _ = _VARIANTS[variant]
-    if type(state) is not state_cls:
-        raise ValueError(f"variant {variant!r} needs a {state_cls.__name__}, "
-                         f"got a {type(state).__name__}")
-    return c_maps
+    """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
+    lam_eff, tau_eff = effective_weights(cfg)
+    C1, sv = prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
+                           return_spectrum=True)
+    C2 = prox.soft_threshold(state.J + state.Lambda2 / state.mu2, tau_eff / state.mu2)
+    np.fill_diagonal(C2, 0.0)
+    return (C1, C2), sv
 
 
 def dual_update(state):
@@ -407,38 +359,62 @@ def _count_nonzero_singular_values(M) -> int:
     return int(np.count_nonzero(s > _COUNT_FLOOR * s[0]))
 
 
+def _mc_penalty(state, cfg, c1_spectrum, gamma: float) -> float:
+    """Scaled MC penalty on the singular values of C1 and on the entries of C2.
+
+    b is chosen per block as the firm steps at this gamma choose it, so the
+    mu-quadratic subproblems stay convex; gamma 0 gives b = 0, the nuclear
+    norm plus l1 of the convex baseline.  Without ``c1_spectrum`` the
+    singular values come from an SVD of C1.
+    """
+    lam_eff, tau_eff = effective_weights(cfg)
+    b1 = prox.GmcParams.for_subproblem(lam_eff, state.mu1, gamma).b
+    b2 = prox.GmcParams.for_subproblem(tau_eff, state.mu2, gamma).b
+    sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
+    return (lam_eff * prox.gmc_penalty_separable(sv, b1)
+            + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
+
+
+def _count_penalty(state, cfg, c1_spectrum) -> float:
+    """Weighted counts of the singular values and entries of C above 1e-12
+    times the largest."""
+    if c1_spectrum is not None:
+        raise ValueError("a two-block state has no C1 spectrum")
+    lam_eff, tau_eff = effective_weights(cfg)
+    return (lam_eff * _count_nonzero_singular_values(state.C)
+            + tau_eff * _count_nonzero_entries(state.C))
+
+
+def _algorithm(state, variant: str) -> Algorithm:
+    """The record of a variant; ValueError unless the state is of its kind."""
+    if variant not in ALGORITHMS:
+        raise ValueError(f"unknown variant {variant!r}")
+    algorithm = ALGORITHMS[variant]
+    if type(state) is not algorithm.state:
+        raise ValueError(f"variant {variant!r} needs a {algorithm.state.__name__}, "
+                         f"got a {type(state).__name__}")
+    return algorithm
+
+
 def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
                      c1_spectrum=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
-    For the "gmc" variant the penalties are the scaled MC penalty on the
-    singular values of C1 and on the entries of C2, with b chosen per block
-    so the mu-quadratic subproblems stay convex; "convex" is the b = 0
-    (nuclear norm / l1) case; "s0l0" counts singular values and entries
-    whose magnitude exceeds 1e-12 times the largest.
+    The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
+    record.  gmc takes the scaled MC penalty on the singular values of C1
+    and on the entries of C2, with b chosen per block so the mu-quadratic
+    subproblems stay convex; lrssc-convex is its b = 0 (nuclear norm / l1)
+    case; s0l0 counts singular values and entries whose magnitude exceeds
+    1e-12 times the largest.
 
     ``c1_spectrum``, for three-block states only, supplies the singular
     values of C1, such as those the C1 step has just thresholded; without
     it they are computed by an SVD of C1.
     """
-    _c_maps(state, variant)
+    algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
-    lam_eff, tau_eff = effective_weights(cfg)
     fid = 0.5 * np.linalg.norm(X - X @ state.J, "fro") ** 2
-
-    if variant == S0L0:
-        if c1_spectrum is not None:
-            raise ValueError("a two-block state has no C1 spectrum")
-        pen = (lam_eff * _count_nonzero_singular_values(state.C)
-               + tau_eff * _count_nonzero_entries(state.C))
-    else:
-        b1 = b2 = 0.0
-        if variant == GMC:
-            b1 = prox.GmcParams.for_subproblem(lam_eff, state.mu1, cfg.gamma).b
-            b2 = prox.GmcParams.for_subproblem(tau_eff, state.mu2, cfg.gamma).b
-        sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
-        pen = (lam_eff * prox.gmc_penalty_separable(sv, b1)
-               + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
+    pen = algorithm.penalty(state, cfg, c1_spectrum)
 
     splits = _splits(state)
     residuals = [state.J - C for C, _, _ in splits]
@@ -457,11 +433,11 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     The fixed-point residuals r4/r5 reuse the variant's own C update maps,
     evaluated with the state's current multipliers and mu values.
     """
-    c_maps = _c_maps(state, variant)
+    algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
     grad = -X.T @ (X - X @ state.J)
     splits = _splits(state)
-    maps, _, _ = c_maps(state, cfg)
+    maps, _ = algorithm.c_maps(state, cfg)
     for _, Lambda, _ in splits:
         grad = grad + Lambda
     gaps = [float(np.linalg.norm(state.J - C, "fro")) for C, _, _ in splits]
@@ -488,11 +464,11 @@ def _check_data(X) -> np.ndarray:
 def _solve(X, cfg: SolverConfig | None, variant: str):
     """The ADMM loop of every variant; returns (C of the first split, trace)."""
     cfg = cfg or SolverConfig()
-    state_cls, c_maps, check_settings = _VARIANTS[variant]
-    check_settings(cfg)
+    algorithm = ALGORITHMS[variant]
+    algorithm.check(cfg)
     X = _check_data(X)
     gram = GramSolver(X)
-    state = state_cls.zeros(X.shape[1], cfg)
+    state = algorithm.state.zeros(X.shape[1], cfg)
     two_splits = len(state.SPLITS) == 2
     trace = SolverTrace(variant=variant, r_jc2=[] if two_splits else None,
                         mu1=[] if two_splits else None)
@@ -503,9 +479,8 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            blocks, c1_spectrum, substituted = c_maps(state, cfg)
+            blocks, c1_spectrum = algorithm.c_maps(state, cfg)
             _assign(state, 0, blocks)
-            trace.gamma_substituted |= substituted
             lambdas = dual_update(state)
             _assign(state, 1, lambdas if two_splits else (lambdas,))
 
@@ -571,16 +546,36 @@ def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
 
 
 class Algorithm(NamedTuple):
-    """An iterative solver and the SolverConfig overrides it was tuned with."""
+    """What one iterative algorithm adds to the shared ADMM loop.
+
+    ``solve(X, cfg)`` runs it and ``state`` is its iterate type.
+    ``c_maps(state, cfg)`` returns the new C of each split in update order
+    and the singular values of C1 (None if not at hand); the loop and the
+    exit KKT share them.  ``penalty(state, cfg, c1_spectrum)`` is the
+    penalty term of its augmented Lagrangian.  ``check(cfg)`` raises
+    ValueError on a config it rejects.  ``defaults`` are the SolverConfig
+    overrides it was tuned with on the synthetic benchmark (see SolverConfig
+    on how far scripts/tune_defaults.py reproduces them).
+    """
     solve: Callable
+    state: type
+    c_maps: Callable
+    penalty: Callable
+    check: Callable
     defaults: dict
 
 
-# Each iterative solver under its command-line name, with the overrides it was
-# tuned with on the synthetic benchmark (see SolverConfig on how far
-# scripts/tune_defaults.py reproduces them).
+# Each iterative algorithm, once, under its one name: the command-line name,
+# SolverTrace.variant and the variant argument of lagrangian_value and
+# kkt_residuals.
 ALGORITHMS = {
-    "gmc": Algorithm(gmc_lrssc_solve, {}),
-    "s0l0": Algorithm(s0l0_lrssc_solve, {"lam": 0.5, "mu2_init": 5.0}),
-    "lrssc-convex": Algorithm(convex_lrssc, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
+    GMC: Algorithm(gmc_lrssc_solve, SolverState, _gmc_c_maps,
+                   lambda state, cfg, sv: _mc_penalty(state, cfg, sv, cfg.gamma),
+                   _check_gmc, {}),
+    S0L0: Algorithm(s0l0_lrssc_solve, S0L0State,
+                    lambda state, cfg: ((s0l0_c_update(state, cfg),), None),
+                    _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
+    CONVEX: Algorithm(convex_lrssc, SolverState, _convex_c_maps,
+                      lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0),
+                      _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
 }

@@ -46,9 +46,9 @@ from lrssc.solvers import (
     GMC,
     GramSolver,
     SolverState,
-    _gmc_c1_update,
-    _gmc_c2_update,
     dual_update,
+    gmc_c1_update,
+    gmc_c2_update,
     j_update,
     lagrangian_value,
     mu_update,
@@ -131,10 +131,10 @@ def test_criterion_04_block_updates_descend_frozen_lagrangian(small_dataset):
         L_start = lagrangian_value(X, state, cfg, GMC)
         state_j = replace(state, J=j_update(X, state, gram))
         L_j = lagrangian_value(X, state_j, cfg, GMC)
-        C1_new, _ = _gmc_c1_update(state_j, cfg)
+        C1_new = gmc_c1_update(state_j, cfg)
         state_c1 = replace(state_j, C1=C1_new)
         L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-        C2_new, _ = _gmc_c2_update(state_c1, cfg)
+        C2_new = gmc_c2_update(state_c1, cfg)
         state = replace(state_c1, C2=C2_new)
         L_c2 = lagrangian_value(X, state, cfg, GMC)
 
@@ -158,12 +158,12 @@ def test_criterion_04_block_updates_descend_frozen_lagrangian(small_dataset):
 _KKT_CONFIGS = {
     "gmc": SolverConfig(lam=0.5, gamma=0.1, rho=3.0, mu1_init=0.1,
                         mu2_init=5.0, mu_max=50.0, epsilon=1e-6,
-                        max_iters=20000, normalize_j=False, scale_by_mu=True),
+                        max_iters=20000, normalize_j=False),
     "lrssc-convex": SolverConfig(lam=0.5, rho=3.0, mu1_init=0.1, mu2_init=3.0,
                                  mu_max=100.0, epsilon=1e-6, max_iters=20000,
-                                 normalize_j=False, scale_by_mu=True),
+                                 normalize_j=False),
     "s0l0": SolverConfig(lam=0.5, rho=3.0, mu2_init=5.0, epsilon=1e-6,
-                         max_iters=300, normalize_j=False, scale_by_mu=True),
+                         max_iters=300, normalize_j=False),
 }
 
 

@@ -113,7 +113,7 @@ class TestConvexSolverBaseline:
     def test_trace_contract_and_near_hollow_diagonal(self, small_dataset):
         cfg = SolverConfig()
         C, trace = convex_lrssc(small_dataset.X, cfg)
-        assert trace.variant == "convex"
+        assert trace.variant == "lrssc-convex"
         assert np.all(np.isfinite(trace.r_jc1))
         assert np.all(np.isfinite(trace.r_jc2))
         assert np.all(np.isfinite(trace.r_jj))
@@ -142,8 +142,9 @@ class TestConvexSolverBaseline:
     def test_large_rank_weight_drops_rank(self, small_dataset):
         """Heavier nuclear-norm weight must not raise the spectral rank."""
         X = small_dataset.X
-        cfg_light = SolverConfig(lam=0.2, scale_by_mu=False, max_iters=30)
-        cfg_heavy = SolverConfig(lam=0.999, scale_by_mu=False, max_iters=30)
+        # effective weights (lam, tau) * mu2_init = (0.2, 0.8) and (0.999, 0.001)
+        cfg_light = SolverConfig(lam=0.2 / 3.0, tau=0.8 / 3.0, mu2_init=3.0, max_iters=30)
+        cfg_heavy = SolverConfig(lam=0.999 / 3.0, tau=0.001 / 3.0, mu2_init=3.0, max_iters=30)
         C_light, _ = convex_lrssc(X, cfg_light)
         C_heavy, trace = convex_lrssc(X, cfg_heavy)
         assert np.all(np.isfinite(C_heavy))

@@ -1,7 +1,10 @@
 """End-to-end command-line tests: synth, cluster, eval, sweep."""
 
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,6 @@ SETTING_CASES = {
     "epsilon": ("1e-6", ["--epsilon", "1e-6"]),
     "max_iters": ("7", ["--max-iters", "7"]),
     "normalize_j": ("off", ["--no-normalize-j"]),
-    "scale_by_mu": ("off", ["--no-scale-by-mu"]),
 }
 
 
@@ -206,6 +208,17 @@ class TestCluster:
                     "--labels-out", tmp_path / "pred.txt", "--config", cfg])
         assert code == 1
         assert "warp_factor" in capsys.readouterr().err
+
+    def test_removed_scale_by_mu_setting_is_rejected(self, small_data_dir, tmp_path, capsys):
+        base = ["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                "--labels-out", tmp_path / "pred.txt"]
+        with pytest.raises(SystemExit) as excinfo:
+            run(base + ["--no-scale-by-mu"])
+        assert excinfo.value.code == 2
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("scale_by_mu = on\n")
+        assert run(base + ["--config", cfg]) == 1
+        assert "unknown setting 'scale_by_mu'" in capsys.readouterr().err
 
     def test_malformed_config_line_fails_with_line_number(self, small_data_dir,
                                                           tmp_path, capsys):
@@ -539,3 +552,15 @@ def test_commands_reach_layers_through_module_attributes(small_data_dir, tmp_pat
         argv += TestSweep.SMALL
     assert run(argv) == 0
     assert calls == expected
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Only scoring needs scipy.optimize, and cluster never scores."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lrssc.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

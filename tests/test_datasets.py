@@ -5,7 +5,6 @@ import pytest
 
 from lrssc import (
     SyntheticSpec,
-    add_gaussian_noise,
     generate_synthetic,
     load_labels,
     load_matrix,
@@ -98,31 +97,6 @@ class TestGenerator:
         rng = np.random.default_rng(4)
         Q = _random_orthonormal(rng, 100, 10)
         np.testing.assert_allclose(Q.T @ Q, np.eye(10), atol=1e-12)
-
-
-class TestNoiseInjection:
-    def test_zero_variance_returns_equal_copy(self):
-        X = np.arange(12.0).reshape(3, 4)
-        out = add_gaussian_noise(X, 0.0, seed=0)
-        np.testing.assert_array_equal(out, X)
-        assert out is not X
-
-    def test_empirical_variance_close_to_target(self):
-        X = np.zeros((1000, 1000))
-        noisy = add_gaussian_noise(X, 0.64, seed=1)
-        assert noisy.var() == pytest.approx(0.64, rel=0.02)
-        assert abs(noisy.mean()) <= 0.01
-
-    def test_seed_determinism(self):
-        X = np.ones((20, 20))
-        np.testing.assert_array_equal(add_gaussian_noise(X, 0.5, seed=7),
-                                      add_gaussian_noise(X, 0.5, seed=7))
-        assert not np.array_equal(add_gaussian_noise(X, 0.5, seed=7),
-                                  add_gaussian_noise(X, 0.5, seed=8))
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            add_gaussian_noise(np.ones((2, 2)), -0.5, seed=0)
 
 
 class TestMatrixFiles:

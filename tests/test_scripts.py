@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # The script's tuning output, pinned byte for byte: grid_search must keep the
@@ -52,6 +54,19 @@ def test_tune_defaults_rejects_zero_trials():
                 "--per", "10", "--jobs", "1")
     assert done.returncode == 2
     assert "--trials must be at least 1, got 0" in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--per", "0"], "dimensions and counts must be positive"),
+    (["--var", "-1"], "noise_variance must be nonnegative, got -1.0"),
+])
+def test_tune_defaults_rejects_bad_dataset_shape(flags, message):
+    done = _run("tune_defaults.py", "--solver", "lrssc-convex", "--trials", "1", *flags)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: ")
+    assert f"tune_defaults.py: error: {message}\n" in done.stderr
+    assert "Traceback" not in done.stderr
     assert done.stdout == ""
 
 

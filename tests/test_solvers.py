@@ -35,7 +35,38 @@ from lrssc import (
     stopping_check,
     svt_hard,
 )
-from lrssc.solvers import CONVEX, GMC, S0L0, GramSolver
+from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
+
+# Three-block algorithms whose C updates are exported one block at a time.
+EXPORTED_C_UPDATES = {GMC: (gmc_c1_update, gmc_c2_update)}
+
+
+def redrive(X, name, cfg):
+    """Re-drive the loop of ALGORITHMS[name] from the exported pieces and its
+    record's C maps; yield the state after each dual step, before mu grows."""
+    algorithm = ALGORITHMS[name]
+    gram = GramSolver(X)
+    state = algorithm.state.zeros(X.shape[1], cfg)
+    c_names, lambda_names, mu_names = zip(*state.SPLITS)
+    for _ in range(cfg.max_iters):
+        state.J = j_update(X, state, gram)
+        if cfg.normalize_j:
+            state.J = normalize_columns(state.J)
+        blocks, _ = algorithm.c_maps(state, cfg)
+        for c_name, C in zip(c_names, blocks, strict=True):
+            setattr(state, c_name, C)
+        lambdas = dual_update(state)
+        for lambda_name, Lambda in zip(lambda_names, lambdas if len(lambda_names) > 1
+                                       else (lambdas,), strict=True):
+            setattr(state, lambda_name, Lambda)
+        yield state
+        for mu_name in mu_names:
+            setattr(state, mu_name, mu_update(getattr(state, mu_name), cfg))
+
+
+def registry_config(name, **overrides):
+    """SolverConfig of ALGORITHMS[name]'s tuned defaults plus overrides."""
+    return SolverConfig(**{**ALGORITHMS[name].defaults, **overrides})
 
 
 class TestConfigValidation:
@@ -64,10 +95,8 @@ class TestConfigValidation:
             SolverConfig(**kwargs)
 
     def test_effective_weights_scaling(self):
-        cfg = SolverConfig(lam=0.25, mu2_init=4.0, scale_by_mu=True)
+        cfg = SolverConfig(lam=0.25, mu2_init=4.0)
         assert effective_weights(cfg) == (pytest.approx(1.0), pytest.approx(3.0))
-        cfg_off = SolverConfig(lam=0.25, mu2_init=4.0, scale_by_mu=False)
-        assert effective_weights(cfg_off) == (pytest.approx(0.25), pytest.approx(0.75))
 
 
 class TestJUpdate:
@@ -172,8 +201,7 @@ def make_three_block_state(J, cfg, Lambda1=None, Lambda2=None):
 class TestCUpdates:
     def test_gmc_c1_firm_spectrum(self):
         # threshold lam_eff/mu1 = 1 and knee lam/(gamma*mu1) = 2
-        cfg = SolverConfig(lam=1.0, tau=0.5, gamma=0.5, mu1_init=1.0,
-                           mu2_init=1.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=1.0, tau=0.5, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.diag([1.5, 0.5]), cfg)
         np.testing.assert_allclose(gmc_c1_update(state, cfg),
                                    np.diag([1.0, 0.0]), atol=1e-12)
@@ -184,15 +212,13 @@ class TestCUpdates:
         np.testing.assert_array_equal(gmc_c1_update(state, cfg), np.zeros((3, 3)))
 
     def test_gmc_c2_firm_entries_and_hollow_diagonal(self):
-        cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0,
-                           mu2_init=1.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.array([[0.0, 1.5], [5.0, 0.0]]), cfg)
         np.testing.assert_allclose(gmc_c2_update(state, cfg),
                                    np.array([[0.0, 1.0], [5.0, 0.0]]), atol=1e-12)
 
     def test_gmc_c2_small_entries_vanish(self):
-        cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0,
-                           mu2_init=1.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.full((3, 3), 0.9), cfg)
         np.testing.assert_array_equal(gmc_c2_update(state, cfg), np.zeros((3, 3)))
 
@@ -222,7 +248,7 @@ def make_two_block_state(V, cfg):
 
 class TestS0L0Update:
     def test_pure_rank_degenerates_to_svt(self):
-        cfg = SolverConfig(lam=1.0, tau=0.0, mu2_init=1.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=1.0, tau=0.0, mu2_init=1.0)
         rng = np.random.default_rng(6)
         V = rng.standard_normal((5, 5))
         state = make_two_block_state(V, cfg)
@@ -230,7 +256,7 @@ class TestS0L0Update:
                                       svt_hard(V, 1.0))
 
     def test_pure_sparsity_degenerates_to_hollow_hard(self):
-        cfg = SolverConfig(lam=0.0, tau=1.0, mu2_init=1.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=0.0, tau=1.0, mu2_init=1.0)
         rng = np.random.default_rng(7)
         V = rng.standard_normal((5, 5)) * 2
         state = make_two_block_state(V, cfg)
@@ -239,12 +265,13 @@ class TestS0L0Update:
         np.testing.assert_array_equal(s0l0_c_update(state, cfg), expect)
 
     def test_average_matches_recombination(self):
-        cfg = SolverConfig(lam=0.5, mu2_init=2.0, scale_by_mu=False)
+        cfg = SolverConfig(lam=0.5, mu2_init=2.0)
         rng = np.random.default_rng(8)
         V = rng.standard_normal((6, 6))
         state = make_two_block_state(V, cfg)
-        rank_part = svt_hard(V, 0.5 / 2.0)
-        sparse_part = entrywise_hard(V, 0.5 / 2.0)
+        # each threshold is (weight * mu2_init) / mu = 0.5 * 2 / 2
+        rank_part = svt_hard(V, 0.5)
+        sparse_part = entrywise_hard(V, 0.5)
         np.fill_diagonal(sparse_part, 0.0)
         np.testing.assert_allclose(s0l0_c_update(state, cfg),
                                    0.5 * rank_part + 0.5 * sparse_part,
@@ -294,19 +321,18 @@ class TestLagrangianValue:
     def test_zero_state_zero_data(self):
         cfg = SolverConfig()
         X = np.zeros((3, 4))
-        assert lagrangian_value(X, SolverState.zeros(4, cfg), cfg, GMC) == 0.0
-        assert lagrangian_value(X, SolverState.zeros(4, cfg), cfg, "convex") == 0.0
-        assert lagrangian_value(X, S0L0State.zeros(4, cfg), cfg, S0L0) == 0.0
+        for name, algorithm in ALGORITHMS.items():
+            assert lagrangian_value(X, algorithm.state.zeros(4, cfg), cfg, name) == 0.0
 
     def test_convex_penalty_is_weighted_norms(self):
-        cfg = SolverConfig(lam=0.4, mu2_init=2.0, scale_by_mu=True)
+        cfg = SolverConfig(lam=0.4, mu2_init=2.0)
         lam_eff, tau_eff = effective_weights(cfg)
         rng = np.random.default_rng(9)
         C = rng.standard_normal((5, 5))
         np.fill_diagonal(C, 0.0)
         state = SolverState.zeros(5, cfg)
         state.J = state.C1 = state.C2 = C  # consensus, hollow: quadratic terms vanish
-        value = lagrangian_value(np.zeros((3, 5)), state, cfg, "convex")
+        value = lagrangian_value(np.zeros((3, 5)), state, cfg, CONVEX)
         nuclear = np.linalg.svd(C, compute_uv=False).sum()
         expect = lam_eff * nuclear + tau_eff * np.abs(C).sum()
         assert value == pytest.approx(expect, rel=1e-12)
@@ -314,10 +340,14 @@ class TestLagrangianValue:
     @pytest.mark.parametrize("fn", [lagrangian_value, kkt_residuals],
                              ids=["lagrangian_value", "kkt_residuals"])
     @pytest.mark.parametrize("state_cls, variant", [
-        (S0L0State, GMC), (SolverState, "bogus"), (SolverState, S0L0)])
+        (state_cls, name) for name, algorithm in ALGORITHMS.items()
+        for state_cls in (SolverState, S0L0State) if state_cls is not algorithm.state
+    ] + [(SolverState, "bogus"), (SolverState, "convex")])
     def test_variant_state_mismatch_rejected(self, fn, state_cls, variant):
         cfg = SolverConfig()
-        with pytest.raises(ValueError):
+        expect = (f"needs a {ALGORITHMS[variant].state.__name__}, got a {state_cls.__name__}"
+                  if variant in ALGORITHMS else f"unknown variant '{variant}'")
+        with pytest.raises(ValueError, match=expect):
             fn(np.zeros((2, 3)), state_cls.zeros(3, cfg), cfg, variant)
 
     def test_two_block_state_rejects_c1_spectrum(self):
@@ -331,10 +361,8 @@ class TestKktResiduals:
     def test_zero_point_is_stationary(self):
         cfg = SolverConfig(gamma=0.5)
         X = np.zeros((3, 4))
-        for state, variant in ((SolverState.zeros(4, cfg), GMC),
-                               (SolverState.zeros(4, cfg), "convex"),
-                               (S0L0State.zeros(4, cfg), S0L0)):
-            kkt = kkt_residuals(X, state, cfg, variant)
+        for name, algorithm in ALGORITHMS.items():
+            kkt = kkt_residuals(X, algorithm.state.zeros(4, cfg), cfg, name)
             assert kkt.max_residual() == 0.0
 
     def test_random_state_not_stationary(self):
@@ -399,19 +427,25 @@ class TestSolverRuns:
         assert len(trace.r_jc1) == len(trace.r_jc2) == len(trace.r_jj) == n
         assert len(trace.lagrangian) == len(trace.mu1) == len(trace.mu2) == n
 
-    @pytest.mark.parametrize("variant", [GMC, CONVEX])
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_loop_matches_manual_redrive(self, small_dataset, name):
+        """Re-driving a record's C maps between the exported J, dual and mu
+        steps reproduces its solver exactly."""
+        X = small_dataset.X
+        cfg = registry_config(name, max_iters=6, epsilon=1e-300)
+        C_solver, trace = ALGORITHMS[name].solve(X, cfg)
+        for state in redrive(X, name, cfg):
+            pass
+        np.testing.assert_array_equal(C_solver, getattr(state, state.SPLITS[0][0]))
+        assert trace.n_iters == cfg.max_iters
+
+    @pytest.mark.parametrize("variant", list(EXPORTED_C_UPDATES))
     def test_three_block_loop_matches_manual_redrive(self, small_dataset, variant):
-        """Re-driving the update steps reproduces the solver exactly."""
-        from lrssc.solvers import _convex_c1_step, _convex_c2_update
+        """Re-driving the exported update steps reproduces the solver exactly."""
         X = small_dataset.X
         cfg = SolverConfig(max_iters=6, epsilon=1e-300)
-        if variant == GMC:
-            C_solver, trace = gmc_lrssc_solve(X, cfg)
-            c1_update, c2_update = gmc_c1_update, gmc_c2_update
-        else:
-            C_solver, trace = convex_lrssc(X, cfg)
-            c1_update = lambda s, c: _convex_c1_step(s, c)[0]
-            c2_update = _convex_c2_update
+        C_solver, trace = ALGORITHMS[variant].solve(X, cfg)
+        c1_update, c2_update = EXPORTED_C_UPDATES[variant]
 
         gram = GramSolver(X)
         state = SolverState.zeros(X.shape[1], cfg)
@@ -443,35 +477,22 @@ class TestSolverRuns:
             state.mu = mu_update(state.mu, cfg)
         np.testing.assert_array_equal(C_solver, state.C)
 
-    @pytest.mark.parametrize("variant", [GMC, CONVEX])
+    @pytest.mark.parametrize("variant", list(ALGORITHMS))
     def test_trace_lagrangian_matches_svd_oracle(self, small_dataset, variant):
-        """The loop's Lagrangian, built from the C1 step's spectrum, matches the
-        value lagrangian_value computes from its own SVD of C1."""
-        from lrssc.solvers import _convex_c1_step, _convex_c2_update
+        """The loop's Lagrangian, built from the C1 step's spectrum where it has
+        one, matches the value lagrangian_value computes from its own SVD."""
         X = small_dataset.X
-        cfg = SolverConfig(max_iters=6, epsilon=1e-300)
-        if variant == GMC:
-            _, trace = gmc_lrssc_solve(X, cfg)
-            c1_update, c2_update = gmc_c1_update, gmc_c2_update
-        else:
-            _, trace = convex_lrssc(X, cfg)
-            c1_update = lambda s, c: _convex_c1_step(s, c)[0]
-            c2_update = _convex_c2_update
+        cfg = registry_config(variant, max_iters=6, epsilon=1e-300)
+        _, trace = ALGORITHMS[variant].solve(X, cfg)
         assert trace.n_iters == cfg.max_iters
-
-        gram = GramSolver(X)
-        state = SolverState.zeros(X.shape[1], cfg)
-        for k in range(cfg.max_iters):
-            state.J = j_update(X, state, gram)
-            if cfg.normalize_j:
-                state.J = normalize_columns(state.J)
-            state.C1 = c1_update(state, cfg)
-            state.C2 = c2_update(state, cfg)
-            state.Lambda1, state.Lambda2 = dual_update(state)
+        for k, state in enumerate(redrive(X, variant, cfg)):
             oracle = lagrangian_value(X, state, cfg, variant)
             assert trace.lagrangian[k] == pytest.approx(oracle, rel=1e-12)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_trace_variant_is_the_registry_key(self, small_dataset, name):
+        _, trace = ALGORITHMS[name].solve(small_dataset.X, registry_config(name, max_iters=1))
+        assert trace.variant == name
 
     @pytest.mark.parametrize("solve, svds_per_iter", [
         (gmc_lrssc_solve, 0), (convex_lrssc, 0), (s0l0_lrssc_solve, 1)])
@@ -563,14 +584,6 @@ class TestSolverRuns:
         # the last consensus gap is what the final dual step scales
         assert trace.mu2[-1] * trace.r_jc1[-1] <= cfg.mu_max * cfg.epsilon
 
-    def test_gamma_one_substitution_flagged(self, small_dataset):
-        _, trace = gmc_lrssc_solve(small_dataset.X,
-                                   SolverConfig(gamma=1.0, max_iters=3))
-        assert trace.gamma_substituted
-        _, trace2 = gmc_lrssc_solve(small_dataset.X,
-                                    SolverConfig(gamma=0.5, max_iters=3))
-        assert not trace2.gamma_substituted
-
     def test_pure_rank_two_block_runs(self, small_dataset):
         C, trace = s0l0_lrssc_solve(small_dataset.X,
                                     SolverConfig(lam=1.0, tau=0.0, max_iters=20))
@@ -632,8 +645,6 @@ class TestSolverRuns:
 class TestDescentChain:
     def test_block_updates_never_increase_frozen_lagrangian(self, small_dataset):
         """With multipliers and mu frozen, each block update is a descent step."""
-        from lrssc.solvers import _gmc_c1_update, _gmc_c2_update
-
         X = small_dataset.X
         cfg = SolverConfig(gamma=0.6, normalize_j=False, epsilon=1e-300)
         gram = GramSolver(X)
@@ -642,10 +653,10 @@ class TestDescentChain:
             L_start = lagrangian_value(X, state, cfg, GMC)
             state_j = replace(state, J=j_update(X, state, gram))
             L_j = lagrangian_value(X, state_j, cfg, GMC)
-            C1_new, _ = _gmc_c1_update(state_j, cfg)
+            C1_new = gmc_c1_update(state_j, cfg)
             state_c1 = replace(state_j, C1=C1_new)
             L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-            C2_new, _ = _gmc_c2_update(state_c1, cfg)
+            C2_new = gmc_c2_update(state_c1, cfg)
             state = replace(state_c1, C2=C2_new)
             L_c2 = lagrangian_value(X, state, cfg, GMC)
 
