@@ -30,6 +30,9 @@ SWEEP_HEADER = "algorithm,per,var,trial,ce,iters,seconds"
 _ITERATIVE = {name: algorithm.solve for name, algorithm in ALGORITHMS.items()}
 _ALGORITHMS = sorted(_ITERATIVE) + ["lrr"]
 _LRR_DEFAULT_LAM = 2.0
+# Exit KKT residuals at or below this print as 0: they are rounding noise, and
+# their digits would tie stdout to the order of floating-point operations.
+_KKT_PRINT_FLOOR = 1e-12
 
 # Each setting's type (bool, int or float), read off SolverConfig's defaults.
 _SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).items()}
@@ -158,7 +161,8 @@ def cmd_cluster(args) -> int:
         print(f"termination={trace.termination} iters={trace.n_iters}")
         for name, value in asdict(trace.kkt).items():
             if value is not None:
-                print(f"kkt_{name}={value:.6e}")
+                text = "0" if value <= _KKT_PRINT_FLOOR else f"{value:.6e}"
+                print(f"kkt_{name}={text}")
     print(f"wrote {args.labels_out}", file=sys.stderr)
     return 0
 

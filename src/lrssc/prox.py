@@ -8,10 +8,13 @@ All operators accept scalars or arrays and broadcast entrywise.
 An SVT of an m x n matrix M (m >= n) costs one n x n symmetric
 eigendecomposition of M^T M instead of an SVD of M: that gives V and the
 squared singular values, and the result is (M V) diag(f(s)/s) V^T over the
-components f keeps.  Squaring loses the singular values below about
-sqrt(eps) * s_max, so when the threshold's dead zone reaches down to
-1e3 * sqrt(eps) * s_max, or the eigensolver fails, the SVT runs on an SVD
-(gesdd, retried with gesvd) instead.
+components f keeps.  When fewer components change (f(s) != s, or f(s) = 0)
+than are kept (f(s) != 0), as late in a hard or gamma = 1 firm threshold, it
+is the complement M - (M V_c) diag(1 - f(s_c)/s_c) V_c^T over the changed
+ones, so the product always runs over the smaller side.  Squaring loses the
+singular values below about sqrt(eps) * s_max, so when the threshold's dead
+zone reaches down to 1e3 * sqrt(eps) * s_max, or the eigensolver fails, the
+SVT runs on an SVD (gesdd, retried with gesvd) instead.
 """
 
 from __future__ import annotations
@@ -69,21 +72,39 @@ def soft_threshold(x, lam):
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     x = np.asarray(x, dtype=float)
-    return (np.sign(x) * np.maximum(np.abs(x) - lam, 0.0))[()]
+    out = np.abs(x, out=np.empty_like(x))
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    # sign(0) * 0 is +0, so a zero input keeps the +0 of the maximum
+    np.copysign(out, x, out=out, where=x != 0.0)
+    return out[()]
 
 def firm_threshold(x, params: ThresholdParams):
-    """Zero below params.lam, identity above params.a, linear ramp between."""
+    """Zero below params.lam, identity above params.a, linear ramp between.
+
+    NaN inputs land on the ramp and come out NaN.
+    """
+    lam, a = params.lam, params.a
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    ramp = params.a * (ax - params.lam) / (params.a - params.lam) * np.sign(x)
-    return np.where(ax <= params.lam, 0.0, np.where(ax >= params.a, x, ramp))[()]
+    ax = np.abs(x, out=np.empty_like(x))
+    big = ax >= a
+    ramp = ~((ax <= lam) | big)
+    r = ax[ramp]
+    r -= lam
+    r *= a
+    r /= a - lam
+    out = np.multiply(x, big, out=ax)
+    out += 0.0  # the dead zone is +0, also for negative x
+    out[ramp] = np.copysign(r, x[ramp])
+    return out[()]
 
 def hard_threshold(x, lam):
     """Keep x where |x| > sqrt(2*lam), zero elsewhere (boundary ties go to zero)."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) > math.sqrt(2.0 * lam), x, 0.0)[()]
+    t = math.sqrt(2.0 * lam)
+    return np.where((x > t) | (x < -t), x, 0.0)[()]
 
 def scaled_mc_penalty(y, b):
     """Scaled MC penalty: |y| - b^2*y^2/2 inside |y| <= 1/b^2, constant 1/(2 b^2) outside.
@@ -163,9 +184,25 @@ def _svt(M, shrink, dead_zone, return_spectrum):
     if s.size and dead_zone < _GRAM_CUT * s[0]:
         return _svt_gesdd(M, shrink, return_spectrum)
     fs = shrink(s)
+    V = V[:, ::-1]
     keep = fs != 0.0
-    Vk = V[:, ::-1][:, keep]
-    mat = ((A @ Vk) * (fs[keep] / s[keep])) @ Vk.T
+    # Dead components count as changed even at s = 0: squaring rounded their
+    # true singular values (up to sqrt(eps) * s_max) to zero.
+    change = (fs != s) | ~keep
+    if np.count_nonzero(change) < np.count_nonzero(keep):
+        # A V diag(fs/s) V^T = A - A V_c diag(1 - fs_c/s_c) V_c^T over the changed
+        # components only; a dead one gets factor 1 without dividing by its s.
+        Vc, fc, sc = V[:, change], fs[change], s[change]
+        factor = 1.0 - np.divide(fc, sc, out=np.zeros_like(fc), where=fc != 0.0)
+        AV = A @ Vc
+        AV *= factor
+        mat = AV @ Vc.T
+        np.subtract(A, mat, out=mat)
+    else:
+        Vk = V[:, keep]
+        AV = A @ Vk
+        AV *= fs[keep] / s[keep]
+        mat = AV @ Vk.T
     if wide:
         mat = mat.T
     return (mat, fs) if return_spectrum else mat

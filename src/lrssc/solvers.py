@@ -156,17 +156,20 @@ class KktResiduals:
 class SolverTrace:
     """Per-iteration diagnostics: residuals, Lagrangian, mu schedule, exit info.
 
-    ``variant`` is the algorithm's key in :data:`ALGORITHMS`.  r_jc1 holds the max-abs entry of J - C1 (J - C for two-block runs),
-    r_jc2 the same for J - C2 (None for two-block runs), r_jj the change in
-    J between iterations.  The Lagrangian is evaluated at the end of each
-    iteration, after the multiplier update, with the mu values used during
-    that iteration.  Three-block runs take the singular values of C1 from the
-    C1 step, so an iteration costs one N x N symmetric eigendecomposition
-    (the SVT's, see :mod:`lrssc.prox`) and no SVD; the value agrees with
-    :func:`lagrangian_value`, which runs its own SVD, to rounding, not
-    always to the last digit.  Two-block (s0l0) runs pay one values-only
-    N x N SVD per iteration on top of their SVT, only to count the rank of
-    C for the Lagrangian.
+    ``variant`` is the algorithm's key in :data:`ALGORITHMS`.  r_jc1 holds
+    the max-abs entry of J - C1 (J - C for two-block runs), r_jc2 the same
+    for J - C2 (None for two-block runs), r_jj the change in J between
+    iterations.  The Lagrangian is evaluated at the end of each iteration,
+    after the multiplier update, with the mu values used during that
+    iteration; the gaps, the Lagrangian and the multiplier step share one
+    residual J - C_k per split.  The J step uses the thin SVD of X taken once
+    per solve (:class:`GramSolver`), so three-block runs, which take the
+    singular values of C1 from the C1 step, cost one N x N symmetric
+    eigendecomposition per iteration (the SVT's, see :mod:`lrssc.prox`) and
+    no SVD; the value agrees with :func:`lagrangian_value`, which runs its
+    own SVD, to rounding, not always to the last digit.  Two-block (s0l0)
+    runs pay one values-only N x N SVD per iteration on top of their SVT,
+    only to count the rank of C for the Lagrangian.
     """
 
     variant: str
@@ -185,20 +188,30 @@ class SolverTrace:
 
 
 class GramSolver:
-    """Factor X^T X once and solve [X^T X + shift*I] Z = RHS for any shift > 0."""
+    """Solve the J step's ridge system from the thin SVD of X, never forming X^T X.
+
+    With X = U diag(s) V^T (V is N x r, r = min(d, N)) and f = s^2/(s^2 + shift),
+    ``solve(shift, R)`` returns (X^T X + shift*I)^-1 (X^T X + R), which is
+    (R + V diag(f) V^T (shift*I - R)) / shift: two N x N x r products and no
+    N x N factorization.
+    """
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
-        self.gram = X.T @ X
         try:
-            self.evals, self.evecs = np.linalg.eigh(self.gram)
+            _, s, self.Vt = np.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as err:  # pragma: no cover
-            raise NumericalError(f"eigendecomposition of X^T X failed: {err}") from err
+            raise NumericalError(f"SVD of X failed: {err}") from err
+        self.s2 = s * s
 
     def solve(self, shift: float, rhs: np.ndarray) -> np.ndarray:
-        coeffs = self.evecs.T @ rhs
-        coeffs /= (self.evals + shift)[:, None]
-        return self.evecs @ coeffs
+        W = self.Vt @ rhs
+        np.subtract(shift * self.Vt, W, out=W)
+        W *= (self.s2 / (self.s2 + shift))[:, None]
+        out = self.Vt.T @ W
+        out += rhs
+        out /= shift
+        return out
 
 
 def _splits(state) -> list:
@@ -215,18 +228,18 @@ def _assign(state, slot: int, values) -> None:
 def j_update(X, state, gram: GramSolver | None = None) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian over J (ridge-type solve).
 
-    J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k).
+    J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k),
+    solved by :class:`GramSolver`.
     """
     if gram is None:
         gram = GramSolver(X)
     splits = _splits(state)
     if not all(mu > 0 for _, _, mu in splits):
         raise ValueError("every mu must be positive")
-    rhs = gram.gram
-    for C, _, mu in splits:
-        rhs = rhs + mu * C
-    for _, Lambda, _ in splits:
-        rhs = rhs - Lambda
+    rhs = np.zeros_like(state.J)
+    for C, Lambda, mu in splits:
+        rhs += mu * C
+        rhs -= Lambda
     return gram.solve(sum(mu for _, _, mu in splits), rhs)
 
 
@@ -234,8 +247,7 @@ def normalize_columns(J) -> np.ndarray:
     """Rescale nonzero columns to unit l2 norm; zero columns stay zero."""
     J = np.array(J, dtype=float)
     norms = np.linalg.norm(J, axis=0)
-    nz = norms > 0
-    J[:, nz] /= norms[nz]
+    J /= np.where(norms > 0, norms, 1.0)
     return J
 
 
@@ -271,10 +283,17 @@ def _check_average_weights(cfg):
             f"needs lam + tau = 1 with both nonnegative, got lam={cfg.lam}, tau={cfg.tau}")
 
 
+def _prox_point(J, Lambda, mu) -> np.ndarray:
+    """J + Lambda/mu, the point a C step thresholds, as one new array."""
+    point = Lambda / mu
+    point += J
+    return point
+
+
 def _gmc_c1_step(state, cfg):
     """C1 update with its spectrum: (C1, singular values of C1)."""
     lam_eff, _ = effective_weights(cfg)
-    return prox.svt_firm(state.J + state.Lambda1 / state.mu1,
+    return prox.svt_firm(_prox_point(state.J, state.Lambda1, state.mu1),
                          _firm_params(lam_eff, state.mu1, cfg.gamma), return_spectrum=True)
 
 def gmc_c1_update(state, cfg) -> np.ndarray:
@@ -287,7 +306,7 @@ def gmc_c2_update(state, cfg) -> np.ndarray:
     """Entrywise firm threshold of J + Lambda2/mu2 with the diagonal zeroed."""
     _check_gamma(cfg)
     _, tau_eff = effective_weights(cfg)
-    C2 = prox.entrywise_firm(state.J + state.Lambda2 / state.mu2,
+    C2 = prox.entrywise_firm(_prox_point(state.J, state.Lambda2, state.mu2),
                              _firm_params(tau_eff, state.mu2, cfg.gamma))
     np.fill_diagonal(C2, 0.0)
     return C2
@@ -303,7 +322,7 @@ def s0l0_c_update(state, cfg) -> np.ndarray:
     """
     _check_average_weights(cfg)
     lam_eff, tau_eff = effective_weights(cfg)
-    V = state.J + state.Lambda / state.mu
+    V = _prox_point(state.J, state.Lambda, state.mu)
     if cfg.tau == 0.0:
         return prox.svt_hard(V, lam_eff / state.mu)
     P_sparse = prox.entrywise_hard(V, tau_eff / state.mu)
@@ -321,18 +340,33 @@ def _gmc_c_maps(state, cfg):
 def _convex_c_maps(state, cfg):
     """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
     lam_eff, tau_eff = effective_weights(cfg)
-    C1, sv = prox.svt_soft(state.J + state.Lambda1 / state.mu1, lam_eff / state.mu1,
-                           return_spectrum=True)
-    C2 = prox.soft_threshold(state.J + state.Lambda2 / state.mu2, tau_eff / state.mu2)
+    C1, sv = prox.svt_soft(_prox_point(state.J, state.Lambda1, state.mu1),
+                           lam_eff / state.mu1, return_spectrum=True)
+    C2 = prox.soft_threshold(_prox_point(state.J, state.Lambda2, state.mu2),
+                             tau_eff / state.mu2)
     np.fill_diagonal(C2, 0.0)
     return (C1, C2), sv
 
 
-def dual_update(state):
+def _consensus_residuals(state) -> list:
+    """J - C_k of each split, in update order."""
+    return [state.J - C for C, _, _ in _splits(state)]
+
+
+def dual_update(state, *, residuals=None):
     """Multiplier ascent step of each split: the pair (Lambda1, Lambda2) for a
-    three-block state, the single Lambda for a two-block state."""
-    steps = tuple(Lambda + mu * (state.J - C) for C, Lambda, mu in _splits(state))
-    return steps if len(steps) > 1 else steps[0]
+    three-block state, the single Lambda for a two-block state.
+
+    ``residuals`` supplies J - C_k of each split, computed once by the caller.
+    """
+    if residuals is None:
+        residuals = _consensus_residuals(state)
+    steps = []
+    for R, (_, Lambda, mu) in zip(residuals, _splits(state)):
+        step = mu * R
+        step += Lambda
+        steps.append(step)
+    return tuple(steps) if len(steps) > 1 else steps[0]
 
 
 def mu_update(mu: float, cfg: SolverConfig) -> float:
@@ -397,7 +431,7 @@ def _algorithm(state, variant: str) -> Algorithm:
 
 
 def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
-                     c1_spectrum=None) -> float:
+                     c1_spectrum=None, residuals=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
     The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
@@ -409,7 +443,8 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
 
     ``c1_spectrum``, for three-block states only, supplies the singular
     values of C1, such as those the C1 step has just thresholded; without
-    it they are computed by an SVD of C1.
+    it they are computed by an SVD of C1.  ``residuals``, as for
+    :func:`dual_update`, supplies J - C_k of each split.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
@@ -417,8 +452,13 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     pen = algorithm.penalty(state, cfg, c1_spectrum)
 
     splits = _splits(state)
-    residuals = [state.J - C for C, _, _ in splits]
-    residuals[-1] = residuals[-1] + np.diag(np.diag(splits[-1][0]))
+    residuals = list(_consensus_residuals(state) if residuals is None else residuals)
+    # the sparse split's terms skip the diagonal: add C's diagonal back
+    sparse_diag = np.diag(splits[-1][0])
+    if sparse_diag.any():
+        R = residuals[-1].copy()
+        R[np.diag_indices_from(R)] += sparse_diag
+        residuals[-1] = R
     value = pen + fid
     for R, (_, _, mu) in zip(residuals, splits):
         value += 0.5 * mu * np.linalg.norm(R, "fro") ** 2
@@ -440,7 +480,7 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     maps, _ = algorithm.c_maps(state, cfg)
     for _, Lambda, _ in splits:
         grad = grad + Lambda
-    gaps = [float(np.linalg.norm(state.J - C, "fro")) for C, _, _ in splits]
+    gaps = [float(np.linalg.norm(R, "fro")) for R in _consensus_residuals(state)]
     fixed = [float(np.linalg.norm(C - C_map, "fro")) for (C, _, _), C_map in zip(splits, maps)]
     # a two-block state has one split and leaves r2 and r5 None
     r1, r2 = (gaps + [None])[:2]
@@ -449,7 +489,7 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
 
 
 def _linf(M) -> float:
-    return float(np.max(np.abs(M)))
+    return float(np.maximum(M.max(), -M.min()))
 
 
 def _check_data(X) -> np.ndarray:
@@ -481,11 +521,12 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
                 state.J = normalize_columns(state.J)
             blocks, c1_spectrum = algorithm.c_maps(state, cfg)
             _assign(state, 0, blocks)
-            lambdas = dual_update(state)
+            residuals = _consensus_residuals(state)
+            lambdas = dual_update(state, residuals=residuals)
             _assign(state, 1, lambdas if two_splits else (lambdas,))
 
-            gaps = [_linf(state.J - C) for C in blocks]
-            rj = _linf(state.J - J_prev)
+            gaps = [_linf(R) for R in residuals]
+            rj = _linf(np.subtract(state.J, J_prev, out=J_prev))  # J_prev is unused after
             mus = [mu for _, _, mu in _splits(state)]
             trace.r_jc1.append(gaps[0])
             trace.r_jj.append(rj)
@@ -494,8 +535,8 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             if two_splits:
                 trace.r_jc2.append(gaps[1])
                 trace.mu1.append(mus[0])
-            trace.lagrangian.append(
-                lagrangian_value(X, state, cfg, variant, c1_spectrum=c1_spectrum))
+            trace.lagrangian.append(lagrangian_value(
+                X, state, cfg, variant, c1_spectrum=c1_spectrum, residuals=residuals))
 
             converged = stopping_check(gaps + [rj], cfg)
             _assign(state, 2, [mu_update(mu, cfg) for mu in mus])

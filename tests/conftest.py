@@ -3,8 +3,9 @@
 The oracles deliberately avoid the library's own code paths: prox outputs
 are checked against brute-force objective minimization, clustering error
 against explicit permutation search, the closed-form low-rank solution
-against a proximal-gradient iteration run to stationarity, and the subset
-eigensolver of the spectral embedding against a full eigendecomposition.
+against a proximal-gradient iteration run to stationarity, the subset
+eigensolver of the spectral embedding against a full eigendecomposition, and
+the thin-SVD J step against a solve through the eigendecomposition of X^T X.
 """
 
 import itertools
@@ -115,6 +116,22 @@ def full_eigh_spectral_labels(W, n_clusters, seed):
     rows = norms > spectral._ROW_NORM_FLOOR
     emb[rows] /= norms[rows, None]
     return spectral._kmeans(emb, n_clusters, seed)
+
+
+def eigh_gram_j_update(X, state, gram=None):
+    """The J step solved through eigh(X^T X): the solve j_update replaced.
+
+    J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k),
+    with the splits read from the state's SPLITS; ``gram`` is ignored, so the
+    function can stand in for ``solvers.j_update``.
+    """
+    X = np.asarray(X, dtype=float)
+    splits = [[getattr(state, name) for name in split] for split in state.SPLITS]
+    gram_matrix = X.T @ X
+    evals, evecs = np.linalg.eigh(gram_matrix)
+    rhs = gram_matrix + sum(mu * C for C, _, mu in splits) - sum(L for _, L, _ in splits)
+    shift = sum(mu for _, _, mu in splits)
+    return evecs @ ((evecs.T @ rhs) / (evals + shift)[:, None])
 
 
 SMALL_SPEC = SyntheticSpec(ambient_dim=30, subspace_dim=3, num_subspaces=3,

@@ -19,8 +19,11 @@ from lrssc import (
     parallel,
     prox,
     save_labels,
+    solvers,
 )
 from lrssc.cli import SWEEP_HEADER, TRACE_HEADER, build_parser, main
+
+from conftest import eigh_gram_j_update
 
 SMALL_SYNTH = ["synth", "--n", "30", "--d", "3", "--L", "3", "--per", "10",
                "--union-rank", "6", "--seed", "5"]
@@ -108,6 +111,22 @@ class TestCluster:
         assert lines[0] == TRACE_HEADER
         iters = int(stdout.split("iters=")[1].split()[0])
         assert len(lines) == 1 + iters
+
+    @pytest.mark.parametrize("algorithm", ["gmc", "s0l0", "lrssc-convex"])
+    def test_stdout_survives_a_change_of_j_step_rounding(self, small_data_dir, tmp_path,
+                                                         capsys, monkeypatch, algorithm):
+        """stdout is byte-identical when the J step is solved through eigh(X^T X)
+        instead of the thin SVD of X: KKT residuals at rounding level print as 0."""
+        argv = ["cluster", "--input", small_data_dir / "X.csv", "--algorithm", algorithm,
+                "--clusters", "3", "--seed", "0", "--labels-out", tmp_path / "pred.txt"]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+            monkeypatch.setattr(solvers, "j_update", eigh_gram_j_update)
+        assert outs[0] == outs[1]
+        if algorithm == "gmc":
+            assert "kkt_r1=0\n" in outs[0] and "kkt_r4=0\n" in outs[0]
 
     def test_two_block_trace_leaves_unused_columns_empty(self, small_data_dir,
                                                          tmp_path):

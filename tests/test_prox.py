@@ -261,10 +261,76 @@ class TestSingularValueThresholding:
             svt_soft(M, 0.5)
 
 
+def _soft_formula(x, lam):
+    """soft_threshold as one nested expression: the reference for its passes."""
+    x = np.asarray(x, dtype=float)
+    return (np.sign(x) * np.maximum(np.abs(x) - lam, 0.0))[()]
+
+
+def _firm_formula(x, p):
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    ramp = p.a * (ax - p.lam) / (p.a - p.lam) * np.sign(x)
+    return np.where(ax <= p.lam, 0.0, np.where(ax >= p.a, x, ramp))[()]
+
+
+def _hard_formula(x, lam):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) > math.sqrt(2.0 * lam), x, 0.0)[()]
+
+
+class TestEntrywiseAgainstFormulas:
+    """The thresholds agree bit for bit (signed zeros included) with their
+    one-expression formulas, on NaN, +-inf and exact ties at every boundary."""
+
+    PARAMS = [ThresholdParams(lam=0.5, a=1.5),
+              ThresholdParams(lam=0.5, a=0.5 * (1.0 + 1e-9)),
+              ThresholdParams(lam=0.02, a=3.0)]
+
+    @staticmethod
+    def same(out, ref):
+        assert type(out) is type(ref)
+        assert np.shape(out) == np.shape(ref)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    @staticmethod
+    def values(p):
+        t = math.sqrt(2.0 * p.lam)
+        ties = [p.lam, p.a, t, (p.lam + p.a) / 2.0]
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]
+        return np.array(ties + [-v for v in ties] + special + [-v for v in special[5:]])
+
+    @pytest.mark.parametrize("p", PARAMS, ids=["ramp", "knee", "wide"])
+    def test_matrices(self, p):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((40, 30)) * p.a
+        v = self.values(p)
+        M.flat[rng.choice(M.size, 4 * v.size, replace=False)] = np.repeat(v, 4)
+        self.same(firm_threshold(M, p), _firm_formula(M, p))
+        self.same(soft_threshold(M, p.lam), _soft_formula(M, p.lam))
+        self.same(hard_threshold(M, p.lam), _hard_formula(M, p.lam))
+        self.same(entrywise_firm(M, p), _firm_formula(M, p))
+        self.same(entrywise_hard(M, p.lam), _hard_formula(M, p.lam))
+
+    @pytest.mark.parametrize("p", PARAMS, ids=["ramp", "knee", "wide"])
+    def test_scalars_stay_numpy_scalars(self, p):
+        for x in self.values(p).tolist():
+            for out, ref in [(firm_threshold(x, p), _firm_formula(x, p)),
+                             (soft_threshold(x, p.lam), _soft_formula(x, p.lam)),
+                             (hard_threshold(x, p.lam), _hard_formula(x, p.lam))]:
+                assert isinstance(out, np.float64)
+                self.same(out, ref)
+
+
 def _svt_case(kind, t):
-    """(SVT, its argument, the same threshold on a vector), with dead zone [0, t]."""
-    if kind == "firm":
-        p = ThresholdParams(lam=t, a=2.0 * t)
+    """(SVT, its argument, the same threshold on a vector), with dead zone [0, t].
+
+    ``knee`` is the firm threshold at gamma = 1, whose knee the solvers nudge
+    just above the threshold: a hard threshold, like ``hard``.
+    """
+    if kind in ("firm", "knee"):
+        p = ThresholdParams(lam=t, a=(2.0 if kind == "firm" else 1.0 + 1e-9) * t)
         return svt_firm, p, lambda s: firm_threshold(s, p)
     if kind == "soft":
         return svt_soft, t, lambda s: soft_threshold(s, t)
@@ -343,6 +409,46 @@ class TestGramKernel:
             for factor in (0.1, 1e-4):
                 out, ref = self.check(monkeypatch, kind, M, factor * cut, fallback=True)
                 np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("kind", ["knee", "hard"])
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 30), (30, 40)])
+    @pytest.mark.parametrize("kept", [5, 25])
+    def test_both_sides_of_the_product(self, monkeypatch, kind, shape, kept):
+        """A hard-type threshold keeps the top components unchanged and zeroes
+        the rest.  With 5 of 30 kept the product runs over the kept side, with
+        25 kept over the 5 changed ones (the complement); both match the SVD.
+        The last three singular values, 1e-10, square to below rounding, so
+        some come out of the Gram eigendecomposition as exact zeros; the
+        complement must still remove them."""
+        s = np.concatenate([np.linspace(1.0, 0.05, min(shape) - 3), np.full(3, 1e-10)])
+        M = _with_spectrum(shape, s, seed=kept)
+        t = (s[kept - 1] + s[kept]) / 2
+        self.check(monkeypatch, kind, M, t, fallback=False)
+        svt, arg, _ = _svt_case(kind, t)
+        assert np.count_nonzero(svt(M, arg, return_spectrum=True)[1]) == kept
+
+    @pytest.mark.parametrize("kind", ["knee", "hard", "firm", "soft"])
+    @pytest.mark.parametrize("shape", [(12, 10), (10, 10), (10, 12)])
+    def test_exact_zero_singular_value(self, monkeypatch, kind, shape):
+        """A zero column (row, if wide) gives the Gram matrix an exact zero
+        eigenvalue.  Its component is dead, so it joins the changed set of the
+        complement product with factor 1 and is never divided by; the spectrum
+        is the threshold of the Gram spectrum, as before."""
+        M = _rng_matrix(shape, seed=6)
+        if shape[0] >= shape[1]:
+            M[:, -1] = 0.0
+        else:
+            M[-1, :] = 0.0
+        A = M if shape[0] >= shape[1] else M.T
+        gram_s = np.sqrt(np.maximum(np.linalg.eigh(A.T @ A)[0][::-1], 0.0))
+        assert gram_s[-1] == 0.0
+        t = 0.05 * gram_s[-2]
+        self.check(monkeypatch, kind, M, t, fallback=False)
+        svt, arg, shrink = _svt_case(kind, t)
+        out, sv = svt(M, arg, return_spectrum=True)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(sv, shrink(gram_s))
+        assert sv[-1] == 0.0
 
     @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
     def test_eigensolver_failure_falls_back_to_svd(self, monkeypatch, kind):

@@ -37,6 +37,8 @@ from lrssc import (
 )
 from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
 
+from conftest import eigh_gram_j_update
+
 # Three-block algorithms whose C updates are exported one block at a time.
 EXPORTED_C_UPDATES = {GMC: (gmc_c1_update, gmc_c2_update)}
 
@@ -62,6 +64,17 @@ def redrive(X, name, cfg):
         yield state
         for mu_name in mu_names:
             setattr(state, mu_name, mu_update(getattr(state, mu_name), cfg))
+
+
+def random_state(state_type, n, seed):
+    """A state of the given type with Gaussian blocks and multipliers."""
+    rng = np.random.default_rng(seed)
+    blocks = lambda k: [rng.standard_normal((n, n)) for _ in range(k)]
+    if state_type is SolverState:
+        J, C1, C2, L1, L2 = blocks(5)
+        return SolverState(J=J, C1=C1, C2=C2, Lambda1=L1, Lambda2=L2, mu1=0.7, mu2=2.3)
+    J, C, L = blocks(3)
+    return S0L0State(J=J, C=C, Lambda=L, mu=1.7)
 
 
 def registry_config(name, **overrides):
@@ -154,12 +167,32 @@ class TestJUpdate:
 
     def test_gram_solver_reuse_matches_fresh_solve(self):
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((5, 8))
-        gram = GramSolver(X)
-        cfg = SolverConfig()
-        state = SolverState.zeros(8, cfg)
-        state.C1 = rng.standard_normal((8, 8))
-        np.testing.assert_array_equal(j_update(X, state, gram), j_update(X, state))
+        for shape in ((5, 8), (8, 8), (12, 8)):  # wide, square, tall
+            X = rng.standard_normal(shape)
+            gram = GramSolver(X)
+            for state_type in (SolverState, S0L0State):
+                for seed in range(3):
+                    state = random_state(state_type, 8, seed)
+                    np.testing.assert_array_equal(j_update(X, state, gram), j_update(X, state))
+
+    @pytest.mark.parametrize("state_type", [SolverState, S0L0State])
+    @pytest.mark.parametrize("case", ["wide", "square", "tall", "rank_deficient", "zero"])
+    def test_matches_eigh_of_gram_oracle(self, bench_dataset, state_type, case):
+        """The thin-SVD solve agrees with the solve through eigh(X^T X) on every
+        shape of X, including a noiseless rank-10 X and an all-zero X."""
+        rng = np.random.default_rng(5)
+        X = {"wide": lambda: rng.standard_normal((20, 50)),
+             "square": lambda: rng.standard_normal((50, 50)),
+             "tall": lambda: rng.standard_normal((80, 50)),
+             "rank_deficient": lambda: bench_dataset.X[:, ::3],
+             "zero": lambda: np.zeros((20, 50))}[case]()
+        rank = {"rank_deficient": 10, "zero": 0}.get(case, min(X.shape))
+        assert np.linalg.matrix_rank(X) == rank
+        for seed in range(3):
+            state = random_state(state_type, 50, seed)
+            J = j_update(X, state)
+            oracle = eigh_gram_j_update(X, state)
+            assert np.linalg.norm(J - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 class TestNormalizeColumns:
@@ -497,10 +530,11 @@ class TestSolverRuns:
     @pytest.mark.parametrize("solve, svds_per_iter", [
         (gmc_lrssc_solve, 0), (convex_lrssc, 0), (s0l0_lrssc_solve, 1)])
     def test_svd_count(self, small_dataset, monkeypatch, solve, svds_per_iter):
-        """Every run does k + 2 symmetric eigendecompositions: X^T X, the SVT
-        of each iteration (through the Gram matrix) and the SVT in the C map
-        of the exit KKT.  Two-block runs also pay one SVD per iteration, for
-        the Lagrangian's rank count."""
+        """Every run does one thin SVD of X (the J step's factorization) and
+        k + 1 symmetric eigendecompositions: the SVT of each iteration
+        (through the Gram matrix) and the SVT in the C map of the exit KKT.
+        Two-block runs also pay one SVD per iteration, for the Lagrangian's
+        rank count."""
         calls = {"svd": 0, "eigh": 0}
 
         def counting(name):
@@ -516,7 +550,7 @@ class TestSolverRuns:
         k = 4
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
-        assert calls == {"svd": svds_per_iter * k, "eigh": k + 2}
+        assert calls == {"svd": 1 + svds_per_iter * k, "eigh": k + 1}
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
