@@ -30,10 +30,12 @@ GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 
 def main():
+    defaults = SyntheticSpec()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=10)
-    ap.add_argument("--var", type=float, default=0.0, help="noise variance")
-    ap.add_argument("--per", type=int, default=50, help="points per subspace")
+    ap.add_argument("--var", type=float, default=defaults.noise_variance, help="noise variance")
+    ap.add_argument("--per", type=int, default=defaults.points_per_subspace,
+                    help="points per subspace")
     ap.add_argument("--tune-seed", type=int, default=777)
     ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--solver", choices=sorted(ALGORITHMS), action="append")

@@ -38,6 +38,9 @@ _KKT_PRINT_FLOOR = 1e-12
 _SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).items()}
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
+_TYPE_WORDS = {bool: "a boolean", int: "an integer", float: "a number"}
+# The data flags of synth and sweep take their defaults from SyntheticSpec.
+_SPEC = datasets.SyntheticSpec()
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -53,12 +56,12 @@ def _parse_config_file(path: Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SETTING_TYPES:
             raise ValueError(f"{path}: line {lineno}: unknown setting {key!r}")
-        if _SETTING_TYPES[key] is bool:
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{path}: line {lineno}: {key} wants a boolean, got {value!r}")
-            out[key] = _BOOL_WORDS[value.lower()]
-        else:
-            out[key] = _SETTING_TYPES[key](value)
+        kind = _SETTING_TYPES[key]
+        try:
+            out[key] = _BOOL_WORDS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: line {lineno}: {key} wants {_TYPE_WORDS[kind]}, "
+                             f"got {value!r}") from None
     return out
 
 
@@ -97,11 +100,15 @@ def _solver_config(args, algorithm: str) -> SolverConfig | None:
     return SolverConfig(**merged)
 
 
-def cmd_synth(args) -> int:
-    spec = datasets.SyntheticSpec(
+def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.SyntheticSpec:
+    """The SyntheticSpec of the data flags --n --d --L --union-rank at one size, noise and seed."""
+    return datasets.SyntheticSpec(
         ambient_dim=args.n, subspace_dim=args.d, num_subspaces=args.L,
-        points_per_subspace=args.per, noise_variance=args.var,
-        union_rank=args.union_rank, seed=args.seed)
+        points_per_subspace=per, noise_variance=var, union_rank=args.union_rank, seed=seed)
+
+
+def cmd_synth(args) -> int:
+    spec = _synthetic_spec(args, args.per, args.var, args.seed)
     out_dir = args.out_dir
     if not out_dir.is_dir():
         raise ValueError(f"output directory {out_dir} does not exist")
@@ -187,11 +194,7 @@ def _sweep_cell(args, cfgs, task):
                     .generate_state(1)[0])
     cluster_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 1])
                       .generate_state(1)[0])
-    spec = datasets.SyntheticSpec(
-        ambient_dim=args.n, subspace_dim=args.d, num_subspaces=args.L,
-        points_per_subspace=per, noise_variance=var,
-        union_rank=args.union_rank, seed=data_seed)
-    ds = datasets.generate_synthetic(spec)
+    ds = datasets.generate_synthetic(_synthetic_spec(args, per, var, data_seed))
     start = time.perf_counter()
     labels, trace = _solve_and_label(args, algorithm, cfgs[algorithm], ds.X, args.L, cluster_seed)
     seconds = time.perf_counter() - start
@@ -228,12 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic union-of-subspaces dataset")
-    p.add_argument("--n", type=int, default=100, help="ambient dimension")
-    p.add_argument("--d", type=int, default=5, help="subspace dimension")
-    p.add_argument("--L", type=int, default=3, help="number of subspaces")
-    p.add_argument("--per", type=int, default=50, help="points per subspace")
-    p.add_argument("--var", type=float, default=0.0, help="noise variance")
-    p.add_argument("--union-rank", dest="union_rank", type=int, default=10,
+    p.add_argument("--n", type=int, default=_SPEC.ambient_dim, help="ambient dimension")
+    p.add_argument("--d", type=int, default=_SPEC.subspace_dim, help="subspace dimension")
+    p.add_argument("--L", type=int, default=_SPEC.num_subspaces, help="number of subspaces")
+    p.add_argument("--per", type=int, default=_SPEC.points_per_subspace,
+                   help="points per subspace")
+    p.add_argument("--var", type=float, default=_SPEC.noise_variance, help="noise variance")
+    p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank,
                    help="rank of the union of subspaces")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."),
@@ -259,16 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="synthetic benchmark grid over noise and size")
-    p.add_argument("--pers", default="50", help="comma list of points per subspace")
-    p.add_argument("--vars", default="0.0", help="comma list of noise variances")
-    p.add_argument("--algorithms", default="gmc,s0l0,lrssc-convex",
+    p.add_argument("--pers", default=str(_SPEC.points_per_subspace),
+                   help="comma list of points per subspace")
+    p.add_argument("--vars", default=str(_SPEC.noise_variance),
+                   help="comma list of noise variances")
+    p.add_argument("--algorithms", default=",".join(ALGORITHMS),
                    help=f"comma list from {_ALGORITHMS}")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--L", type=int, default=3)
-    p.add_argument("--union-rank", dest="union_rank", type=int, default=10)
+    p.add_argument("--n", type=int, default=_SPEC.ambient_dim)
+    p.add_argument("--d", type=int, default=_SPEC.subspace_dim)
+    p.add_argument("--L", type=int, default=_SPEC.num_subspaces)
+    p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank)
     p.add_argument("--out", type=Path, required=True, help="results CSV path")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the cells, capped at the usable cores; "

@@ -42,31 +42,6 @@ class ThresholdParams:
             raise ValueError(f"firm threshold needs a > lam, got a={self.a}, lam={self.lam}")
 
 
-@dataclass(frozen=True)
-class GmcParams:
-    """Scaled MC penalty parameters.
-
-    ``b`` sets the concavity scale (b = 0 degenerates to the l1 norm) and
-    ``gamma`` in [0, 1] is the nonconvexity level the solvers derive b from.
-    """
-
-    b: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-
-    @classmethod
-    def for_subproblem(cls, weight: float, mu: float, gamma: float) -> "GmcParams":
-        """Largest b keeping the mu-quadratic subproblem convex: b^2 = mu*gamma/weight."""
-        if weight <= 0 or mu <= 0:
-            raise ValueError("weight and mu must be positive")
-        return cls(b=math.sqrt(mu * gamma / weight), gamma=gamma)
-
-
 def soft_threshold(x, lam):
     """sign(x) * max(|x| - lam, 0)."""
     if not lam > 0:
@@ -121,7 +96,7 @@ def scaled_mc_penalty(y, b):
     out = np.multiply(ay, 0.5 * bsq, out=np.empty_like(y))
     out *= ay
     np.subtract(ay, out, out=out)
-    np.copyto(out, 0.5 / bsq, where=ay > 1.0 / bsq)
+    np.putmask(out, ay > 1.0 / bsq, 0.5 / bsq)
     return out[()]
 
 def gmc_penalty_separable(z, b):

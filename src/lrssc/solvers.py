@@ -17,6 +17,7 @@ residuals are exposed so the solvers can be probed piece by piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -44,7 +45,9 @@ class SolverConfig:
     always lam * mu2_init and tau * mu2_init (:func:`effective_weights`); the
     proximal average in the two-block solver keeps (lam, tau) as its
     combination weights.  ``normalize_j`` rescales the columns of J to unit
-    l2 norm after each J update.
+    l2 norm after each J update.  gmc's firm knees and MC penalty scale b
+    follow the current mu and gamma by one rule, written only in
+    :func:`_mc_shape`.  Every numeric setting must be finite.
 
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
@@ -69,6 +72,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.tau is None:
             self.tau = 1.0 - self.lam
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if self.tau < 0.0:
@@ -251,18 +257,24 @@ def normalize_columns(J) -> np.ndarray:
     return J
 
 
-def _firm_params(weight: float, mu: float, gamma: float) -> prox.ThresholdParams:
-    """Threshold/knee pair for a firm prox step."""
+def _mc_shape(weight: float, mu: float, gamma: float) -> tuple[prox.ThresholdParams, float]:
+    """The "b tracks mu" rule: the firm step's thresholds and the MC penalty's b.
+
+    A split with penalty weight ``weight`` and step ``mu`` is thresholded at
+    weight/mu with knee weight/(gamma*mu), and its MC penalty takes
+    b = sqrt(mu*gamma/weight), the largest b that keeps the mu-quadratic
+    subproblem convex; so knee * b^2 = 1, except at gamma = 1, where the knee
+    is nudged off the threshold by a factor 1 + _GAMMA_KNEE_NUDGE.  This is
+    the only place the gmc steps and the gmc penalty get their shape from.
+    """
+    if not (weight > 0 and mu > 0 and 0.0 < gamma <= 1.0):
+        raise ValueError(f"the MC shape needs weight > 0, mu > 0 and gamma in (0, 1], "
+                         f"got weight={weight}, mu={mu}, gamma={gamma}")
     thr = weight / mu
     knee = weight / (gamma * mu)
     if not knee > thr:
         knee = thr * (1.0 + _GAMMA_KNEE_NUDGE)
-    return prox.ThresholdParams(lam=thr, a=knee)
-
-
-def _check_gamma(cfg):
-    if not 0.0 < cfg.gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1] for firm-threshold updates, got {cfg.gamma}")
+    return prox.ThresholdParams(lam=thr, a=knee), math.sqrt(mu * gamma / weight)
 
 
 def _check_positive_weights(cfg):
@@ -273,7 +285,8 @@ def _check_positive_weights(cfg):
 
 def _check_gmc(cfg):
     _check_positive_weights(cfg)
-    _check_gamma(cfg)
+    if not 0.0 < cfg.gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1] for firm-threshold updates, got {cfg.gamma}")
 
 
 def _check_average_weights(cfg):
@@ -294,20 +307,18 @@ def _gmc_c1_step(state, cfg):
     """C1 update with its spectrum: (C1, singular values of C1)."""
     lam_eff, _ = effective_weights(cfg)
     return prox.svt_firm(_prox_point(state.J, state.Lambda1, state.mu1),
-                         _firm_params(lam_eff, state.mu1, cfg.gamma), return_spectrum=True)
+                         _mc_shape(lam_eff, state.mu1, cfg.gamma)[0], return_spectrum=True)
 
 def gmc_c1_update(state, cfg) -> np.ndarray:
     """Firm threshold on the singular values of J + Lambda1/mu1."""
-    _check_gamma(cfg)
     return _gmc_c1_step(state, cfg)[0]
 
 
 def gmc_c2_update(state, cfg) -> np.ndarray:
     """Entrywise firm threshold of J + Lambda2/mu2 with the diagonal zeroed."""
-    _check_gamma(cfg)
     _, tau_eff = effective_weights(cfg)
     C2 = prox.entrywise_firm(_prox_point(state.J, state.Lambda2, state.mu2),
-                             _firm_params(tau_eff, state.mu2, cfg.gamma))
+                             _mc_shape(tau_eff, state.mu2, cfg.gamma)[0])
     np.fill_diagonal(C2, 0.0)
     return C2
 
@@ -393,20 +404,24 @@ def _count_nonzero_singular_values(M) -> int:
     return int(np.count_nonzero(s > _COUNT_FLOOR * s[0]))
 
 
-def _mc_penalty(state, cfg, c1_spectrum, gamma: float) -> float:
-    """Scaled MC penalty on the singular values of C1 and on the entries of C2.
+def _mc_penalty(state, cfg, c1_spectrum, b1: float, b2: float) -> float:
+    """Scaled MC penalty on the singular values of C1 (scale b1) and on the
+    entries of C2 (scale b2).
 
-    b is chosen per block as the firm steps at this gamma choose it, so the
-    mu-quadratic subproblems stay convex; gamma 0 gives b = 0, the nuclear
-    norm plus l1 of the convex baseline.  Without ``c1_spectrum`` the
-    singular values come from an SVD of C1.
+    b1 = b2 = 0 is the nuclear norm plus l1 of the convex baseline.  Without
+    ``c1_spectrum`` the singular values come from an SVD of C1.
     """
     lam_eff, tau_eff = effective_weights(cfg)
-    b1 = prox.GmcParams.for_subproblem(lam_eff, state.mu1, gamma).b
-    b2 = prox.GmcParams.for_subproblem(tau_eff, state.mu2, gamma).b
     sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
     return (lam_eff * prox.gmc_penalty_separable(sv, b1)
             + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
+
+def _gmc_penalty(state, cfg, c1_spectrum) -> float:
+    """:func:`_mc_penalty` with each block's b from :func:`_mc_shape` at its
+    split's weight and current mu."""
+    b1, b2 = (_mc_shape(weight, mu, cfg.gamma)[1]
+              for weight, (_, _, mu) in zip(effective_weights(cfg), _splits(state)))
+    return _mc_penalty(state, cfg, c1_spectrum, b1, b2)
 
 
 def _count_penalty(state, cfg, c1_spectrum) -> float:
@@ -436,10 +451,10 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
 
     The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
     record.  gmc takes the scaled MC penalty on the singular values of C1
-    and on the entries of C2, with b chosen per block so the mu-quadratic
-    subproblems stay convex; lrssc-convex is its b = 0 (nuclear norm / l1)
-    case; s0l0 counts singular values and entries whose magnitude exceeds
-    1e-12 times the largest.
+    and on the entries of C2, with each block's b from :func:`_mc_shape`,
+    the one home of the "b tracks mu" rule; lrssc-convex is its b = 0
+    (nuclear norm / l1) case; s0l0 counts singular values and entries whose
+    magnitude exceeds 1e-12 times the largest.
 
     ``c1_spectrum``, for three-block states only, supplies the singular
     values of C1, such as those the C1 step has just thresholded; without
@@ -611,12 +626,11 @@ class Algorithm(NamedTuple):
 # kkt_residuals.
 ALGORITHMS = {
     GMC: Algorithm(gmc_lrssc_solve, SolverState, _gmc_c_maps,
-                   lambda state, cfg, sv: _mc_penalty(state, cfg, sv, cfg.gamma),
-                   _check_gmc, {}),
+                   _gmc_penalty, _check_gmc, {}),
     S0L0: Algorithm(s0l0_lrssc_solve, S0L0State,
                     lambda state, cfg: ((s0l0_c_update(state, cfg),), None),
                     _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
     CONVEX: Algorithm(convex_lrssc, SolverState, _convex_c_maps,
-                      lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0),
+                      lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0, 0.0),
                       _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
 }

@@ -12,6 +12,7 @@ import pytest
 from lrssc import (
     NumericalError,
     SolverConfig,
+    SyntheticSpec,
     cli,
     datasets,
     load_labels,
@@ -82,6 +83,12 @@ class TestSynth:
             dirs.append(d)
         assert (dirs[0] / "X.csv").read_bytes() == (dirs[1] / "X.csv").read_bytes()
         assert (dirs[0] / "labels.txt").read_bytes() == (dirs[1] / "labels.txt").read_bytes()
+
+    def test_default_flags_write_the_default_spec(self, tmp_path):
+        assert run(["synth", "--out-dir", tmp_path]) == 0
+        datasets.save_matrix(tmp_path / "expect.csv",
+                             datasets.generate_synthetic(SyntheticSpec(seed=0)).X)
+        assert (tmp_path / "X.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
     def test_missing_output_dir_fails(self, tmp_path, capsys):
         code = run(SMALL_SYNTH + ["--out-dir", tmp_path / "absent"])
@@ -273,6 +280,33 @@ class TestCluster:
         assert code == 1
         assert "boolean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("lam = abc", "lam wants a number, got 'abc'"),
+        ("max_iters = 2.5", "max_iters wants an integer, got '2.5'"),
+    ])
+    def test_unparsable_number_in_config_names_file_line_and_key(self, small_data_dir, tmp_path,
+                                                                 capsys, line, message):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"gamma = 0.5\n{line}\n")
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    "--labels-out", tmp_path / "pred.txt", "--config", cfg])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--lam", "lam"), ("--tau", "tau"), ("--gamma", "gamma"), ("--rho", "rho"),
+        ("--mu1", "mu1_init"), ("--mu2", "mu2_init"), ("--mu-max", "mu_max"),
+        ("--epsilon", "epsilon"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_setting_fails(self, small_data_dir, tmp_path, capsys, flag, name,
+                                      value):
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    "--labels-out", tmp_path / "pred.txt", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not (tmp_path / "pred.txt").exists()
+
     def test_numerical_failure_writes_partial_trace(self, small_data_dir, tmp_path,
                                                     capsys, monkeypatch):
         real = prox.svt_firm
@@ -420,6 +454,12 @@ class TestEval:
 class TestSweep:
     SMALL = ["--n", "30", "--d", "3", "--L", "3", "--union-rank", "6",
              "--max-iters", "30"]
+
+    def test_default_flags_build_the_default_spec(self):
+        args = build_parser().parse_args(["sweep", "--out", "sweep.csv"])
+        assert args.algorithms == "gmc,s0l0,lrssc-convex"
+        spec = cli._synthetic_spec(args, int(args.pers), float(args.vars), seed=0)
+        assert spec == SyntheticSpec()
 
     def test_single_cell_single_trial(self, tmp_path):
         out = tmp_path / "sweep.csv"

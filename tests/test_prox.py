@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lrssc import prox
 from lrssc import (
-    GmcParams,
     NumericalError,
     ThresholdParams,
     entrywise_firm,
@@ -77,18 +76,6 @@ class TestParameterValidation:
             ThresholdParams(lam=1.0, a=0.5)
         with pytest.raises(ValueError):
             ThresholdParams(lam=0.0, a=1.0)
-
-    def test_gmc_params_reject_bad_values(self):
-        with pytest.raises(ValueError):
-            GmcParams(b=-0.1, gamma=0.5)
-        with pytest.raises(ValueError):
-            GmcParams(b=1.0, gamma=1.5)
-        with pytest.raises(ValueError):
-            GmcParams.for_subproblem(weight=0.0, mu=1.0, gamma=0.5)
-
-    def test_gmc_params_subproblem_scale(self):
-        p = GmcParams.for_subproblem(weight=2.0, mu=8.0, gamma=0.5)
-        assert p.b == pytest.approx(math.sqrt(8.0 * 0.5 / 2.0))
 
 
 class TestPenalties:

@@ -6,7 +6,8 @@ that pins the update order (J, then the C blocks, then the multipliers,
 then mu) as part of the public contract.
 """
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lrssc import (
     lagrangian_value,
     mu_update,
     normalize_columns,
+    prox,
     s0l0_c_update,
     s0l0_lrssc_solve,
     spectral_cluster,
@@ -106,6 +108,13 @@ class TestConfigValidation:
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)
+                                      if f.name != "normalize_j"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SolverConfig(**{name: value})
 
     def test_effective_weights_scaling(self):
         cfg = SolverConfig(lam=0.25, mu2_init=4.0)
@@ -263,7 +272,7 @@ class TestCUpdates:
         np.testing.assert_array_equal(np.diag(gmc_c2_update(state, cfg)), 0.0)
 
     def test_gmc_updates_reject_zero_gamma(self):
-        # gamma = 0 is a legal penalty-evaluation setting but not a firm prox
+        # gamma = 0 is a legal setting (lrssc-convex ignores gamma) but not a firm prox
         bad = SolverConfig(gamma=0.0)
         state = SolverState.zeros(3, bad)
         with pytest.raises(ValueError):
@@ -388,6 +397,48 @@ class TestLagrangianValue:
         with pytest.raises(ValueError, match="no C1 spectrum"):
             lagrangian_value(np.zeros((2, 3)), S0L0State.zeros(3, cfg), cfg, S0L0,
                              c1_spectrum=np.zeros(3))
+
+
+def _record_prox_calls(monkeypatch, name, pick, log):
+    """Wrap prox.<name> so that each call appends pick(*args) to log."""
+    real = getattr(prox, name)
+
+    def recorded(*args, **kwargs):
+        log.append(pick(*args))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(prox, name, recorded)
+
+
+class TestMcShape:
+    """The firm knees of the gmc steps and the b of the gmc penalty follow mu by
+    one rule, so each split's knee * b^2 is 1 (1 + the knee nudge at gamma = 1)."""
+
+    @pytest.mark.parametrize("gamma, product", [(0.3, 1.0), (0.5, 1.0), (1.0, 1.0 + 1e-9)])
+    @pytest.mark.parametrize("mu", [0.1, 3.0, 81.0, 1e6])
+    def test_knee_times_b_squared(self, monkeypatch, gamma, product, mu):
+        cfg = SolverConfig(lam=0.4, gamma=gamma, mu2_init=3.0)
+        state = SolverState.zeros(4, cfg)
+        state.mu1 = mu
+        state.mu2 = 2.0 * mu
+        knees, bs = [], []
+        _record_prox_calls(monkeypatch, "svt_firm", lambda M, params: params.a, knees)
+        _record_prox_calls(monkeypatch, "entrywise_firm", lambda M, params: params.a, knees)
+        _record_prox_calls(monkeypatch, "gmc_penalty_separable", lambda z, b: b, bs)
+        gmc_c1_update(state, cfg)
+        gmc_c2_update(state, cfg)
+        lagrangian_value(np.zeros((2, 4)), state, cfg, GMC)
+        assert len(knees) == len(bs) == 2
+        for knee, b in zip(knees, bs):
+            assert knee * b * b == pytest.approx(product, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(lam=1.0), dict(lam=0.0), dict(gamma=0.0)])
+    def test_gmc_penalty_rejects_zero_weight_or_gamma(self, kwargs):
+        cfg = SolverConfig(**kwargs)
+        state = SolverState.zeros(3, cfg)
+        with pytest.raises(ValueError, match="the MC shape needs weight > 0"):
+            lagrangian_value(np.zeros((2, 3)), state, cfg, GMC)
+        # the convex penalty takes b = 0 by itself, at any weights
+        assert lagrangian_value(np.zeros((2, 3)), state, cfg, CONVEX) == 0.0
 
 
 class TestKktResiduals:
