@@ -10,6 +10,7 @@ base-10 integer per line for labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class SyntheticSpec:
         if min(self.ambient_dim, self.subspace_dim, self.num_subspaces,
                self.points_per_subspace) < 1:
             raise ValueError("dimensions and counts must be positive")
+        if not math.isfinite(self.noise_variance):
+            raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
         if not self.subspace_dim <= self.union_rank <= self.subspace_dim * self.num_subspaces:

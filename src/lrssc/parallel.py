@@ -1,4 +1,5 @@
-"""Order-preserving map over independent tasks, in BLAS-pinned worker processes.
+"""Order-preserving map over independent tasks, in BLAS-pinned worker processes,
+and a pin of scipy's own BLAS to one thread around a block of code.
 
 Each task is one whole solve, and the solves are BLAS-heavy.  Threads would
 share one process whose BLAS starts its own thread pool per call, so two
@@ -8,7 +9,9 @@ pinned to one thread use each core once instead.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 
 # Read by OpenBLAS and OpenMP when a process loads them, so they must be in
 # the environment a worker starts with; setting them later has no effect.
@@ -56,3 +59,66 @@ def map_tasks(fn, tasks, jobs: int) -> list:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+
+
+# numpy and scipy may each load their own OpenBLAS, each with its own thread
+# pool.  Calls that alternate between the two make the pools fight for the
+# cores, so the SVT runs its scipy LAPACK stages with scipy's pool at one
+# thread.  The library is looked up at the first pin, not at import.
+_UNRESOLVED = object()
+_scipy_blas = _UNRESOLVED  # (get, set) of its thread count, or None if not found
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+def _find_scipy_blas():
+    """(get, set) of the thread count of the BLAS under scipy's LAPACK, or None.
+
+    dlsym on scipy's BLAS extension module searches the libraries it links,
+    so this finds the OpenBLAS scipy itself calls, whichever build numpy uses.
+    """
+    import ctypes
+
+    import scipy.linalg.cython_blas
+
+    try:
+        lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def scipy_blas_single_thread():
+    """Run the body with scipy's own BLAS at one thread, then restore its count.
+
+    Nested and concurrent bodies share one pin: the first to enter saves the
+    count and sets one thread, the last to leave restores the count, also
+    when the body raises.  Where no thread setter is found the body runs as is.
+    """
+    global _scipy_blas, _pin_depth, _pin_saved
+    with _pin_lock:
+        if _scipy_blas is _UNRESOLVED:
+            _scipy_blas = _find_scipy_blas()
+        controls = _scipy_blas
+        if controls is not None:
+            if _pin_depth == 0:
+                _pin_saved = controls[0]()
+                controls[1](1)
+            _pin_depth += 1
+    try:
+        yield
+    finally:
+        if controls is not None:
+            with _pin_lock:
+                _pin_depth -= 1
+                if _pin_depth == 0:
+                    controls[1](_pin_saved)

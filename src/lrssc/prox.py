@@ -5,15 +5,19 @@ singular-value thresholding (SVT) variants built on them, and the scaled
 minimax-concave (MC) penalty family that the firm operator is the prox of.
 All operators accept scalars or arrays and broadcast entrywise.
 
-An SVT of an m x n matrix M (m >= n) costs one n x n symmetric
-eigendecomposition of M^T M instead of an SVD of M: that gives V and the
-squared singular values, and the result is (M V) diag(f(s)/s) V^T over the
+An SVT of an m x n matrix M (m >= n) decomposes the n x n Gram matrix
+M^T M instead of taking an SVD of M: its eigenpairs are V and the squared
+singular values, and the result is (M V) diag(f(s)/s) V^T over the
 components f keeps.  When fewer components change (f(s) != s, or f(s) = 0)
 than are kept (f(s) != 0), as late in a hard or gamma = 1 firm threshold, it
 is the complement M - (M V_c) diag(1 - f(s_c)/s_c) V_c^T over the changed
-ones, so the product always runs over the smaller side.  Squaring loses the
+ones, so the product always runs over the smaller side.  The firm and hard
+SVTs compute eigenvectors for that side only: one tridiagonal reduction,
+all eigenvalues from it, and vectors for an index range (none when nothing
+is kept or nothing changes).  The soft SVT changes every component and keeps
+most, so it takes all eigenpairs from one full ``eigh``.  Squaring loses the
 singular values below about sqrt(eps) * s_max, so when the threshold's dead
-zone reaches down to 1e3 * sqrt(eps) * s_max, or the eigensolver fails, the
+zone reaches down to 1e3 * sqrt(eps) * s_max, or an eigensolver fails, the
 SVT runs on an SVD (gesdd, retried with gesvd) instead.
 """
 
@@ -24,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import NumericalError
+from .parallel import scipy_blas_single_thread
 
 
 @dataclass(frozen=True)
@@ -142,42 +148,114 @@ def _svt_gesdd(M, shrink, return_spectrum):
     mat = (U * fs) @ Vt
     return (mat, fs) if return_spectrum else mat
 
-def _svt(M, shrink, dead_zone, return_spectrum):
-    """SVT through the Gram eigendecomposition; see the module docstring.
+def _lapack_ok(info):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK returned info={info}")
+
+def _full_eigenpairs(G):
+    """All eigenpairs of the Gram matrix G from one ``eigh``: the soft kernel.
+
+    Returns ``(s, vectors)``: the square roots of the eigenvalues in
+    descending order, and ``vectors(lo, hi)``, the eigenvectors of
+    ``s[lo:hi]`` as columns in the same order.
+    """
+    w, V = np.linalg.eigh(G)
+    V = V[:, ::-1]
+    return np.sqrt(np.maximum(w[::-1], 0.0)), lambda lo, hi: np.asfortranarray(V[:, lo:hi])
+
+def _tridiagonal_eigenpairs(G):
+    """The eigenpairs of G from one tridiagonal reduction: the firm and hard kernel.
+
+    Returns what :func:`_full_eigenpairs` does.  G = Q T Q^T by Householder
+    reduction (dsytrd), then all eigenvalues of T without vectors (dsterf).
+    ``vectors`` computes only the asked range: MRRR on T (dstemr), or divide
+    and conquer on all of T (dstevd) for a range over a quarter of n, then Q
+    times those (dormqr).  The LAPACK stages run with scipy's BLAS at one
+    thread, and a nonzero ``info`` from any of them raises ``LinAlgError``.
+    G is overwritten.
+    """
+    n = G.shape[0]
+    if n < 2:  # nothing to reduce, and dsterf takes no empty off-diagonal
+        return np.sqrt(np.maximum(G.diagonal(), 0.0)), lambda lo, hi: np.eye(n)[:, lo:hi]
+    with scipy_blas_single_thread():
+        lwork, info = lapack.dsytrd_lwork(n, lower=1)
+        _lapack_ok(info)
+        # G is symmetric, so G.T is G in the column-major order LAPACK works in.
+        refl, d, e, tau, info = lapack.dsytrd(G.T, lower=1, lwork=int(lwork), overwrite_a=1)
+        _lapack_ok(info)
+        w, info = lapack.dsterf(d, e)
+        _lapack_ok(info)
+
+    def vectors(lo, hi):
+        # s[lo:hi] descending are the ascending eigenvalues n - hi .. n - lo - 1
+        with scipy_blas_single_thread():
+            if 4 * (hi - lo) > n:
+                # MRRR bisects for each eigenvalue of a subset; on a quarter
+                # or more of them divide and conquer on all is cheaper.
+                _, Z, info = lapack.dstevd(d, e)
+                _lapack_ok(info)
+                Z = Z[:, n - hi:n - lo]
+            else:
+                m, _, Z, info = lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0,
+                                              n - hi + 1, n - lo)
+                _lapack_ok(info or m - (hi - lo))
+                Z = Z[:, :m]
+            Z = Z[:, ::-1]
+            # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal
+            V = np.empty(Z.shape)
+            V[0] = Z[0]
+            below = np.asfortranarray(refl[1:, :-1])
+            work, info = lapack.dormqr("L", "N", below, tau, Z[1:], -1)[1:]
+            _lapack_ok(info)
+            V[1:], _, info = lapack.dormqr("L", "N", below, tau, Z[1:], int(work[0]))
+            _lapack_ok(info)
+        return V
+
+    return np.sqrt(np.maximum(w[::-1], 0.0)), vectors
+
+def _svt(M, shrink, dead_zone, return_spectrum, eigenpairs):
+    """SVT through the eigenpairs of the Gram matrix; see the module docstring.
 
     ``shrink`` maps singular values to thresholded ones and is zero on
-    [0, dead_zone].  A wide M is handled as svt(M^T)^T.
+    [0, dead_zone]; ``eigenpairs`` is the kernel that decomposes the Gram
+    matrix.  A wide M is handled as svt(M^T)^T.
     """
     M = _finite(M)
     wide = M.shape[0] < M.shape[1]
     A = M.T if wide else M
+    n = A.shape[1]
     try:
-        w, V = np.linalg.eigh(A.T @ A)
+        s, vectors = eigenpairs(A.T @ A)
+        if s.size and dead_zone < _GRAM_CUT * s[0]:
+            return _svt_gesdd(M, shrink, return_spectrum)
+        fs = shrink(s)
+        # shrink is nondecreasing, so the kept components (fs != 0) lead and the
+        # changed ones (fs != s) trail; an unchanged one among them gets factor
+        # 0 below.  Dead components count as changed even at s = 0: squaring
+        # rounded their true singular values (up to sqrt(eps) * s_max) to zero.
+        nk = np.count_nonzero(fs)
+        changed = (fs != s) | (fs == 0.0)
+        nc = n - int(np.argmax(changed)) if changed.any() else 0
+        if nk == 0:
+            mat = np.zeros_like(A)
+        elif nc == 0:
+            mat = A.copy()
+        elif nc < nk:
+            # A V diag(fs/s) V^T = A - A V_c diag(1 - fs_c/s_c) V_c^T over the changed
+            # components only; a dead one gets factor 1 without dividing by its s.
+            Vc, fc, sc = vectors(n - nc, n), fs[n - nc:], s[n - nc:]
+            factor = 1.0 - np.divide(fc, sc, out=np.zeros_like(fc), where=fc != 0.0)
+            AV = A @ Vc
+            AV *= factor
+            mat = AV @ Vc.T
+            np.subtract(A, mat, out=mat)
+        else:
+            Vk = vectors(0, nk)
+            AV = A @ Vk
+            AV *= fs[:nk] / s[:nk]
+            mat = AV @ Vk.T
     except np.linalg.LinAlgError:
         return _svt_gesdd(M, shrink, return_spectrum)
-    s = np.sqrt(np.maximum(w[::-1], 0.0))
-    if s.size and dead_zone < _GRAM_CUT * s[0]:
-        return _svt_gesdd(M, shrink, return_spectrum)
-    fs = shrink(s)
-    V = V[:, ::-1]
-    keep = fs != 0.0
-    # Dead components count as changed even at s = 0: squaring rounded their
-    # true singular values (up to sqrt(eps) * s_max) to zero.
-    change = (fs != s) | ~keep
-    if np.count_nonzero(change) < np.count_nonzero(keep):
-        # A V diag(fs/s) V^T = A - A V_c diag(1 - fs_c/s_c) V_c^T over the changed
-        # components only; a dead one gets factor 1 without dividing by its s.
-        Vc, fc, sc = V[:, change], fs[change], s[change]
-        factor = 1.0 - np.divide(fc, sc, out=np.zeros_like(fc), where=fc != 0.0)
-        AV = A @ Vc
-        AV *= factor
-        mat = AV @ Vc.T
-        np.subtract(A, mat, out=mat)
-    else:
-        Vk = V[:, keep]
-        AV = A @ Vk
-        AV *= fs[keep] / s[keep]
-        mat = AV @ Vk.T
     if wide:
         mat = mat.T
     return (mat, fs) if return_spectrum else mat
@@ -189,14 +267,17 @@ def svt_firm(M, params: ThresholdParams, *, return_spectrum=False):
     thresholded singular values in descending order, i.e. the singular values
     of the matrix (the same holds for :func:`svt_hard` and :func:`svt_soft`).
     """
-    return _svt(M, lambda s: firm_threshold(s, params), params.lam, return_spectrum)
+    return _svt(M, lambda s: firm_threshold(s, params), params.lam, return_spectrum,
+                _tridiagonal_eigenpairs)
 
 def svt_hard(M, lam, *, return_spectrum=False):
     """Apply the hard threshold to the singular values of M."""
     # A nonpositive lam gets dead zone 0 here and is rejected by hard_threshold.
     return _svt(M, lambda s: hard_threshold(s, lam), math.sqrt(2.0 * max(lam, 0.0)),
-                return_spectrum)
+                return_spectrum, _tridiagonal_eigenpairs)
 
 def svt_soft(M, lam, *, return_spectrum=False):
     """Apply the soft threshold to the singular values of M."""
-    return _svt(M, lambda s: soft_threshold(s, lam), lam, return_spectrum)
+    # The soft threshold changes every component and keeps most of them, so it
+    # needs nearly all eigenvectors, which one full eigh gives fastest.
+    return _svt(M, lambda s: soft_threshold(s, lam), lam, return_spectrum, _full_eigenpairs)

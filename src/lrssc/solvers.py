@@ -170,12 +170,14 @@ class SolverTrace:
     iteration; the gaps, the Lagrangian and the multiplier step share one
     residual J - C_k per split.  The J step uses the thin SVD of X taken once
     per solve (:class:`GramSolver`), so three-block runs, which take the
-    singular values of C1 from the C1 step, cost one N x N symmetric
-    eigendecomposition per iteration (the SVT's, see :mod:`lrssc.prox`) and
-    no SVD; the value agrees with :func:`lagrangian_value`, which runs its
-    own SVD, to rounding, not always to the last digit.  Two-block (s0l0)
-    runs pay one values-only N x N SVD per iteration on top of their SVT,
-    only to count the rank of C for the Lagrangian.
+    singular values of C1 from the C1 step, cost one decomposition of the
+    N x N Gram matrix of the SVT per iteration and no SVD (gmc: a tridiagonal
+    reduction and the eigenvectors of the smaller side; lrssc-convex: a full
+    symmetric eigendecomposition; see :mod:`lrssc.prox`).  The value agrees
+    with :func:`lagrangian_value`, which runs its own SVD, to rounding, not
+    always to the last digit.  Two-block (s0l0) runs pay one values-only
+    N x N SVD per iteration on top of their SVT, only to count the rank of C
+    for the Lagrangian.
     """
 
     variant: str

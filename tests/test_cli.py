@@ -95,6 +95,13 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("var", ["nan", "inf"])
+    def test_non_finite_noise_variance_fails_before_writing(self, tmp_path, capsys, var):
+        assert run(["synth", "--var", var, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: noise_variance must be finite, got {var}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCluster:
     def test_end_to_end_with_trace_and_kkt_report(self, small_data_dir,
@@ -460,6 +467,15 @@ class TestSweep:
         assert args.algorithms == "gmc,s0l0,lrssc-convex"
         spec = cli._synthetic_spec(args, int(args.pers), float(args.vars), seed=0)
         assert spec == SyntheticSpec()
+
+    def test_non_finite_noise_variance_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--pers", "10", "--vars", "0.0,nan", "--algorithms", "gmc",
+                    "--trials", "1", "--out", out] + self.SMALL)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: noise_variance must be finite, got nan\n")
+        assert not out.exists()
 
     def test_single_cell_single_trial(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -25,6 +25,9 @@ class TestSpecValidation:
         dict(num_subspaces=0),
         dict(points_per_subspace=0),
         dict(noise_variance=-0.1),
+        dict(noise_variance=float("nan")),
+        dict(noise_variance=float("inf")),
+        dict(noise_variance=float("-inf")),
         dict(union_rank=4),    # below subspace_dim
         dict(union_rank=16),   # above subspace_dim * num_subspaces
         dict(ambient_dim=8),   # cannot host union rank 10

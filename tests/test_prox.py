@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from lrssc import prox
 from lrssc import (
@@ -341,8 +342,32 @@ def _rng_matrix(shape, seed, rank=None):
     return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
 
 
+# The LAPACK stages of the firm and hard kernel, in call order.
+_STAGES = ("dsytrd_lwork", "dsytrd", "dsterf", "dstemr", "dstevd", "dormqr")
+_VECTOR_STAGES = ("dstemr", "dstevd", "dormqr")
+
+
+def _count_stages(monkeypatch, failing=None):
+    """Count calls of each LAPACK stage; the ``failing`` one reports info = 1."""
+    calls = dict.fromkeys(_STAGES, 0)
+    for name in _STAGES:
+        def counting(*args, _name=name, _real=getattr(lapack, name), **kw):
+            calls[_name] += 1
+            out = _real(*args, **kw)
+            return (*out[:-1], 1) if _name == failing else out
+        monkeypatch.setattr(lapack, name, counting)
+    return calls
+
+
 class TestGramKernel:
     """The Gram-eigendecomposition SVT against the SVD (gesdd) SVT it replaces."""
+
+    @pytest.fixture(autouse=True)
+    def lapack_stays_quiet(self, capfd):
+        """LAPACK prints a message when handed an illegal argument (OpenBLAS on
+        stdout, reference LAPACK on stderr); no case may hand it one."""
+        yield
+        assert capfd.readouterr() == ("", "")
 
     def check(self, monkeypatch, kind, M, t, fallback):
         svt, arg, shrink = _svt_case(kind, t)
@@ -414,6 +439,60 @@ class TestGramKernel:
         svt, arg, _ = _svt_case(kind, t)
         assert np.count_nonzero(svt(M, arg, return_spectrum=True)[1]) == kept
 
+    @pytest.mark.parametrize("kind", ["firm", "knee", "hard"])
+    @pytest.mark.parametrize("shape", [(40, 24), (24, 24), (24, 40)])
+    @pytest.mark.parametrize("kept, stage", [
+        (0, None), (2, "dstemr"), (12, "dstevd"), (22, "dstemr"), (24, None)])
+    def test_partial_kernel_sides(self, monkeypatch, kind, shape, kept, stage):
+        """The firm and hard kernel computes vectors for the smaller side only:
+        none when nothing is kept (the result is zero) or nothing changes (the
+        result is a copy of M), MRRR for 2 of 24 kept or changed (hard and
+        knee), divide and conquer on all for a side above a quarter."""
+        s = np.linspace(1.0, 0.05, 24)
+        M = _with_spectrum(shape, s, seed=kept)
+        t = s[-1] / 4 if kept == 24 else 2.0 if kept == 0 else (s[kept - 1] + s[kept]) / 2
+        calls = _count_stages(monkeypatch)
+        out, _ = self.check(monkeypatch, kind, M, t, fallback=False)
+        vector_calls = {name: calls[name] for name in _VECTOR_STAGES}
+        if stage is None:
+            assert vector_calls == {"dstemr": 0, "dstevd": 0, "dormqr": 0}
+            if kept == 0:
+                np.testing.assert_array_equal(out, np.zeros(shape))
+            else:
+                np.testing.assert_array_equal(out, M)
+                assert not np.shares_memory(out, M)
+        elif kind != "firm":  # the firm ramp widens the changed side
+            other = "dstevd" if stage == "dstemr" else "dstemr"
+            assert (vector_calls[stage], vector_calls[other]) == (2, 0)  # check runs two SVTs
+
+    @pytest.mark.parametrize("kind", ["firm", "knee", "hard"])
+    @pytest.mark.parametrize("shape", [(30, 24), (24, 30)])
+    @pytest.mark.parametrize("kept", [2, 8, 14])
+    def test_partial_kernel_rank_deficient(self, monkeypatch, kind, shape, kept):
+        s = np.concatenate([np.linspace(1.0, 0.05, 16), np.zeros(8)])
+        M = _with_spectrum(shape, s, seed=kept)
+        self.check(monkeypatch, kind, M, (s[kept - 1] + s[kept]) / 2, fallback=False)
+
+    @pytest.mark.parametrize("kind", ["firm", "knee", "hard"])
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("t", [2.0, 0.5, 0.1])
+    def test_repeated_singular_values(self, monkeypatch, kind, rotated, t):
+        """Identity blocks 3 I_6, I_24, 0.2 I_10: a diagonal Gram matrix, or
+        (rotated) one whose repeated eigenvalues form tight clusters, the hard
+        case for MRRR.  The thresholds keep 6, 30 and all 40."""
+        s = np.repeat([3.0, 1.0, 0.2], [6, 24, 10])
+        M = _with_spectrum((50, 40), s, seed=5) if rotated else np.diag(s)
+        self.check(monkeypatch, kind, M, t, fallback=False)
+
+    @pytest.mark.parametrize("kind", ["firm", "knee", "hard"])
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1), (6, 2), (2, 6), (2, 2)])
+    def test_one_and_two_columns(self, monkeypatch, kind, shape):
+        """n = 1 has no off-diagonal for dsterf; n = 2 has one."""
+        M = _rng_matrix(shape, seed=sum(shape))
+        sv = np.linalg.svd(M, compute_uv=False)
+        for t in (sv[0] * 2, sv[0] / 2, sv[-1] / 4, (sv[0] + sv[-1]) / 2):
+            self.check(monkeypatch, kind, M, t, fallback=False)
+
     @pytest.mark.parametrize("kind", ["knee", "hard", "firm", "soft"])
     @pytest.mark.parametrize("shape", [(12, 10), (10, 10), (10, 12)])
     def test_exact_zero_singular_value(self, monkeypatch, kind, shape):
@@ -427,7 +506,8 @@ class TestGramKernel:
         else:
             M[-1, :] = 0.0
         A = M if shape[0] >= shape[1] else M.T
-        gram_s = np.sqrt(np.maximum(np.linalg.eigh(A.T @ A)[0][::-1], 0.0))
+        kernel = prox._full_eigenpairs if kind == "soft" else prox._tridiagonal_eigenpairs
+        gram_s = kernel(A.T @ A)[0]
         assert gram_s[-1] == 0.0
         t = 0.05 * gram_s[-2]
         self.check(monkeypatch, kind, M, t, fallback=False)
@@ -439,14 +519,37 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
     def test_eigensolver_failure_falls_back_to_svd(self, monkeypatch, kind):
+        """A failed eigh (soft) or tridiagonal eigensolver (firm, hard) gives
+        exactly the SVD result."""
         def failing(*args, **kw):
             raise np.linalg.LinAlgError("synthetic eigh failure")
 
         M = _rng_matrix((15, 10), seed=4)
         svt, arg, shrink = _svt_case(kind, 0.5)
         ref, ref_sv = prox._svt_gesdd(M, shrink, True)
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        if kind == "soft":
+            monkeypatch.setattr(np.linalg, "eigh", failing)
+        else:
+            _count_stages(monkeypatch, failing="dsterf")
         out, sv = svt(M, arg, return_spectrum=True)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(sv, ref_sv)
+
+    @pytest.mark.parametrize("kind", ["firm", "hard"])
+    @pytest.mark.parametrize("stage, kept", [
+        ("dsytrd_lwork", 2), ("dsytrd", 2), ("dsterf", 2), ("dstemr", 2), ("dormqr", 2),
+        ("dstevd", 12), ("dormqr", 12)])
+    def test_lapack_failure_falls_back_to_svd(self, monkeypatch, kind, stage, kept):
+        """A nonzero info from any stage gives exactly the SVD result.  Two of
+        24 kept components take their vectors from MRRR, twelve from divide
+        and conquer."""
+        s = np.linspace(1.0, 0.05, 24)
+        M = _with_spectrum((30, 24), s, seed=kept)
+        svt, arg, shrink = _svt_case(kind, (s[kept - 1] + s[kept]) / 2)
+        ref, ref_sv = prox._svt_gesdd(M, shrink, True)
+        calls = _count_stages(monkeypatch, failing=stage)
+        out, sv = svt(M, arg, return_spectrum=True)
+        assert calls[stage] >= 1
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(sv, ref_sv)
 
@@ -458,6 +561,7 @@ class TestGramKernel:
 
         for name in ("eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, never)
+        monkeypatch.setattr(lapack, "dsytrd", never)
         M = np.ones((4, 3))
         M[2, 1] = bad
         svt, arg, _ = _svt_case(kind, 0.5)

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from lrssc import (
     NumericalError,
@@ -582,43 +583,56 @@ class TestSolverRuns:
         (gmc_lrssc_solve, 0), (convex_lrssc, 0), (s0l0_lrssc_solve, 1)])
     def test_svd_count(self, small_dataset, monkeypatch, solve, svds_per_iter):
         """Every run does one thin SVD of X (the J step's factorization) and
-        k + 1 symmetric eigendecompositions: the SVT of each iteration
-        (through the Gram matrix) and the SVT in the C map of the exit KKT.
-        Two-block runs also pay one SVD per iteration, for the Lagrangian's
-        rank count."""
-        calls = {"svd": 0, "eigh": 0}
+        k + 1 SVTs through the Gram matrix: one per iteration and the one in
+        the C map of the exit KKT.  The soft SVT (lrssc-convex) runs each on
+        one symmetric eigendecomposition, the firm and hard SVTs (gmc, s0l0)
+        on one tridiagonal reduction.  Two-block runs also pay one SVD per
+        iteration, for the Lagrangian's rank count."""
+        calls = {"svd": 0, "eigh": 0, "dsytrd": 0}
 
-        def counting(name):
-            real = getattr(np.linalg, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kw):
                 calls[name] += 1
                 return real(*args, **kw)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        counting(np.linalg, "svd")
+        counting(np.linalg, "eigh")
+        counting(lapack, "dsytrd")
         k = 4
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
-        assert calls == {"svd": 1 + svds_per_iter * k, "eigh": k + 1}
+        soft = solve is convex_lrssc
+        assert calls == {"svd": 1 + svds_per_iter * k,
+                         "eigh": k + 1 if soft else 0, "dsytrd": 0 if soft else k + 1}
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
     def test_gram_svt_matches_svd_path(self, request, monkeypatch, dataset, solve):
-        """Whole solves agree with solves whose every SVT runs on the SVD."""
+        """Whole solves agree with solves whose every SVT runs on the SVD: both
+        Gram kernels are made to fail, which sends each SVT to its fallback."""
         import lrssc.prox as prox_module
         ds = request.getfixturevalue(dataset)
         n_clusters = int(ds.truth.max()) + 1
+        failed = []
+
+        def failing(name):
+            def kernel_fails(G):
+                failed.append(name)
+                raise np.linalg.LinAlgError("kernel patched out")
+            return kernel_fails
+
         runs = []
         for _ in range(2):
             C, trace = solve(ds.X, SolverConfig())
             labels = spectral_cluster(build_affinity(C), n_clusters=n_clusters, seed=0)
             runs.append((C, trace, labels))
-            monkeypatch.setattr(
-                prox_module, "_svt",
-                lambda M, shrink, dead_zone, return_spectrum:
-                    prox_module._svt_gesdd(M, shrink, return_spectrum))
+            for name in ("_full_eigenpairs", "_tridiagonal_eigenpairs"):
+                monkeypatch.setattr(prox_module, name, failing(name))
+        soft = solve is convex_lrssc
+        assert set(failed) == {"_full_eigenpairs" if soft else "_tridiagonal_eigenpairs"}
         (C, trace, labels), (C_ref, trace_ref, labels_ref) = runs
         assert np.linalg.norm(C - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
         np.testing.assert_array_equal(labels, labels_ref)
