@@ -11,6 +11,7 @@ Run from the repository root:
 """
 
 import argparse
+import csv
 import sys
 from collections import defaultdict
 
@@ -33,11 +34,9 @@ def parse_args(argv=None):
 
 def median_tables(csv_path):
     cells = defaultdict(list)
-    with open(csv_path) as fh:
-        next(fh)
-        for line in fh:
-            algorithm, per, var, _, ce, _, _ = line.strip().split(",")
-            cells[(algorithm, int(per), float(var))].append(float(ce))
+    with open(csv_path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            cells[(row["algorithm"], int(row["per"]), float(row["var"]))].append(float(row["ce"]))
     tables = {}
     for (algorithm, per, var), ces in cells.items():
         tables.setdefault(algorithm, {})[(per, var)] = float(np.median(ces))

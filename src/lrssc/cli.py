@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -189,17 +189,18 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_cell(args, cfgs, task):
-    algorithm, per, var, per_idx, var_idx, trial = task
+    algorithm, spec, per_idx, var_idx, trial = task
     data_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 0])
                     .generate_state(1)[0])
     cluster_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 1])
                       .generate_state(1)[0])
-    ds = datasets.generate_synthetic(_synthetic_spec(args, per, var, data_seed))
+    ds = datasets.generate_synthetic(replace(spec, seed=data_seed))
     start = time.perf_counter()
     labels, trace = _solve_and_label(args, algorithm, cfgs[algorithm], ds.X, args.L, cluster_seed)
     seconds = time.perf_counter() - start
     ce = clustering_error(labels, ds.truth).ce
-    return f"{algorithm},{per},{var:g},{trial},{ce:.6f},{trace.n_iters},{seconds:.3f}"
+    return (f"{algorithm},{spec.points_per_subspace},{spec.noise_variance:g},{trial},"
+            f"{ce:.6f},{trace.n_iters},{seconds:.3f}")
 
 
 def cmd_sweep(args) -> int:
@@ -213,10 +214,12 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ValueError(f"unknown algorithm(s) {unknown}, expected subset of {_ALGORITHMS}")
     cfgs = {alg: _solver_config(args, alg) for alg in algorithms}
-    tasks = [(alg, per, var, pi, vi, t)
+    # Every spec of the grid is built, and so checked, before the first solve.
+    specs = [[_synthetic_spec(args, per, var, seed=0) for var in variances] for per in pers]
+    tasks = [(alg, spec, pi, vi, t)
              for alg in algorithms
-             for pi, per in enumerate(pers)
-             for vi, var in enumerate(variances)
+             for pi, row in enumerate(specs)
+             for vi, spec in enumerate(row)
              for t in range(args.trials)]
     rows = map_tasks(partial(_sweep_cell, args, cfgs), tasks, args.jobs)
     args.out.write_text("\n".join([SWEEP_HEADER] + rows) + "\n")

@@ -5,17 +5,31 @@ Each task is one whole solve, and the solves are BLAS-heavy.  Threads would
 share one process whose BLAS starts its own thread pool per call, so two
 threads on two cores oversubscribe the machine.  Worker processes with BLAS
 pinned to one thread use each core once instead.
+
+The workers fork from one server per process, which multiprocessing's
+``forkserver`` start method keeps for the life of the process and stops
+when the process exits.  It starts at the first pool, with BLAS pinned, and
+imports ``lrssc.cli`` and ``scipy.optimize`` before it forks anyone, so each
+worker starts warm instead of paying those imports again.  The server runs
+no threads, so forking it is safe where forking this process would not be.
+Which modules the server imports is multiprocessing's process-global
+setting, and each pool sets it to this list.  Where the platform has no
+``forkserver``, each pool spawns fresh interpreters instead.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import sys
 import threading
 
 # Read by OpenBLAS and OpenMP when a process loads them, so they must be in
 # the environment a worker starts with; setting them later has no effect.
 _PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# What every worker imports anyway: the package through its CLI, and the
+# solver of the label matching that clustering_error imports lazily.
+_PRELOAD = ["lrssc.cli", "scipy.optimize"]
 
 
 def usable_cores() -> int:
@@ -30,12 +44,16 @@ def map_tasks(fn, tasks, jobs: int) -> list:
 
     Runs ``min(jobs, usable_cores(), len(tasks))`` workers.  With one, it maps
     in this process.  With more, ``fn`` and the tasks must be picklable: they
-    go to freshly spawned processes that start with BLAS pinned to one thread.
-    Spawn re-imports the caller's ``__main__`` module in each worker, so a
-    script that gets here must keep its entry point under
-    ``if __name__ == "__main__":``.  This process's own environment is left as
-    it was.  An exception raised by ``fn`` is re-raised here.  ``jobs`` below 1
-    raises ``ValueError`` before any task runs.
+    go to processes forked from this process's preloaded server (see the
+    module docstring), started at the first pool with BLAS pinned to one
+    thread and with this process's import path, and kept for later pools.
+    Workers therefore run with the environment of that first start, not
+    with later changes to this one.  Each worker re-imports the caller's
+    ``__main__`` module, so a script that gets here must keep its entry
+    point under ``if __name__ == "__main__":``.  This process's own
+    environment is left as it was.  An exception raised by ``fn`` is
+    re-raised here.  ``jobs`` below 1 raises ``ValueError`` before any task
+    runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -47,11 +65,17 @@ def map_tasks(fn, tasks, jobs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {key: os.environ.get(key) for key in _PINNED_ENV}
+    context = multiprocessing.get_context(
+        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn")
+    context.set_forkserver_preload(_PRELOAD)
+    # The server gets the import path through PYTHONPATH: the 3.11 server
+    # does not apply the sys.path multiprocessing sends it, and would
+    # otherwise preload lrssc from wherever its own default path finds it.
+    start_env = dict(_PINNED_ENV, PYTHONPATH=os.pathsep.join(sys.path))
+    saved = {key: os.environ.get(key) for key in start_env}
     try:
-        os.environ.update(_PINNED_ENV)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+        os.environ.update(start_env)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             return list(pool.map(fn, tasks))
     finally:
         for key, value in saved.items():

@@ -468,7 +468,13 @@ class TestSweep:
         spec = cli._synthetic_spec(args, int(args.pers), float(args.vars), seed=0)
         assert spec == SyntheticSpec()
 
-    def test_non_finite_noise_variance_fails_before_writing(self, tmp_path, capsys):
+    def test_non_finite_noise_variance_fails_before_writing(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def never(*args):
+            raise AssertionError("a cell was solved")
+
+        # the finite variance comes first: the grid must fail before its cell
+        monkeypatch.setattr(cli, "_solve_and_label", never)
         out = tmp_path / "sweep.csv"
         code = run(["sweep", "--pers", "10", "--vars", "0.0,nan", "--algorithms", "gmc",
                     "--trials", "1", "--out", out] + self.SMALL)
@@ -557,9 +563,9 @@ class TestSweep:
                 monkeypatch.setenv(key, blas_threads)
         errors = []
         for jobs in ("1", "2"):
-            # --n 3 cannot host union rank 10: every cell raises
-            code = run(["sweep", "--pers", "10", "--trials", "2", "--n", "3",
-                        "--jobs", jobs, "--out", tmp_path / "sweep.csv"])
+            # closed-form LRR needs a positive weight: every cell raises
+            code = run(["sweep", "--pers", "10", "--trials", "2", "--algorithms", "lrr",
+                        "--lam", "-1", "--jobs", jobs, "--out", tmp_path / "sweep.csv"])
             assert code == 1
             errors.append(capsys.readouterr().err)
         assert errors[0].startswith("error:")

@@ -1,9 +1,12 @@
 """The order-preserving task map behind sweeps and benchmark grids."""
 
+import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,87 @@ def test_workers_run_with_blas_pinned_and_parent_env_restored(monkeypatch):
     assert parallel.map_tasks(os.getenv, tasks, jobs=2) == ["1"] * len(tasks)
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert os.environ["OMP_NUM_THREADS"] == "4"
+
+
+def _parent_pid(_task):
+    return os.getppid()
+
+
+def _worker_parent_pids():
+    """Parent pid of the worker that ran each of two tasks."""
+    return parallel.map_tasks(_parent_pid, range(2), jobs=2)
+
+
+def test_pools_fork_from_one_reused_server(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    first, second = _worker_parent_pids(), _worker_parent_pids()
+    assert len(set(first + second)) == 1
+    assert first[0] != os.getpid()
+
+
+def test_later_pools_stay_pinned_after_parent_env_changes(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    parallel.map_tasks(os.getenv, _PINNED, jobs=2)
+    for key in _PINNED:
+        monkeypatch.setenv(key, "4")
+    assert parallel.map_tasks(os.getenv, _PINNED, jobs=2) == ["1", "1"]
+    assert [os.environ[key] for key in _PINNED] == ["4", "4"]
+
+
+def test_task_error_is_raised_in_the_parent(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    with pytest.raises(ValueError, match="math domain error"):
+        parallel.map_tasks(math.sqrt, [4.0, -1.0], jobs=2)
+
+
+def test_spawn_where_there_is_no_forkserver(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    tasks = [9.0, 2.0, 0.25]
+    forked = parallel.map_tasks(math.sqrt, tasks, jobs=2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert parallel.map_tasks(math.sqrt, tasks, jobs=2) == forked
+    # spawned workers are children of this process, not of the server
+    assert _worker_parent_pids() == [os.getpid()] * 2
+
+
+def _run_python(code, env=None):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_server_preloads_lrssc_from_the_callers_import_path():
+    """Found through a sys.path entry alone, lrssc is preloaded from there."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from lrssc import parallel\n"
+            "parallel.usable_cores = lambda: 2\n"
+            "probe = \"__import__('sys').modules['lrssc.cli'].__file__\"\n"
+            "print(parallel.map_tasks(eval, [probe] * 2, jobs=2))\n")
+    done = _run_python(code, env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[str(src / 'lrssc' / 'cli.py')] * 2}\n"
+
+
+def test_server_exits_with_its_process():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("from lrssc import parallel\n"
+            "parallel.usable_cores = lambda: 2\n"
+            "probe = \"__import__('os').getppid()\"\n"
+            "print(parallel.map_tasks(eval, [probe] * 2, jobs=2)[0])\n")
+    done = _run_python(code, env)
+    assert done.returncode == 0, done.stderr
+    server = int(done.stdout)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            os.kill(server, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    pytest.fail(f"server {server} still running 10 s after its process exited")
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
