@@ -86,10 +86,14 @@ def _solver_config(args, algorithm: str) -> SolverConfig | None:
     """Settings of a registered algorithm; None for one outside ALGORITHMS.
 
     The config file is parsed for every algorithm, so a malformed file is
-    rejected the same way even where its settings go unused.
+    rejected the same way even where its settings go unused.  Closed-form
+    LRR's one setting, a --lam weight, must be positive, and is checked here
+    so that a sweep fails before it makes any data or worker.
     """
     from_file = _parse_config_file(args.config) if args.config is not None else {}
     if algorithm not in ALGORITHMS:
+        if args.lam is not None and not args.lam > 0:
+            raise ValueError(f"lam must be positive, got {args.lam}")
         return None
     merged = dict(ALGORITHMS[algorithm].defaults)
     merged.update(from_file)

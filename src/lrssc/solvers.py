@@ -33,9 +33,6 @@ CONVEX = "lrssc-convex"
 # gamma = 1 collapses the firm knee onto the threshold; nudge it apart.
 _GAMMA_KNEE_NUDGE = 1e-9
 
-# Relative floor below which an entry / singular value counts as zero.
-_COUNT_FLOOR = 1e-12
-
 
 @dataclass
 class SolverConfig:
@@ -175,9 +172,10 @@ class SolverTrace:
     reduction and the eigenvectors of the smaller side; lrssc-convex: a full
     symmetric eigendecomposition; see :mod:`lrssc.prox`).  The value agrees
     with :func:`lagrangian_value`, which runs its own SVD, to rounding, not
-    always to the last digit.  Two-block (s0l0) runs pay one values-only
-    N x N SVD per iteration on top of their SVT, only to count the rank of C
-    for the Lagrangian.
+    always to the last digit.  Two-block (s0l0) runs take their penalty from
+    counts the C step already has, the singular values its hard SVT kept and
+    the nonzero entries of its hard-thresholded sparsity map, so they run no
+    SVD per iteration either.
     """
 
     variant: str
@@ -325,6 +323,27 @@ def gmc_c2_update(state, cfg) -> np.ndarray:
     return C2
 
 
+def _s0l0_c_step(state, cfg):
+    """C update with the counts its penalty takes: (C, (rank, nnz)).
+
+    rank is the number of singular values the rank map keeps and nnz the
+    number of nonzero entries of the sparsity map's output; a map the
+    weights leave out (tau = 0 or lam = 0) counts 0.
+    """
+    _check_average_weights(cfg)
+    lam_eff, tau_eff = effective_weights(cfg)
+    V = _prox_point(state.J, state.Lambda, state.mu)
+    if cfg.tau == 0.0:
+        P_rank, sv = prox.svt_hard(V, lam_eff / state.mu, return_spectrum=True)
+        return P_rank, (np.count_nonzero(sv), 0)
+    P_sparse = prox.entrywise_hard(V, tau_eff / state.mu)
+    np.fill_diagonal(P_sparse, 0.0)
+    nnz = np.count_nonzero(P_sparse)
+    if cfg.lam == 0.0:
+        return P_sparse, (0, nnz)
+    P_rank, sv = prox.svt_hard(V, lam_eff / state.mu, return_spectrum=True)
+    return cfg.lam * P_rank + cfg.tau * P_sparse, (np.count_nonzero(sv), nnz)
+
 def s0l0_c_update(state, cfg) -> np.ndarray:
     """Proximal average of the rank and sparsity hard-threshold maps.
 
@@ -333,22 +352,16 @@ def s0l0_c_update(state, cfg) -> np.ndarray:
     lam + tau = 1; the pure-rank (tau = 0) and pure-sparsity (lam = 0) cases
     degenerate to the single prox map.
     """
-    _check_average_weights(cfg)
-    lam_eff, tau_eff = effective_weights(cfg)
-    V = _prox_point(state.J, state.Lambda, state.mu)
-    if cfg.tau == 0.0:
-        return prox.svt_hard(V, lam_eff / state.mu)
-    P_sparse = prox.entrywise_hard(V, tau_eff / state.mu)
-    np.fill_diagonal(P_sparse, 0.0)
-    if cfg.lam == 0.0:
-        return P_sparse
-    P_rank = prox.svt_hard(V, lam_eff / state.mu)
-    return cfg.lam * P_rank + cfg.tau * P_sparse
+    return _s0l0_c_step(state, cfg)[0]
 
 
 def _gmc_c_maps(state, cfg):
     C1, sv = _gmc_c1_step(state, cfg)
     return (C1, gmc_c2_update(state, cfg)), sv
+
+def _s0l0_c_maps(state, cfg):
+    C, counts = _s0l0_c_step(state, cfg)
+    return (C,), counts
 
 def _convex_c_maps(state, cfg):
     """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
@@ -392,48 +405,34 @@ def stopping_check(residuals, cfg: SolverConfig) -> bool:
     return all(r <= cfg.epsilon for r in residuals)
 
 
-def _count_nonzero_entries(M) -> int:
-    m = np.abs(M)
-    top = m.max() if m.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(m > _COUNT_FLOOR * top))
-
-def _count_nonzero_singular_values(M) -> int:
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _COUNT_FLOOR * s[0]))
-
-
-def _mc_penalty(state, cfg, c1_spectrum, b1: float, b2: float) -> float:
+def _mc_penalty(state, cfg, c_stats, b1: float, b2: float) -> float:
     """Scaled MC penalty on the singular values of C1 (scale b1) and on the
     entries of C2 (scale b2).
 
-    b1 = b2 = 0 is the nuclear norm plus l1 of the convex baseline.  Without
-    ``c1_spectrum`` the singular values come from an SVD of C1.
+    b1 = b2 = 0 is the nuclear norm plus l1 of the convex baseline.
+    ``c_stats`` is the singular values of C1 from the C1 step; without it
+    they come from an SVD of C1.
     """
     lam_eff, tau_eff = effective_weights(cfg)
-    sv = np.linalg.svd(state.C1, compute_uv=False) if c1_spectrum is None else c1_spectrum
+    sv = np.linalg.svd(state.C1, compute_uv=False) if c_stats is None else c_stats
     return (lam_eff * prox.gmc_penalty_separable(sv, b1)
             + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
 
-def _gmc_penalty(state, cfg, c1_spectrum) -> float:
+def _gmc_penalty(state, cfg, c_stats) -> float:
     """:func:`_mc_penalty` with each block's b from :func:`_mc_shape` at its
     split's weight and current mu."""
     b1, b2 = (_mc_shape(weight, mu, cfg.gamma)[1]
               for weight, (_, _, mu) in zip(effective_weights(cfg), _splits(state)))
-    return _mc_penalty(state, cfg, c1_spectrum, b1, b2)
+    return _mc_penalty(state, cfg, c_stats, b1, b2)
 
 
-def _count_penalty(state, cfg, c1_spectrum) -> float:
-    """Weighted counts of the singular values and entries of C above 1e-12
-    times the largest."""
-    if c1_spectrum is not None:
-        raise ValueError("a two-block state has no C1 spectrum")
+def _count_penalty(state, cfg, c_stats) -> float:
+    """lam_eff * rank + tau_eff * nnz, from the (rank, nnz) counts of the C step."""
+    if c_stats is None:
+        raise ValueError("a two-block state needs the (rank, nnz) counts of its C step")
+    rank, nnz = c_stats
     lam_eff, tau_eff = effective_weights(cfg)
-    return (lam_eff * _count_nonzero_singular_values(state.C)
-            + tau_eff * _count_nonzero_entries(state.C))
+    return lam_eff * rank + tau_eff * nnz
 
 
 def _algorithm(state, variant: str) -> Algorithm:
@@ -448,25 +447,26 @@ def _algorithm(state, variant: str) -> Algorithm:
 
 
 def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
-                     c1_spectrum=None, residuals=None) -> float:
+                     c_stats=None, residuals=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
     The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
     record.  gmc takes the scaled MC penalty on the singular values of C1
     and on the entries of C2, with each block's b from :func:`_mc_shape`,
     the one home of the "b tracks mu" rule; lrssc-convex is its b = 0
-    (nuclear norm / l1) case; s0l0 counts singular values and entries whose
-    magnitude exceeds 1e-12 times the largest.
+    (nuclear norm / l1) case; s0l0 takes lam_eff times the rank its rank map
+    kept plus tau_eff times the nonzero entries of its sparsity map.
 
-    ``c1_spectrum``, for three-block states only, supplies the singular
-    values of C1, such as those the C1 step has just thresholded; without
-    it they are computed by an SVD of C1.  ``residuals``, as for
-    :func:`dual_update`, supplies J - C_k of each split.
+    ``c_stats`` is what the variant's C step reported beside its C, the second
+    item its ``c_maps`` returns.  For three-block states it is the singular
+    values of C1; without it they are computed by an SVD of C1.  For s0l0 it
+    is the (rank, nnz) pair and is required: C alone does not give them.
+    ``residuals``, as for :func:`dual_update`, supplies J - C_k of each split.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
     fid = 0.5 * np.linalg.norm(X - X @ state.J, "fro") ** 2
-    pen = algorithm.penalty(state, cfg, c1_spectrum)
+    pen = algorithm.penalty(state, cfg, c_stats)
 
     splits = _splits(state)
     residuals = list(_consensus_residuals(state) if residuals is None else residuals)
@@ -536,7 +536,7 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            blocks, c1_spectrum = algorithm.c_maps(state, cfg)
+            blocks, c_stats = algorithm.c_maps(state, cfg)
             _assign(state, 0, blocks)
             residuals = _consensus_residuals(state)
             lambdas = dual_update(state, residuals=residuals)
@@ -553,7 +553,7 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
                 trace.r_jc2.append(gaps[1])
                 trace.mu1.append(mus[0])
             trace.lagrangian.append(lagrangian_value(
-                X, state, cfg, variant, c1_spectrum=c1_spectrum, residuals=residuals))
+                X, state, cfg, variant, c_stats=c_stats, residuals=residuals))
 
             converged = stopping_check(gaps + [rj], cfg)
             _assign(state, 2, [mu_update(mu, cfg) for mu in mus])
@@ -608,10 +608,11 @@ class Algorithm(NamedTuple):
 
     ``solve(X, cfg)`` runs it and ``state`` is its iterate type.
     ``c_maps(state, cfg)`` returns the new C of each split in update order
-    and the singular values of C1 (None if not at hand); the loop and the
-    exit KKT share them.  ``penalty(state, cfg, c1_spectrum)`` is the
-    penalty term of its augmented Lagrangian.  ``check(cfg)`` raises
-    ValueError on a config it rejects.  ``defaults`` are the SolverConfig
+    and what the step learned that the penalty needs: the singular values
+    of C1 for three-block states, the kept rank and nnz for s0l0; the loop
+    and the exit KKT share them.  ``penalty(state, cfg, c_stats)`` is the
+    penalty term of its augmented Lagrangian, given that second item.
+    ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
     on how far scripts/tune_defaults.py reproduces them).
     """
@@ -629,8 +630,7 @@ class Algorithm(NamedTuple):
 ALGORITHMS = {
     GMC: Algorithm(gmc_lrssc_solve, SolverState, _gmc_c_maps,
                    _gmc_penalty, _check_gmc, {}),
-    S0L0: Algorithm(s0l0_lrssc_solve, S0L0State,
-                    lambda state, cfg: ((s0l0_c_update(state, cfg),), None),
+    S0L0: Algorithm(s0l0_lrssc_solve, S0L0State, _s0l0_c_maps,
                     _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
     CONVEX: Algorithm(convex_lrssc, SolverState, _convex_c_maps,
                       lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0, 0.0),

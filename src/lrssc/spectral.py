@@ -7,7 +7,8 @@ embedding asks LAPACK's subset eigensolver for those n_clusters eigenpairs
 only, never for the full N x N eigenbasis.  k-means is kept in-package so
 its constants (k-means++ seeding, 20 replicates, 300 iterations, relative
 inertia tolerance 1e-9, ties to the lowest replicate index) are pinned for
-reproducibility.
+reproducibility.  The replicates run in lockstep, one Lloyd loop over all
+of them, and each gives the labels and inertia it would give run alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ _ROW_NORM_FLOOR = 1e-12
 _KMEANS_REPLICATES = 20
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-9
+# Entries of the (replicates, n, k, dim) difference array formed at once.
+_KMEANS_BLOCK = 1 << 20
 
 
 def build_affinity(C) -> np.ndarray:
@@ -63,11 +66,6 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     return _kmeans(emb, n_clusters, seed)
 
 
-def _sqdist(points, centers):
-    # ||p - c||^2 for every (point, center) pair, shape (n, k)
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-
-
 def _kmeanspp_init(points, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -84,34 +82,63 @@ def _kmeanspp_init(points, k, rng):
     return centers
 
 
-def _kmeans_single(points, k, rng):
-    n = points.shape[0]
-    centers = _kmeanspp_init(points, k, rng)
-    labels, inertia = None, np.inf
-    for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sqdist(points, centers)
-        new_labels = d2.argmin(axis=1)
-        assigned = d2[np.arange(n), new_labels]
-        new_inertia = float(assigned.sum())
-        done = labels is not None and inertia - new_inertia <= _KMEANS_REL_TOL * inertia
-        labels, inertia = new_labels, new_inertia
-        if done:
-            break
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = points[mask].mean(axis=0)
-            else:
-                # re-seat an emptied cluster at the worst-fit point
-                centers[j] = points[int(np.argmax(assigned))]
-    return labels, inertia
-
-
 def _kmeans(points, k, seed):
+    """Labels of the best of _KMEANS_REPLICATES k-means++-seeded Lloyd runs.
+
+    The seeds of every replicate are drawn first, in replicate order, from
+    one generator; Lloyd steps draw nothing, so each replicate runs as it
+    would alone.  Ties in the final inertia go to the lowest replicate index.
+    """
     rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(_KMEANS_REPLICATES):
-        labels, inertia = _kmeans_single(points, k, rng)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return np.asarray(best_labels, dtype=int)
+    centers = np.stack([_kmeanspp_init(points, k, rng) for _ in range(_KMEANS_REPLICATES)])
+    labels, inertia = _lloyd(points, centers)
+    return labels[np.argmin(inertia)]
+
+
+def _lloyd(points, centers):
+    """Lloyd's iterations of every replicate in one lockstep loop.
+
+    ``centers`` holds each replicate's initial centers, shape (r, k, dim),
+    and may be overwritten.  A replicate stops at its own step, once its inertia
+    falls by at most _KMEANS_REL_TOL of itself, and an emptied cluster is
+    re-seated at its replicate's worst-fit point.  Returns each replicate's
+    labels, shape (r, n), and final inertia, shape (r,).
+    """
+    n, dim = points.shape
+    reps, k = centers.shape[:2]
+    labels = np.empty((reps, n), dtype=int)
+    inertia = np.full(reps, np.inf)
+    live = np.arange(reps)  # the replicates still iterating
+    block = max(1, _KMEANS_BLOCK // (n * k * dim))
+    for step in range(_KMEANS_MAX_ITER):
+        # ||p - c||^2 of each (replicate, point, center), summed over the last
+        # axis as a single replicate's would be; shape (r, n, k)
+        d2 = np.concatenate([
+            ((points[None, :, None, :] - centers[i:i + block, None]) ** 2).sum(axis=3)
+            for i in range(0, live.size, block)])
+        step_labels = d2.argmin(axis=2)
+        assigned = np.take_along_axis(d2, step_labels[:, :, None], axis=2)[:, :, 0]
+        step_inertia = assigned.sum(axis=1)
+        previous = inertia[live]
+        labels[live], inertia[live] = step_labels, step_inertia
+        if step:
+            going = ~(previous - step_inertia <= _KMEANS_REL_TOL * previous)
+            if not going.any():
+                break
+            live, step_labels, assigned, centers = (
+                live[going], step_labels[going], assigned[going], centers[going])
+        r = live.size
+        # cluster j of replicate i is bin j + k*i; bincount adds a bin's points
+        # in point order, the order points[mask].mean(axis=0) of one cluster
+        # adds them in whenever dim > 1
+        bins = step_labels + k * np.arange(r)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=r * k).reshape(r, k)
+        sums = np.bincount((bins[:, :, None] * dim + np.arange(dim)).ravel(),
+                           weights=np.broadcast_to(points, (r, n, dim)).ravel(),
+                           minlength=r * k * dim).reshape(r, k, dim)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled][:, None]
+        # re-seat an emptied cluster at its replicate's worst-fit point
+        emptied, cluster = np.nonzero(~filled)
+        centers[emptied, cluster] = points[assigned[emptied].argmax(axis=1)]
+    return labels, inertia

@@ -563,15 +563,29 @@ class TestSweep:
                 monkeypatch.setenv(key, blas_threads)
         errors = []
         for jobs in ("1", "2"):
-            # closed-form LRR needs a positive weight: every cell raises
+            # an LRR weight this small keeps no singular value, so C = 0 and
+            # every cell raises inside its worker
             code = run(["sweep", "--pers", "10", "--trials", "2", "--algorithms", "lrr",
-                        "--lam", "-1", "--jobs", jobs, "--out", tmp_path / "sweep.csv"])
+                        "--lam", "1e-12", "--jobs", jobs, "--out", tmp_path / "sweep.csv"])
             assert code == 1
             errors.append(capsys.readouterr().err)
-        assert errors[0].startswith("error:")
+        assert errors[0] == "error: affinity matrix is identically zero\n"
         assert errors[0] == errors[1]
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
         assert os.environ.get("OMP_NUM_THREADS") == blas_threads
+
+    @pytest.mark.parametrize("algorithms, lam", [("lrr", "-1"), ("gmc,lrr", "0")])
+    def test_bad_lrr_weight_fails_before_data_or_workers(self, tmp_path, capsys, monkeypatch,
+                                                        algorithms, lam):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its settings")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        code = run(["sweep", "--pers", "10", "--algorithms", algorithms, "--lam", lam,
+                    "--jobs", "2", "--out", tmp_path / "sweep.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: lam must be positive, got {float(lam)}\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_algorithm_fails(self, tmp_path, capsys):
         code = run(["sweep", "--pers", "10", "--vars", "0.0",

@@ -48,7 +48,8 @@ EXPORTED_C_UPDATES = {GMC: (gmc_c1_update, gmc_c2_update)}
 
 def redrive(X, name, cfg):
     """Re-drive the loop of ALGORITHMS[name] from the exported pieces and its
-    record's C maps; yield the state after each dual step, before mu grows."""
+    record's C maps; after each dual step, before mu grows, yield the state
+    and the second item of the C maps (the C1 spectrum, or s0l0's counts)."""
     algorithm = ALGORITHMS[name]
     gram = GramSolver(X)
     state = algorithm.state.zeros(X.shape[1], cfg)
@@ -57,14 +58,14 @@ def redrive(X, name, cfg):
         state.J = j_update(X, state, gram)
         if cfg.normalize_j:
             state.J = normalize_columns(state.J)
-        blocks, _ = algorithm.c_maps(state, cfg)
+        blocks, c_stats = algorithm.c_maps(state, cfg)
         for c_name, C in zip(c_names, blocks, strict=True):
             setattr(state, c_name, C)
         lambdas = dual_update(state)
         for lambda_name, Lambda in zip(lambda_names, lambdas if len(lambda_names) > 1
                                        else (lambdas,), strict=True):
             setattr(state, lambda_name, Lambda)
-        yield state
+        yield state, c_stats
         for mu_name in mu_names:
             setattr(state, mu_name, mu_update(getattr(state, mu_name), cfg))
 
@@ -365,7 +366,10 @@ class TestLagrangianValue:
         cfg = SolverConfig()
         X = np.zeros((3, 4))
         for name, algorithm in ALGORITHMS.items():
-            assert lagrangian_value(X, algorithm.state.zeros(4, cfg), cfg, name) == 0.0
+            # s0l0 needs its C step's counts: rank 0 and nnz 0 at C = 0
+            c_stats = (0, 0) if name == S0L0 else None
+            assert lagrangian_value(X, algorithm.state.zeros(4, cfg), cfg, name,
+                                    c_stats=c_stats) == 0.0
 
     def test_convex_penalty_is_weighted_norms(self):
         cfg = SolverConfig(lam=0.4, mu2_init=2.0)
@@ -394,10 +398,14 @@ class TestLagrangianValue:
             fn(np.zeros((2, 3)), state_cls.zeros(3, cfg), cfg, variant)
 
     def test_two_block_state_rejects_c1_spectrum(self):
+        """s0l0's penalty needs its C step's (rank, nnz): neither a missing
+        value nor a C1 spectrum stands in for them."""
         cfg = SolverConfig()
-        with pytest.raises(ValueError, match="no C1 spectrum"):
-            lagrangian_value(np.zeros((2, 3)), S0L0State.zeros(3, cfg), cfg, S0L0,
-                             c1_spectrum=np.zeros(3))
+        state = S0L0State.zeros(3, cfg)
+        with pytest.raises(ValueError, match=r"needs the \(rank, nnz\) counts"):
+            lagrangian_value(np.zeros((2, 3)), state, cfg, S0L0)
+        with pytest.raises(ValueError):
+            lagrangian_value(np.zeros((2, 3)), state, cfg, S0L0, c_stats=np.zeros(3))
 
 
 def _record_prox_calls(monkeypatch, name, pick, log):
@@ -519,7 +527,7 @@ class TestSolverRuns:
         X = small_dataset.X
         cfg = registry_config(name, max_iters=6, epsilon=1e-300)
         C_solver, trace = ALGORITHMS[name].solve(X, cfg)
-        for state in redrive(X, name, cfg):
+        for state, _ in redrive(X, name, cfg):
             pass
         np.testing.assert_array_equal(C_solver, getattr(state, state.SPLITS[0][0]))
         assert trace.n_iters == cfg.max_iters
@@ -565,29 +573,61 @@ class TestSolverRuns:
     @pytest.mark.parametrize("variant", list(ALGORITHMS))
     def test_trace_lagrangian_matches_svd_oracle(self, small_dataset, variant):
         """The loop's Lagrangian, built from the C1 step's spectrum where it has
-        one, matches the value lagrangian_value computes from its own SVD."""
+        one, matches the value lagrangian_value computes from its own SVD;
+        s0l0's is lagrangian_value at the counts its C step reported (the
+        counts themselves are checked by test_s0l0_counts_match_svd_oracle)."""
         X = small_dataset.X
         cfg = registry_config(variant, max_iters=6, epsilon=1e-300)
         _, trace = ALGORITHMS[variant].solve(X, cfg)
         assert trace.n_iters == cfg.max_iters
-        for k, state in enumerate(redrive(X, variant, cfg)):
-            oracle = lagrangian_value(X, state, cfg, variant)
+        for k, (state, c_stats) in enumerate(redrive(X, variant, cfg)):
+            oracle = lagrangian_value(X, state, cfg, variant,
+                                      c_stats=c_stats if variant == S0L0 else None)
             assert trace.lagrangian[k] == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("dataset, lam", [("small_dataset", 0.5), ("small_dataset", 0.8),
+                                              ("bench_dataset", 0.5)])
+    def test_s0l0_counts_match_svd_oracle(self, request, dataset, lam):
+        """The rank s0l0's C step reports is the number of singular values of
+        V = J + Lambda/mu (gesdd) above sqrt(2 lam_eff/mu), and its nnz the
+        nonzero entries of the hard-thresholded V with its diagonal zeroed."""
+        X = request.getfixturevalue(dataset).X
+        cfg = registry_config(S0L0, lam=lam, max_iters=8, epsilon=1e-300)
+        lam_eff, tau_eff = effective_weights(cfg)
+        Lambda = np.zeros((X.shape[1], X.shape[1]))  # the multiplier the C step saw
+        ranks = []
+        for state, (rank, nnz) in redrive(X, S0L0, cfg):
+            V = Lambda / state.mu + state.J
+            s = np.linalg.svd(V, compute_uv=False)
+            assert rank == np.count_nonzero(s > math.sqrt(2.0 * lam_eff / state.mu))
+            hard = np.where(np.abs(V) > math.sqrt(2.0 * tau_eff / state.mu), V, 0.0)
+            np.fill_diagonal(hard, 0.0)
+            assert nnz == np.count_nonzero(hard)
+            ranks.append(rank)
+            Lambda = state.Lambda.copy()
+        assert 0 < min(ranks) and max(ranks) < X.shape[1]  # the count is not trivial
+
+    @pytest.mark.parametrize("lam, left_out", [(1.0, 1), (0.0, 0)])
+    def test_s0l0_counts_zero_for_a_map_left_out(self, small_dataset, lam, left_out):
+        """Pure-rank s0l0 (tau = 0) reports nnz 0, pure-sparsity (lam = 0) rank 0."""
+        cfg = registry_config(S0L0, lam=lam, tau=1.0 - lam, max_iters=6, epsilon=1e-300)
+        counts = [c_stats for _, c_stats in redrive(small_dataset.X, S0L0, cfg)]
+        assert all(c[left_out] == 0 for c in counts)
+        assert max(c[1 - left_out] for c in counts) > 0
 
     @pytest.mark.parametrize("name", list(ALGORITHMS))
     def test_trace_variant_is_the_registry_key(self, small_dataset, name):
         _, trace = ALGORITHMS[name].solve(small_dataset.X, registry_config(name, max_iters=1))
         assert trace.variant == name
 
-    @pytest.mark.parametrize("solve, svds_per_iter", [
-        (gmc_lrssc_solve, 0), (convex_lrssc, 0), (s0l0_lrssc_solve, 1)])
-    def test_svd_count(self, small_dataset, monkeypatch, solve, svds_per_iter):
-        """Every run does one thin SVD of X (the J step's factorization) and
-        k + 1 SVTs through the Gram matrix: one per iteration and the one in
-        the C map of the exit KKT.  The soft SVT (lrssc-convex) runs each on
-        one symmetric eigendecomposition, the firm and hard SVTs (gmc, s0l0)
-        on one tridiagonal reduction.  Two-block runs also pay one SVD per
-        iteration, for the Lagrangian's rank count."""
+    @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
+    def test_svd_count(self, small_dataset, monkeypatch, solve):
+        """Every run does one SVD, the thin SVD of X (the J step's
+        factorization), and k + 1 SVTs through the Gram matrix: one per
+        iteration and the one in the C map of the exit KKT.  The soft SVT
+        (lrssc-convex) runs each on one symmetric eigendecomposition, the firm
+        and hard SVTs (gmc, s0l0) on one tridiagonal reduction.  The
+        Lagrangian takes its penalty from the C step, never from an SVD."""
         calls = {"svd": 0, "eigh": 0, "dsytrd": 0}
 
         def counting(module, name):
@@ -605,8 +645,8 @@ class TestSolverRuns:
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
         soft = solve is convex_lrssc
-        assert calls == {"svd": 1 + svds_per_iter * k,
-                         "eigh": k + 1 if soft else 0, "dsytrd": 0 if soft else k + 1}
+        assert calls == {"svd": 1, "eigh": k + 1 if soft else 0,
+                         "dsytrd": 0 if soft else k + 1}
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])

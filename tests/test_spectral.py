@@ -180,3 +180,113 @@ def test_embedding_asks_for_n_clusters_eigenpairs_only(monkeypatch, sizes, n_clu
     spectral_cluster(W, n_clusters, seed=0)
     assert requested == [[0, n_clusters - 1]]
     assert shapes == [(W.shape[0], n_clusters)]
+
+
+def serial_lloyd(points, k, seed):
+    """The replicates of _kmeans one after another, each in its own Lloyd loop.
+
+    The per-replicate loop the lockstep one replaced, kept as its reference:
+    same seeds, same constants, centers as points[mask].mean(axis=0).
+    Returns every replicate's (labels, inertia) and how many clusters were
+    re-seated.
+    """
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    runs, reseats = [], 0
+    for _ in range(spectral_module._KMEANS_REPLICATES):
+        centers = spectral_module._kmeanspp_init(points, k, rng)
+        labels, inertia = None, np.inf
+        for _ in range(spectral_module._KMEANS_MAX_ITER):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            assigned = d2[np.arange(n), new_labels]
+            new_inertia = float(assigned.sum())
+            done = (labels is not None
+                    and inertia - new_inertia <= spectral_module._KMEANS_REL_TOL * inertia)
+            labels, inertia = new_labels, new_inertia
+            if done:
+                break
+            for j in range(k):
+                mask = labels == j
+                if mask.any():
+                    centers[j] = points[mask].mean(axis=0)
+                else:
+                    centers[j] = points[int(np.argmax(assigned))]
+                    reseats += 1
+        runs.append((labels, inertia))
+    return runs, reseats
+
+
+def embedded_points(W, n_clusters):
+    """The rows spectral_cluster hands to k-means for the affinity W."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral_module, "_kmeans", lambda points, k, seed: captured.append(points))
+        spectral_cluster(W, n_clusters, seed=0)
+    return captured[0]
+
+
+class TestLockstepKmeansMatchesSerialOracle:
+    """The lockstep Lloyd loop gives every replicate the labels and inertia
+    of the serial loop, bit for bit, and _kmeans the labels of its first
+    best replicate."""
+
+    @staticmethod
+    def assert_matches_oracle(points, k, seed):
+        runs, reseats = serial_lloyd(points, k, seed)
+        rng = np.random.default_rng(seed)
+        centers = np.stack([spectral_module._kmeanspp_init(points, k, rng)
+                            for _ in range(spectral_module._KMEANS_REPLICATES)])
+        labels, inertia = spectral_module._lloyd(points, centers)
+        for r, (run_labels, run_inertia) in enumerate(runs):
+            np.testing.assert_array_equal(labels[r], run_labels)
+            assert inertia[r] == run_inertia
+        best = min(range(len(runs)), key=lambda r: runs[r][1])  # first minimum
+        got = spectral_module._kmeans(points, k, seed)
+        assert got.dtype == np.asarray(runs[best][0], dtype=int).dtype
+        np.testing.assert_array_equal(got, runs[best][0])
+        return reseats
+
+    @pytest.mark.parametrize("sizes, off_block", [([6, 9], 0.3), ([4, 6, 8], 0.2),
+                                                  ([3, 4, 5, 6, 7], 0.5), ([10, 10, 10], 0.9)])
+    def test_block_affinities(self, sizes, off_block):
+        W, _ = block_affinity(sizes, off_block=off_block, seed=len(sizes))
+        points = embedded_points(W, len(sizes))
+        for seed in (0, 1, 7, 12345):
+            self.assert_matches_oracle(points, len(sizes), seed)
+
+    def test_lrr_embedding_of_the_benchmark_dataset(self, bench_dataset):
+        points = embedded_points(build_affinity(lrr_noisy(bench_dataset.X, 2.0).C), 3)
+        for seed in (0, 2024):
+            self.assert_matches_oracle(points, 3, seed)
+
+    @pytest.mark.parametrize("points, k", [
+        # a cluster empties after some steps and is re-seated at a point with a
+        # nonzero distance, which changes that replicate's later steps
+        (np.array([[0, 2], [4, 0], [4, 4], [2, 5], [1, 3], [1, 2], [1, 4], [5, 0]], float), 4),
+        # three distinct points: k-means++ seeds the fourth and fifth centers on
+        # copies of the first three, whose clusters empty at the first step
+        (np.repeat(np.eye(3), [4, 5, 6], axis=0), 5),
+    ])
+    def test_emptied_cluster_is_reseated(self, points, k):
+        assert sum(self.assert_matches_oracle(points, k, seed) for seed in (0, 3)) > 0
+
+    def test_one_cluster(self):
+        W, _ = block_affinity([6, 6], off_block=0.3, seed=6)
+        points = embedded_points(W, 1)
+        for seed in (0, 5):
+            self.assert_matches_oracle(points, 1, seed)
+
+    def test_one_cluster_per_point(self):
+        W, _ = block_affinity([6, 6], off_block=0.3, seed=6)
+        points = embedded_points(W, 12)
+        for seed in (0, 5):
+            self.assert_matches_oracle(points, 12, seed)
+
+    def test_replicates_in_blocks(self, monkeypatch):
+        """A difference array over the size limit is formed a few replicates at a time."""
+        W, _ = block_affinity([4, 6, 8], off_block=0.4, seed=3)
+        points = embedded_points(W, 3)
+        monkeypatch.setattr(spectral_module, "_KMEANS_BLOCK", 3 * points.size * 3)
+        for seed in (0, 1):
+            self.assert_matches_oracle(points, 3, seed)
