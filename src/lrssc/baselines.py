@@ -1,10 +1,19 @@
-"""Closed-form low-rank representation (LRR) solutions."""
+"""Closed-form low-rank representation (LRR) solutions.
+
+Their SVD and product run on scipy's BLAS; :func:`lrr_noisy`, the one the
+CLI clusters with, holds numpy's at one thread meanwhile
+(:func:`lrssc.parallel.numpy_blas_single_thread`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+
+from .parallel import numpy_blas_single_thread
+from .prox import _gemm
 
 # Singular values below max(n, N) * sigma_1 * this factor count as zero.
 _RANK_TOL_FACTOR = 1e-12
@@ -26,7 +35,7 @@ def _checked_svd(X):
         raise ValueError("X contains non-finite entries")
     if not np.any(X):
         raise ValueError("X must contain at least one nonzero entry")
-    return np.linalg.svd(X, full_matrices=False)
+    return scipy.linalg.svd(X, full_matrices=False, check_finite=False)
 
 
 def lrr_noiseless(X) -> LrrSolution:
@@ -35,9 +44,10 @@ def lrr_noiseless(X) -> LrrSolution:
     tol = max(np.asarray(X).shape) * s[0] * _RANK_TOL_FACTOR
     keep = np.flatnonzero(s > tol)
     V1 = Vt[keep].T
-    return LrrSolution(C=V1 @ V1.T, active_set=keep)
+    return LrrSolution(C=_gemm(V1, V1.T), active_set=keep)
 
 
+@numpy_blas_single_thread()
 def lrr_noisy(X, lam: float) -> LrrSolution:
     """Closed-form minimizer of (lam/2)*||X - XC||_F^2 + ||C||_*.
 
@@ -53,4 +63,4 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
         return LrrSolution(C=np.zeros((n_points, n_points)), active_set=keep)
     V1 = Vt[keep].T
     shrink = 1.0 - 1.0 / (lam * s[keep] ** 2)
-    return LrrSolution(C=(V1 * shrink) @ V1.T, active_set=keep)
+    return LrrSolution(C=_gemm(V1 * shrink, V1.T), active_set=keep)

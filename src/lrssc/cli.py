@@ -158,6 +158,7 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
 
 def cmd_cluster(args) -> int:
     X = datasets.load_matrix(args.input)
+    spectral.check_n_clusters(args.clusters, X.shape[1])
     cfg = _solver_config(args, args.algorithm)
     try:
         labels, trace = _solve_and_label(args, args.algorithm, cfg, X, args.clusters, args.seed)

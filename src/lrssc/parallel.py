@@ -1,5 +1,5 @@
 """Order-preserving map over independent tasks, in BLAS-pinned worker processes,
-and a pin of scipy's own BLAS to one thread around a block of code.
+and a pin of numpy's BLAS to one thread around a block of code.
 
 Each task is one whole solve, and the solves are BLAS-heavy.  Threads would
 share one process whose BLAS starts its own thread pool per call, so two
@@ -15,6 +15,13 @@ no threads, so forking it is safe where forking this process would not be.
 Which modules the server imports is multiprocessing's process-global
 setting, and each pool sets it to this list.  Where the platform has no
 ``forkserver``, each pool spawns fresh interpreters instead.
+
+Within one process, numpy and scipy may each load their own OpenBLAS, each
+with a thread pool as wide as the environment allows.  The solves, the LRR
+baseline and the spectral embedding run all their dense kernels on scipy's
+and hold numpy's at one thread while they run
+(:func:`numpy_blas_single_thread`), so one pool at a time works on the
+cores and no idle one spins against it.
 """
 
 from __future__ import annotations
@@ -85,34 +92,34 @@ def map_tasks(fn, tasks, jobs: int) -> list:
                 os.environ[key] = value
 
 
-# numpy and scipy may each load their own OpenBLAS, each with its own thread
-# pool.  Calls that alternate between the two make the pools fight for the
-# cores, so the SVT runs its scipy LAPACK stages with scipy's pool at one
-# thread.  The library is looked up at the first pin, not at import.
+# The pin of numpy's BLAS (see the module docstring).  The library is looked
+# up at the first pin, not at import.
 _UNRESOLVED = object()
-_scipy_blas = _UNRESOLVED  # (get, set) of its thread count, or None if not found
+_numpy_blas = _UNRESOLVED  # (get, set) of its thread count, or None: pin nothing
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved = 1
+# Thread-count symbols of an OpenBLAS, in lookup order: the 64-bit-integer
+# builds numpy ships (scipy-openblas, then plain OpenBLAS), then unsuffixed.
+_THREAD_SYMBOLS = [(prefix, suffix) for suffix in ("64_", "")
+                   for prefix in ("scipy_openblas", "openblas")]
 
 
-def _find_scipy_blas():
-    """(get, set) of the thread count of the BLAS under scipy's LAPACK, or None.
+def _thread_controls(path):
+    """(get, set) of the OpenBLAS thread count seen from a loaded library, or None.
 
-    dlsym on scipy's BLAS extension module searches the libraries it links,
-    so this finds the OpenBLAS scipy itself calls, whichever build numpy uses.
+    dlsym on an extension module searches the libraries it links, so this
+    finds the OpenBLAS that the extension itself calls.
     """
     import ctypes
 
-    import scipy.linalg.cython_blas
-
     try:
-        lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+        lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for prefix in ("scipy_openblas", "openblas"):
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        put = getattr(lib, f"{prefix}_set_num_threads", None)
+    for prefix, suffix in _THREAD_SYMBOLS:
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
@@ -120,19 +127,47 @@ def _find_scipy_blas():
     return None
 
 
+def _find_numpy_blas():
+    """(get, set) of the thread count of numpy's BLAS, or None if it should not be pinned.
+
+    numpy's BLAS is the one its ``_multiarray_umath`` extension links
+    (under ``numpy._core`` from numpy 2, ``numpy.core`` before), scipy's the
+    one its BLAS extension links.  None where numpy's has no setter, and
+    where both setters are one function: one shared library has one pool,
+    and pinning it would leave scipy's LAPACK on one thread.
+    """
+    import ctypes
+
+    import scipy.linalg.cython_blas
+
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        module = sys.modules.get(name)
+        numpy_controls = module and _thread_controls(module.__file__)
+        if numpy_controls:
+            break
+    else:
+        return None
+    scipy_controls = _thread_controls(scipy.linalg.cython_blas.__file__)
+    address = lambda fn: ctypes.cast(fn, ctypes.c_void_p).value
+    if scipy_controls and address(scipy_controls[1]) == address(numpy_controls[1]):
+        return None
+    return numpy_controls
+
+
 @contextlib.contextmanager
-def scipy_blas_single_thread():
-    """Run the body with scipy's own BLAS at one thread, then restore its count.
+def numpy_blas_single_thread():
+    """Run the body with numpy's BLAS at one thread, then restore its count.
 
     Nested and concurrent bodies share one pin: the first to enter saves the
     count and sets one thread, the last to leave restores the count, also
-    when the body raises.  Where no thread setter is found the body runs as is.
+    when the body raises.  Where :func:`_find_numpy_blas` gives None the body
+    runs as is.  Also usable as a decorator.
     """
-    global _scipy_blas, _pin_depth, _pin_saved
+    global _numpy_blas, _pin_depth, _pin_saved
     with _pin_lock:
-        if _scipy_blas is _UNRESOLVED:
-            _scipy_blas = _find_scipy_blas()
-        controls = _scipy_blas
+        if _numpy_blas is _UNRESOLVED:
+            _numpy_blas = _find_numpy_blas()
+        controls = _numpy_blas
         if controls is not None:
             if _pin_depth == 0:
                 _pin_saved = controls[0]()

@@ -19,6 +19,14 @@ most, so it takes all eigenpairs from one full ``eigh``.  Squaring loses the
 singular values below about sqrt(eps) * s_max, so when the threshold's dead
 zone reaches down to 1e3 * sqrt(eps) * s_max, or an eigensolver fails, the
 SVT runs on an SVD (gesdd, retried with gesvd) instead.
+
+Every dense kernel here runs on scipy's BLAS and LAPACK: the Gram matrix's
+lower triangle comes from one ``dsyrk`` (half the flops of M^T M), which is
+all that ``dsytrd`` and ``eigh`` read; the SVDs are scipy's; and the
+products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
+:mod:`lrssc.baselines` use too.  Their callers hold numpy's BLAS at one
+thread (:func:`lrssc.parallel.numpy_blas_single_thread`), so scipy's runs
+them at its full thread count.
 """
 
 from __future__ import annotations
@@ -28,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .exceptions import NumericalError
-from .parallel import scipy_blas_single_thread
 
 
 @dataclass(frozen=True)
@@ -129,15 +136,33 @@ def _finite(M):
         raise NumericalError("SVD input contains non-finite entries")
     return M
 
+def _gemm(a, b):
+    """a @ b in C order, from scipy's dgemm, for 2-d float arrays.
+
+    It forms (a @ b)^T = b^T a^T in the Fortran order BLAS works in.  An
+    operand in Fortran order goes in as itself with a transpose flag, one in
+    C order as its transpose, so a contiguous operand is never copied.
+    """
+    bt, trans_b = (b, 1) if b.flags.f_contiguous else (b.T, 0)
+    at, trans_a = (a, 1) if a.flags.f_contiguous else (a.T, 0)
+    return blas.dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+
+def _gram(A):
+    """The lower triangle of A^T A in Fortran order (dsyrk); the upper one is zero."""
+    if A.flags.f_contiguous:
+        return blas.dsyrk(1.0, A, trans=1, lower=1)
+    return blas.dsyrk(1.0, A.T, lower=1)
+
 def _svd(M):
     M = _finite(M)
     try:
-        return np.linalg.svd(M, full_matrices=False)
+        return scipy.linalg.svd(M, full_matrices=False, check_finite=False)
     except np.linalg.LinAlgError:
         # gesdd gives up on some ill-conditioned iterates; gesvd is slower
         # but far more robust, so retry before declaring failure.
         try:
-            return scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
+            return scipy.linalg.svd(M, full_matrices=False, check_finite=False,
+                                    lapack_driver="gesvd")
         except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK dependent
             raise NumericalError(f"SVD did not converge: {err}") from err
 
@@ -145,7 +170,7 @@ def _svt_gesdd(M, shrink, return_spectrum):
     """SVT through a full SVD: the fallback of :func:`_svt` and its test oracle."""
     U, s, Vt = _svd(M)
     fs = shrink(s)
-    mat = (U * fs) @ Vt
+    mat = _gemm(U * fs, Vt)
     return (mat, fs) if return_spectrum else mat
 
 def _lapack_ok(info):
@@ -153,13 +178,14 @@ def _lapack_ok(info):
         raise np.linalg.LinAlgError(f"LAPACK returned info={info}")
 
 def _full_eigenpairs(G):
-    """All eigenpairs of the Gram matrix G from one ``eigh``: the soft kernel.
+    """All eigenpairs of the Gram matrix G from one divide-and-conquer ``eigh``
+    (dsyevd) on its lower triangle: the soft kernel.
 
     Returns ``(s, vectors)``: the square roots of the eigenvalues in
     descending order, and ``vectors(lo, hi)``, the eigenvectors of
-    ``s[lo:hi]`` as columns in the same order.
+    ``s[lo:hi]`` as columns in the same order.  G is overwritten.
     """
-    w, V = np.linalg.eigh(G)
+    w, V = scipy.linalg.eigh(G, lower=True, driver="evd", overwrite_a=True, check_finite=False)
     V = V[:, ::-1]
     return np.sqrt(np.maximum(w[::-1], 0.0)), lambda lo, hi: np.asfortranarray(V[:, lo:hi])
 
@@ -170,45 +196,41 @@ def _tridiagonal_eigenpairs(G):
     reduction (dsytrd), then all eigenvalues of T without vectors (dsterf).
     ``vectors`` computes only the asked range: MRRR on T (dstemr), or divide
     and conquer on all of T (dstevd) for a range over a quarter of n, then Q
-    times those (dormqr).  The LAPACK stages run with scipy's BLAS at one
-    thread, and a nonzero ``info`` from any of them raises ``LinAlgError``.
-    G is overwritten.
+    times those (dormqr).  Only the lower triangle of G is read, and G is
+    overwritten.  A nonzero ``info`` from any stage raises ``LinAlgError``.
     """
     n = G.shape[0]
     if n < 2:  # nothing to reduce, and dsterf takes no empty off-diagonal
         return np.sqrt(np.maximum(G.diagonal(), 0.0)), lambda lo, hi: np.eye(n)[:, lo:hi]
-    with scipy_blas_single_thread():
-        lwork, info = lapack.dsytrd_lwork(n, lower=1)
-        _lapack_ok(info)
-        # G is symmetric, so G.T is G in the column-major order LAPACK works in.
-        refl, d, e, tau, info = lapack.dsytrd(G.T, lower=1, lwork=int(lwork), overwrite_a=1)
-        _lapack_ok(info)
-        w, info = lapack.dsterf(d, e)
-        _lapack_ok(info)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_ok(info)
+    refl, d, e, tau, info = lapack.dsytrd(G, lower=1, lwork=int(lwork), overwrite_a=1)
+    _lapack_ok(info)
+    w, info = lapack.dsterf(d, e)
+    _lapack_ok(info)
 
     def vectors(lo, hi):
         # s[lo:hi] descending are the ascending eigenvalues n - hi .. n - lo - 1
-        with scipy_blas_single_thread():
-            if 4 * (hi - lo) > n:
-                # MRRR bisects for each eigenvalue of a subset; on a quarter
-                # or more of them divide and conquer on all is cheaper.
-                _, Z, info = lapack.dstevd(d, e)
-                _lapack_ok(info)
-                Z = Z[:, n - hi:n - lo]
-            else:
-                m, _, Z, info = lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0,
-                                              n - hi + 1, n - lo)
-                _lapack_ok(info or m - (hi - lo))
-                Z = Z[:, :m]
-            Z = Z[:, ::-1]
-            # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal
-            V = np.empty(Z.shape)
-            V[0] = Z[0]
-            below = np.asfortranarray(refl[1:, :-1])
-            work, info = lapack.dormqr("L", "N", below, tau, Z[1:], -1)[1:]
+        if 4 * (hi - lo) > n:
+            # MRRR bisects for each eigenvalue of a subset; on a quarter
+            # or more of them divide and conquer on all is cheaper.
+            _, Z, info = lapack.dstevd(d, e)
             _lapack_ok(info)
-            V[1:], _, info = lapack.dormqr("L", "N", below, tau, Z[1:], int(work[0]))
-            _lapack_ok(info)
+            Z = Z[:, n - hi:n - lo]
+        else:
+            m, _, Z, info = lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0,
+                                          n - hi + 1, n - lo)
+            _lapack_ok(info or m - (hi - lo))
+            Z = Z[:, :m]
+        Z = Z[:, ::-1]
+        # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal
+        V = np.empty(Z.shape)
+        V[0] = Z[0]
+        below = np.asfortranarray(refl[1:, :-1])
+        work, info = lapack.dormqr("L", "N", below, tau, Z[1:], -1)[1:]
+        _lapack_ok(info)
+        V[1:], _, info = lapack.dormqr("L", "N", below, tau, Z[1:], int(work[0]))
+        _lapack_ok(info)
         return V
 
     return np.sqrt(np.maximum(w[::-1], 0.0)), vectors
@@ -225,7 +247,7 @@ def _svt(M, shrink, dead_zone, return_spectrum, eigenpairs):
     A = M.T if wide else M
     n = A.shape[1]
     try:
-        s, vectors = eigenpairs(A.T @ A)
+        s, vectors = eigenpairs(_gram(A))
         if s.size and dead_zone < _GRAM_CUT * s[0]:
             return _svt_gesdd(M, shrink, return_spectrum)
         fs = shrink(s)
@@ -245,15 +267,15 @@ def _svt(M, shrink, dead_zone, return_spectrum, eigenpairs):
             # components only; a dead one gets factor 1 without dividing by its s.
             Vc, fc, sc = vectors(n - nc, n), fs[n - nc:], s[n - nc:]
             factor = 1.0 - np.divide(fc, sc, out=np.zeros_like(fc), where=fc != 0.0)
-            AV = A @ Vc
+            AV = _gemm(A, Vc)
             AV *= factor
-            mat = AV @ Vc.T
+            mat = _gemm(AV, Vc.T)
             np.subtract(A, mat, out=mat)
         else:
             Vk = vectors(0, nk)
-            AV = A @ Vk
+            AV = _gemm(A, Vk)
             AV *= fs[:nk] / s[:nk]
-            mat = AV @ Vk.T
+            mat = _gemm(AV, Vk.T)
     except np.linalg.LinAlgError:
         return _svt_gesdd(M, shrink, return_spectrum)
     if wide:

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import prox
 from .exceptions import NumericalError
+from .parallel import numpy_blas_single_thread
 
 GMC = "gmc"
 S0L0 = "s0l0"
@@ -205,16 +207,16 @@ class GramSolver:
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
         try:
-            _, s, self.Vt = np.linalg.svd(X, full_matrices=False)
+            _, s, self.Vt = scipy.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as err:  # pragma: no cover
             raise NumericalError(f"SVD of X failed: {err}") from err
         self.s2 = s * s
 
     def solve(self, shift: float, rhs: np.ndarray) -> np.ndarray:
-        W = self.Vt @ rhs
+        W = prox._gemm(self.Vt, rhs)
         np.subtract(shift * self.Vt, W, out=W)
         W *= (self.s2 / (self.s2 + shift))[:, None]
-        out = self.Vt.T @ W
+        out = prox._gemm(self.Vt.T, W)
         out += rhs
         out /= shift
         return out
@@ -414,7 +416,7 @@ def _mc_penalty(state, cfg, c_stats, b1: float, b2: float) -> float:
     they come from an SVD of C1.
     """
     lam_eff, tau_eff = effective_weights(cfg)
-    sv = np.linalg.svd(state.C1, compute_uv=False) if c_stats is None else c_stats
+    sv = scipy.linalg.svd(state.C1, compute_uv=False) if c_stats is None else c_stats
     return (lam_eff * prox.gmc_penalty_separable(sv, b1)
             + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
 
@@ -465,7 +467,7 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
-    fid = 0.5 * np.linalg.norm(X - X @ state.J, "fro") ** 2
+    fid = 0.5 * np.linalg.norm(X - prox._gemm(X, state.J), "fro") ** 2
     pen = algorithm.penalty(state, cfg, c_stats)
 
     splits = _splits(state)
@@ -492,7 +494,7 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
-    grad = -X.T @ (X - X @ state.J)
+    grad = prox._gemm(X.T, prox._gemm(X, state.J) - X)  # -X^T (X - XJ)
     splits = _splits(state)
     maps, _ = algorithm.c_maps(state, cfg)
     for _, Lambda, _ in splits:
@@ -518,8 +520,12 @@ def _check_data(X) -> np.ndarray:
     return X
 
 
+@numpy_blas_single_thread()
 def _solve(X, cfg: SolverConfig | None, variant: str):
-    """The ADMM loop of every variant; returns (C of the first split, trace)."""
+    """The ADMM loop of every variant; returns (C of the first split, trace).
+
+    Its dense kernels run on scipy's BLAS, with numpy's held at one thread.
+    """
     cfg = cfg or SolverConfig()
     algorithm = ALGORITHMS[variant]
     algorithm.check(cfg)

@@ -4,10 +4,11 @@ The pipeline is the usual one: symmetrize |C| + |C|^T, form
 I - D^{-1/2} W D^{-1/2}, embed each point by the eigenvectors of the
 n_clusters smallest eigenvalues, normalize rows, and run k-means.  The
 embedding asks LAPACK's subset eigensolver for those n_clusters eigenpairs
-only, never for the full N x N eigenbasis.  k-means is kept in-package so
-its constants (k-means++ seeding, 20 replicates, 300 iterations, relative
-inertia tolerance 1e-9, ties to the lowest replicate index) are pinned for
-reproducibility.  The replicates run in lockstep, one Lloyd loop over all
+only, never for the full N x N eigenbasis, and runs it on scipy's BLAS with
+numpy's held at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`).
+k-means is kept in-package so its constants (k-means++ seeding, 20
+replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
+lowest replicate index) are pinned for reproducibility.  The replicates run in lockstep, one Lloyd loop over all
 of them, and each gives the labels and inertia it would give run alone.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import DegenerateAffinityError
+from .parallel import numpy_blas_single_thread
 
 _DEGREE_FLOOR = 1e-12
 _ROW_NORM_FLOOR = 1e-12
@@ -36,6 +38,13 @@ def build_affinity(C) -> np.ndarray:
     return A + A.T
 
 
+def check_n_clusters(n_clusters: int, n_points: int) -> None:
+    """ValueError unless 1 <= n_clusters <= n_points."""
+    if not 1 <= n_clusters <= n_points:
+        raise ValueError(f"n_clusters must lie in [1, {n_points}], got {n_clusters}")
+
+
+@numpy_blas_single_thread()
 def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     """Cluster the graph with affinity W into n_clusters groups.
 
@@ -50,8 +59,7 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got shape {W.shape}")
     n = W.shape[0]
-    if not 1 <= n_clusters <= n:
-        raise ValueError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
+    check_n_clusters(n_clusters, n)
     if not np.isfinite(W).all():
         raise ValueError("affinity has non-finite entries (NaN or inf)")
     if not np.any(W):
@@ -74,7 +82,10 @@ def _kmeanspp_init(points, k, rng):
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=closest / total))
+            # the draw of rng.choice(n, p=closest / total), without its checks of p
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
         centers[j] = points[idx]

@@ -104,6 +104,26 @@ class TestSynth:
 
 
 class TestCluster:
+    @pytest.mark.parametrize("algorithm", ["gmc", "lrr"])
+    @pytest.mark.parametrize("clusters", [0, -1, 31])
+    def test_cluster_count_out_of_range_fails_before_the_solve(
+            self, small_data_dir, tmp_path, capsys, monkeypatch, algorithm, clusters):
+        """The small data has 30 points; the count is checked right after
+        loading X, with spectral_cluster's message, and nothing is solved."""
+        def never(*args, **kw):
+            raise AssertionError("solved with a bad cluster count")
+
+        for name in cli._ITERATIVE:
+            monkeypatch.setitem(cli._ITERATIVE, name, never)
+        monkeypatch.setattr(cli, "lrr_noisy", never)
+        labels_out = tmp_path / "pred.txt"
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--algorithm", algorithm,
+                    "--clusters", clusters, "--labels-out", labels_out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: n_clusters must lie in [1, 30], got {clusters}\n")
+        assert not labels_out.exists()
+
     def test_end_to_end_with_trace_and_kkt_report(self, small_data_dir,
                                                   tmp_path, capsys):
         labels_out = tmp_path / "pred.txt"

@@ -1,5 +1,6 @@
 """The order-preserving task map behind sweeps and benchmark grids."""
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.cython_blas
 from scipy.linalg import lapack
 
-from lrssc import NumericalError, parallel, prox
+from lrssc import (NumericalError, SolverConfig, build_affinity, gmc_lrssc_solve, lrr_noisy,
+                   parallel, spectral_cluster)
 
 _PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -119,104 +123,147 @@ def test_jobs_below_one_rejected_before_any_task_runs(jobs):
         parallel.map_tasks(never, [1, 2], jobs=jobs)
 
 
-def _svt_input(seed=3):
-    return np.random.default_rng(seed).standard_normal((30, 24))
+_FEW_ITERS = SolverConfig(max_iters=3, epsilon=1e-300)
 
 
 @pytest.fixture
-def scipy_blas_threads():
-    """The thread count of scipy's own BLAS, set to 2 for the test."""
-    controls = parallel._find_scipy_blas()
+def blas_threads():
+    """(numpy's, scipy's) thread-count getters, numpy's count set to 2 for the test."""
+    controls = parallel._find_numpy_blas()
     if controls is None:
+        pytest.skip("numpy's BLAS is not pinned here")
+    scipy_controls = parallel._thread_controls(scipy.linalg.cython_blas.__file__)
+    if scipy_controls is None:
         pytest.skip("scipy's BLAS exposes no thread count here")
     get, put = controls
     saved = get()
     put(2)
-    yield get
+    yield get, scipy_controls[0]
     put(saved)
 
 
-def _spy_on(monkeypatch, name, action):
-    real = getattr(lapack, name)
+def _spy_on(monkeypatch, module, name, action):
+    real = getattr(module, name)
 
     def spy(*args, **kw):
         action()
         return real(*args, **kw)
-    monkeypatch.setattr(lapack, name, spy)
+    monkeypatch.setattr(module, name, spy)
 
 
-def test_svt_pins_scipy_blas_while_lapack_runs(monkeypatch, scipy_blas_threads):
+def test_solve_pins_numpy_blas_and_leaves_scipys(monkeypatch, small_dataset, blas_threads):
+    numpy_threads, scipy_threads = blas_threads
+    scipy_count = scipy_threads()
     seen = []
-    _spy_on(monkeypatch, "dsytrd", lambda: seen.append(scipy_blas_threads()))
-    _spy_on(monkeypatch, "dormqr", lambda: seen.append(scipy_blas_threads()))
-    prox.svt_hard(_svt_input(), 2.0)
-    assert seen and set(seen) == {1}
-    assert scipy_blas_threads() == 2
+    _spy_on(monkeypatch, lapack, "dsytrd", lambda: seen.append((numpy_threads(), scipy_threads())))
+    gmc_lrssc_solve(small_dataset.X, _FEW_ITERS)
+    # one tridiagonal reduction per iteration and one in the exit KKT
+    assert seen == [(1, scipy_count)] * 4
+    assert numpy_threads() == 2
 
 
-def test_pin_restored_after_error_inside(monkeypatch, scipy_blas_threads):
+@pytest.mark.parametrize("step", ["embedding", "lrr"])
+def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threads, step):
+    numpy_threads, scipy_threads = blas_threads
+    scipy_count = scipy_threads()
+    seen = []
+    record = lambda: seen.append((numpy_threads(), scipy_threads()))
+    C = lrr_noisy(small_dataset.X, 2.0).C
+    if step == "embedding":
+        _spy_on(monkeypatch, scipy.linalg, "eigh", record)
+        spectral_cluster(build_affinity(C), 3, seed=0)
+    else:
+        _spy_on(monkeypatch, scipy.linalg, "svd", record)
+        lrr_noisy(small_dataset.X, 2.0)
+    assert seen == [(1, scipy_count)]
+    assert numpy_threads() == 2
+
+
+def test_pin_restored_after_error_inside(monkeypatch, small_dataset, blas_threads):
+    numpy_threads, _ = blas_threads
+
     def fail():
         raise NumericalError("synthetic failure inside the pinned section")
 
-    _spy_on(monkeypatch, "dsterf", fail)
+    _spy_on(monkeypatch, lapack, "dsterf", fail)
     with pytest.raises(NumericalError, match="synthetic"):
-        prox.svt_firm(_svt_input(), prox.ThresholdParams(lam=1.0, a=2.0))
-    assert scipy_blas_threads() == 2
+        gmc_lrssc_solve(small_dataset.X, _FEW_ITERS)
+    assert numpy_threads() == 2
 
 
-def test_pin_shared_by_concurrent_svts(monkeypatch, scipy_blas_threads):
-    """Two SVTs in two threads meet inside the pinned section; the count is
+def test_pin_shared_by_concurrent_solves(monkeypatch, small_dataset, blas_threads):
+    """Two solves in two threads meet inside the pinned section; the count is
     one while either is inside and comes back when both have left."""
-    M = _svt_input()
-    ref = prox.svt_hard(M, 2.0)
+    numpy_threads, _ = blas_threads
+    X = small_dataset.X
+    ref, _ = gmc_lrssc_solve(X, _FEW_ITERS)
     barrier = threading.Barrier(2, timeout=30)
     seen = []
+    met = []
 
     def meet():
-        barrier.wait()
-        seen.append(scipy_blas_threads())
-        barrier.wait()
+        if not met:  # only the first reduction of each solve waits
+            barrier.wait()
+            seen.append(numpy_threads())
+            barrier.wait()
+            met.append(True)
 
-    _spy_on(monkeypatch, "dsytrd", meet)
+    _spy_on(monkeypatch, lapack, "dsytrd", meet)
     outs = [None, None]
 
     def run(i):
-        outs[i] = prox.svt_hard(M, 2.0)
+        outs[i], _ = gmc_lrssc_solve(X, _FEW_ITERS)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=60)
+        assert not t.is_alive()
     assert seen == [1, 1]
-    assert scipy_blas_threads() == 2
+    assert numpy_threads() == 2
     for out in outs:
         np.testing.assert_array_equal(out, ref)
 
 
-def test_svt_runs_unpinned_without_a_thread_setter(monkeypatch):
-    M = _svt_input()
-    params = prox.ThresholdParams(lam=1.0, a=2.0)
-    refs = prox.svt_firm(M, params), prox.svt_hard(M, 2.0)
-    monkeypatch.setattr(parallel, "_find_scipy_blas", lambda: None)
-    monkeypatch.setattr(parallel, "_scipy_blas", parallel._UNRESOLVED)
-    outs = prox.svt_firm(M, params), prox.svt_hard(M, 2.0)
-    assert parallel._scipy_blas is None
-    for out, ref in zip(outs, refs):
-        np.testing.assert_array_equal(out, ref)
+def test_solve_runs_unpinned_without_a_thread_setter(monkeypatch, small_dataset):
+    ref, _ = gmc_lrssc_solve(small_dataset.X, _FEW_ITERS)
+    monkeypatch.setattr(parallel, "_find_numpy_blas", lambda: None)
+    monkeypatch.setattr(parallel, "_numpy_blas", parallel._UNRESOLVED)
+    out, _ = gmc_lrssc_solve(small_dataset.X, _FEW_ITERS)
+    assert parallel._numpy_blas is None
+    np.testing.assert_array_equal(out, ref)
 
 
-def test_blas_lookup_waits_for_the_first_svt():
-    """Importing the CLI does not look up scipy's BLAS; the first firm SVT does."""
+def _address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+def test_nothing_pinned_where_numpy_and_scipy_share_one_blas(monkeypatch):
+    """Where numpy and scipy load two OpenBLAS builds, numpy's setter is
+    found; where both extensions reach one setter, pinning it would pin
+    scipy's LAPACK too, so nothing is pinned."""
+    found = parallel._find_numpy_blas()
+    if found is None:
+        pytest.skip("numpy's BLAS is not pinned here")
+    numpy_file = sys.modules["numpy._core._multiarray_umath"].__file__
+    numpy_controls = parallel._thread_controls(numpy_file)
+    scipy_controls = parallel._thread_controls(scipy.linalg.cython_blas.__file__)
+    assert _address(found[1]) == _address(numpy_controls[1]) != _address(scipy_controls[1])
+    monkeypatch.setattr(parallel, "_thread_controls", lambda path: numpy_controls)
+    assert parallel._find_numpy_blas() is None
+
+
+def test_blas_lookup_waits_for_the_first_solve():
+    """Importing the CLI does not look up numpy's BLAS; the first solve does."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import numpy as np, lrssc.cli\n"
-            "from lrssc import parallel, prox\n"
-            "print(parallel._scipy_blas is parallel._UNRESOLVED)\n"
-            "prox.svt_firm(np.eye(3), prox.ThresholdParams(lam=0.5, a=1.0))\n"
-            "print(parallel._scipy_blas is parallel._UNRESOLVED)\n")
-    done = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=120)
+            "from lrssc import gmc_lrssc_solve, parallel\n"
+            "print(parallel._numpy_blas is parallel._UNRESOLVED)\n"
+            "gmc_lrssc_solve(np.eye(4), lrssc.SolverConfig(max_iters=1))\n"
+            "print(parallel._numpy_blas is parallel._UNRESOLVED)\n")
+    done = _run_python(code, env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True\nFalse\n"

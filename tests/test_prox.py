@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from lrssc import prox
 from lrssc import (
@@ -359,6 +360,30 @@ def _count_stages(monkeypatch, failing=None):
     return calls
 
 
+_LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+            "strided": lambda m: np.repeat(m, 2, axis=1)[:, ::2]}
+
+
+@pytest.mark.parametrize("a_layout", list(_LAYOUTS))
+@pytest.mark.parametrize("b_layout", list(_LAYOUTS))
+def test_gemm_is_matmul_in_c_order(a_layout, b_layout):
+    rng = np.random.default_rng(1)
+    a = _LAYOUTS[a_layout](rng.standard_normal((7, 5)))
+    b = _LAYOUTS[b_layout](rng.standard_normal((5, 4)))
+    out = prox._gemm(a, b)
+    assert out.flags.c_contiguous
+    np.testing.assert_allclose(out, a @ b, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("shape", [(7, 5), (5, 1), (1, 5)])
+def test_gram_is_the_lower_triangle_of_ata(layout, shape):
+    A = _LAYOUTS[layout](np.random.default_rng(2).standard_normal(shape))
+    G = prox._gram(A)
+    assert G.flags.f_contiguous
+    np.testing.assert_allclose(G, np.tril(A.T @ A), rtol=1e-14, atol=1e-14)
+
+
 class TestGramKernel:
     """The Gram-eigendecomposition SVT against the SVD (gesdd) SVT it replaces."""
 
@@ -373,13 +398,13 @@ class TestGramKernel:
         svt, arg, shrink = _svt_case(kind, t)
         ref, ref_sv = prox._svt_gesdd(M, shrink, True)
         svds = []
-        real_svd = np.linalg.svd
+        real_svd = scipy.linalg.svd
 
         def counting_svd(*args, **kw):
             svds.append(args)
             return real_svd(*args, **kw)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
         out, sv = svt(M, arg, return_spectrum=True)
         assert len(svds) == int(fallback)
         assert out.shape == M.shape
@@ -521,17 +546,21 @@ class TestGramKernel:
     def test_eigensolver_failure_falls_back_to_svd(self, monkeypatch, kind):
         """A failed eigh (soft) or tridiagonal eigensolver (firm, hard) gives
         exactly the SVD result."""
+        failed = []
+
         def failing(*args, **kw):
+            failed.append(args)
             raise np.linalg.LinAlgError("synthetic eigh failure")
 
         M = _rng_matrix((15, 10), seed=4)
         svt, arg, shrink = _svt_case(kind, 0.5)
         ref, ref_sv = prox._svt_gesdd(M, shrink, True)
         if kind == "soft":
-            monkeypatch.setattr(np.linalg, "eigh", failing)
+            monkeypatch.setattr(scipy.linalg, "eigh", failing)
         else:
-            _count_stages(monkeypatch, failing="dsterf")
+            calls = _count_stages(monkeypatch, failing="dsterf")
         out, sv = svt(M, arg, return_spectrum=True)
+        assert len(failed) == 1 if kind == "soft" else calls["dsterf"] == 1
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(sv, ref_sv)
 
@@ -560,7 +589,8 @@ class TestGramKernel:
             raise AssertionError("LAPACK reached with a non-finite input")
 
         for name in ("eigh", "svd"):
-            monkeypatch.setattr(np.linalg, name, never)
+            monkeypatch.setattr(scipy.linalg, name, never)
+        monkeypatch.setattr(blas, "dsyrk", never)
         monkeypatch.setattr(lapack, "dsytrd", never)
         M = np.ones((4, 3))
         M[2, 1] = bad

@@ -11,7 +11,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from lrssc import (
     NumericalError,
@@ -624,29 +625,35 @@ class TestSolverRuns:
     def test_svd_count(self, small_dataset, monkeypatch, solve):
         """Every run does one SVD, the thin SVD of X (the J step's
         factorization), and k + 1 SVTs through the Gram matrix: one per
-        iteration and the one in the C map of the exit KKT.  The soft SVT
-        (lrssc-convex) runs each on one symmetric eigendecomposition, the firm
-        and hard SVTs (gmc, s0l0) on one tridiagonal reduction.  The
-        Lagrangian takes its penalty from the C step, never from an SVD."""
-        calls = {"svd": 0, "eigh": 0, "dsytrd": 0}
+        iteration and the one in the C map of the exit KKT.  Each SVT forms
+        its Gram matrix by one dsyrk; the soft SVT (lrssc-convex) decomposes
+        it by one symmetric eigendecomposition, the firm and hard SVTs (gmc,
+        s0l0) by one tridiagonal reduction.  The Lagrangian takes its
+        penalty from the C step, never from an SVD.  All of them are
+        scipy's; numpy's SVD and eigh are never called."""
+        calls = {"svd": 0, "eigh": 0, "dsyrk": 0, "dsytrd": 0,
+                 "numpy svd": 0, "numpy eigh": 0}
 
-        def counting(module, name):
+        def counting(module, name, key=None):
             real = getattr(module, name)
 
             def wrapper(*args, **kw):
-                calls[name] += 1
+                calls[key or name] += 1
                 return real(*args, **kw)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(np.linalg, "svd")
-        counting(np.linalg, "eigh")
+        counting(scipy.linalg, "svd")
+        counting(scipy.linalg, "eigh")
+        counting(blas, "dsyrk")
         counting(lapack, "dsytrd")
+        counting(np.linalg, "svd", "numpy svd")
+        counting(np.linalg, "eigh", "numpy eigh")
         k = 4
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
         soft = solve is convex_lrssc
-        assert calls == {"svd": 1, "eigh": k + 1 if soft else 0,
-                         "dsytrd": 0 if soft else k + 1}
+        assert calls == {"svd": 1, "eigh": k + 1 if soft else 0, "dsyrk": k + 1,
+                         "dsytrd": 0 if soft else k + 1, "numpy svd": 0, "numpy eigh": 0}
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])

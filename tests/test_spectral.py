@@ -182,11 +182,59 @@ def test_embedding_asks_for_n_clusters_eigenpairs_only(monkeypatch, sizes, n_clu
     assert shapes == [(W.shape[0], n_clusters)]
 
 
+def choice_kmeanspp_init(points, k, rng):
+    """k-means++ seeding that draws each center by rng.choice: the reference
+    for _kmeanspp_init, which draws the same index from one rng.random()."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+class TestKmeansppMatchesChoiceOracle:
+    """_kmeanspp_init picks the centers rng.choice would and leaves the
+    generator in the same state, so later draws are unchanged too."""
+
+    @staticmethod
+    def assert_same_draws(points, k, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(spectral_module._kmeanspp_init(points, k, rng),
+                                      choice_kmeanspp_init(points, k, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_random_points(self):
+        """1,500 weighted draws: 300 seeds of 6 centers among 40 points."""
+        points = np.random.default_rng(0).standard_normal((40, 3))
+        for seed in range(300):
+            self.assert_same_draws(points, 6, seed)
+
+    def test_embedding_of_the_benchmark_dataset(self, bench_dataset):
+        points = embedded_points(build_affinity(lrr_noisy(bench_dataset.X, 2.0).C), 3)
+        for seed in range(50):
+            self.assert_same_draws(points, 3, seed)
+
+    def test_zero_total_draws_a_uniform_index(self):
+        """Once every point sits on a center, the next center is rng.integers(n)."""
+        points = np.repeat(np.eye(2), [3, 4], axis=0)
+        for seed in range(20):
+            self.assert_same_draws(points, 4, seed)
+
+
 def serial_lloyd(points, k, seed):
     """The replicates of _kmeans one after another, each in its own Lloyd loop.
 
     The per-replicate loop the lockstep one replaced, kept as its reference:
-    same seeds, same constants, centers as points[mask].mean(axis=0).
+    same seeds (drawn by choice_kmeanspp_init), same constants, centers as
+    points[mask].mean(axis=0).
     Returns every replicate's (labels, inertia) and how many clusters were
     re-seated.
     """
@@ -194,7 +242,7 @@ def serial_lloyd(points, k, seed):
     n = points.shape[0]
     runs, reseats = [], 0
     for _ in range(spectral_module._KMEANS_REPLICATES):
-        centers = spectral_module._kmeanspp_init(points, k, rng)
+        centers = choice_kmeanspp_init(points, k, rng)
         labels, inertia = None, np.inf
         for _ in range(spectral_module._KMEANS_MAX_ITER):
             d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
