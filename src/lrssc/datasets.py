@@ -117,34 +117,38 @@ def save_matrix(path, X) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix; errors name the offending line/column."""
-    rows = []
-    width = None
+    """Read a matrix written by save_matrix; errors name the offending line/column.
+
+    Every entry gets the value Python's float() gives it.  numpy's cast from
+    strings, which parses as float() does, fills each row at once; a row it
+    rejects is parsed again entry by entry with float(), which either gives
+    the values or names the first column it cannot parse.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(parts)} columns, expected {width}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                for col, p in enumerate(parts, start=1):
-                    try:
-                        float(p)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {lineno}, column {col}: "
-                            f"cannot parse {p.strip()!r} as a number") from None
-                raise
-    if not rows:
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)
+                 if not line.isspace()]
+    if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    return np.asarray(rows, dtype=float)
+    width = lines[0][1].count(",") + 1
+    out = np.empty((len(lines), width))
+    for row, (lineno, line) in enumerate(lines):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(
+                f"{path}: line {lineno} has {len(parts)} columns, expected {width}")
+        try:
+            out[row] = parts
+        except ValueError:
+            out[row] = [_parse_entry(path, lineno, col, p) for col, p in enumerate(parts, start=1)]
+    return out
+
+
+def _parse_entry(path, lineno, col, text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}, column {col}: "
+                         f"cannot parse {text.strip()!r} as a number") from None
 
 
 def save_labels(path, labels) -> None:

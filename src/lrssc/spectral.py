@@ -1,11 +1,30 @@
 """Affinity construction and spectral clustering on the normalized Laplacian.
 
-The pipeline is the usual one: symmetrize |C| + |C|^T, form
-I - D^{-1/2} W D^{-1/2}, embed each point by the eigenvectors of the
-n_clusters smallest eigenvalues, normalize rows, and run k-means.  The
-embedding asks LAPACK's subset eigensolver for those n_clusters eigenpairs
-only, never for the full N x N eigenbasis, and runs it on scipy's BLAS with
-numpy's held at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`).
+The pipeline is the usual one: symmetrize |C| + |C|^T, take the eigenvectors
+of the n_clusters smallest eigenvalues of I - D^{-1/2} W D^{-1/2}, which are
+those of the n_clusters largest of M = D^{-1/2} W D^{-1/2}, normalize rows,
+and run k-means.  The embedding never computes the full N x N eigenbasis.
+Below _LANCZOS_MIN_N points it asks LAPACK's subset eigensolver for the
+n_clusters eigenpairs, after an O(N^3) tridiagonal reduction.  From there on
+it asks ARPACK's implicitly restarted Lanczos (``eigsh``), whose matvec with
+M is one O(N^2) ``dsymv`` on W, started from a vector drawn from the call's
+seed and stopped after a budget of N/2 matvecs, about the cost of one subset
+eigh.  Its result is used only once certified:
+
+* every Ritz residual ||M v - lambda v|| is at machine precision; and
+* one Cholesky factorization (N^3/3 flops) of theta I - (M - V (Lambda + I) V^T),
+  with theta = lambda_k - _CERTIFIED_GAP, succeeds.  Then every direction
+  orthogonal to the Ritz vectors V has Rayleigh quotient below theta, so no
+  eigenvalue at or above theta was missed, an eigenvalue repeated across
+  disconnected components included.
+
+Otherwise, when ARPACK does not converge within its budget, or when
+n_clusters is N, the subset eigh runs as below the crossover.  At N=1500 on
+2 vCPUs the certified path takes 64-160 ms where the subset eigh takes
+240-290 ms; at N=450 it loses on some affinities, at N=150 on all.  Both
+paths read the lower triangle of W, run on scipy's BLAS, and hold numpy's
+at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`).
+
 k-means is kept in-package so its constants (k-means++ seeding, 20
 replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
 lowest replicate index) are pinned for reproducibility.  The replicates run in lockstep, one Lloyd loop over all
@@ -16,12 +35,29 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .exceptions import DegenerateAffinityError
 from .parallel import numpy_blas_single_thread
 
 _DEGREE_FLOOR = 1e-12
 _ROW_NORM_FLOOR = 1e-12
+# The smallest N at which the certified Lanczos embedding beat the subset
+# eigh on gmc, s0l0 and lrr affinities at noise variance 0, 0.01 and 0.2
+# (2 vCPU, OpenBLAS 0.3.31, medians of 11): at N=600 it won all nine (11-27
+# against 26-30 ms), at N=450 it lost three.
+_LANCZOS_MIN_N = 600
+# ARPACK gives up after N/2 matvecs, which cost about one subset eigh at
+# N=600-1500, so a run that falls back costs at most about two of them; but
+# never before this many, a few Lanczos factorizations, which a small N
+# needs and pays little for.
+_LANCZOS_MIN_MATVECS = 100
+# Largest Ritz residual accepted; M has 2-norm at most 1 for a nonnegative W.
+_RITZ_RESIDUAL_TOL = 64 * np.finfo(float).eps
+# The spectral gap below the n_clusters-th Ritz value that the Cholesky
+# certificate proves; with the residuals above it bounds the sine of the
+# embedding's angle to the exact one by about 1e-8.
+_CERTIFIED_GAP = 1e-6
 _KMEANS_REPLICATES = 20
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-9
@@ -51,6 +87,11 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     Embeds each vertex by the n_clusters eigenvectors of the normalized
     Laplacian with smallest eigenvalues (rows normalized to unit norm,
     all-zero rows left alone), then labels the rows by seeded k-means.
+    Below _LANCZOS_MIN_N (600) points the eigenvectors come from LAPACK's
+    subset eigh; from there on from certified Lanczos, which falls back to
+    the subset eigh when it does not converge within N/2 matvecs or fails
+    its certificate (see the module docstring).  The seed also draws the
+    Lanczos start vector, so repeated calls give identical labels.
     Returns integer labels in [0, n_clusters).  Raises ValueError for a
     non-square or non-finite affinity or an out-of-range n_clusters, and
     DegenerateAffinityError for an all-zero affinity.
@@ -66,12 +107,70 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
         raise DegenerateAffinityError("affinity matrix is identically zero")
 
     inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), _DEGREE_FLOOR))
-    lap = np.eye(n) - (inv_sqrt_deg[:, None] * W) * inv_sqrt_deg[None, :]
-    _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
+    emb = None
+    if n >= _LANCZOS_MIN_N and n_clusters < n:
+        emb = _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed)
+    if emb is None:
+        lap = np.eye(n) - (inv_sqrt_deg[:, None] * W) * inv_sqrt_deg[None, :]
+        _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR
     emb[rows] /= norms[rows, None]
     return _kmeans(emb, n_clusters, seed)
+
+
+def _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed):
+    """The n_clusters leading eigenvectors of M = D^{-1/2} W D^{-1/2}, or None.
+
+    Columns come in descending eigenvalue order, the order of the Laplacian's
+    ascending one.  Returns None, having changed nothing, unless ARPACK
+    converges within its matvec budget and its result passes the certificate
+    of the module docstring.
+    """
+    from scipy.sparse import linalg as sparse_linalg
+
+    n = W.shape[0]
+    # Fortran order, so that dsymv reads W in place; its upper triangle is
+    # W's lower one, the triangle eigh reads of the Laplacian.
+    w_t = np.ascontiguousarray(W).T
+    budget = max(n // 2, _LANCZOS_MIN_MATVECS)
+    calls = 0
+
+    def apply(x):
+        return inv_sqrt_deg * blas.dsymv(1.0, w_t, inv_sqrt_deg * x, lower=0)
+
+    def matvec(x):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise sparse_linalg.ArpackNoConvergence(
+                f"no convergence within {budget} matvecs", np.empty(0), np.empty((n, 0)))
+        return apply(x)
+
+    # ARPACK draws a fresh vector from rng whenever its Krylov space closes.
+    rng = np.random.default_rng(seed)
+    try:
+        vals, vecs = sparse_linalg.eigsh(
+            sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float),
+            k=n_clusters, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except sparse_linalg.ArpackNoConvergence:
+        return None
+    residuals = np.column_stack([apply(v) for v in vecs.T]) - vecs * vals
+    if not np.linalg.norm(residuals, axis=0).max() <= _RITZ_RESIDUAL_TOL:
+        return None
+    # theta I - M + V (Lambda + I) V^T, in M's transpose (Fortran order, lower
+    # triangle of M in its upper one): the Ritz pairs deflated to -1 leave the
+    # rest of the spectrum, whose top the factorization bounds by theta.
+    cert = inv_sqrt_deg[:, None] * W
+    cert *= inv_sqrt_deg[None, :]
+    cert = blas.dgemm(1.0, vecs * (vals + 1.0), vecs, beta=-1.0, c=cert.T,
+                      trans_b=1, overwrite_c=1)
+    cert[np.diag_indices(n)] += vals[0] - _CERTIFIED_GAP
+    if lapack.dpotrf(cert, lower=0, overwrite_a=1, clean=0)[1] != 0:
+        return None
+    # the Fortran order eigh returns, in which k-means runs twice as fast as
+    # on the reversed view
+    return np.asfortranarray(vecs[:, ::-1])
 
 
 def _kmeanspp_init(points, k, rng):

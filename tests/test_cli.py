@@ -670,12 +670,14 @@ def test_commands_reach_layers_through_module_attributes(small_data_dir, tmp_pat
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """Only scoring needs scipy.optimize, and cluster never scores."""
+    """Only scoring needs scipy.optimize, and cluster never scores.  Only the
+    Lanczos embedding of a large affinity needs scipy.sparse.linalg."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, lrssc.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, lrssc.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"

@@ -1,5 +1,7 @@
 """Synthetic data generation and plain-text matrix / label file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,25 @@ class TestMatrixFiles:
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(ValueError, match="line 2, column 2"):
             load_matrix(path)
+
+    @pytest.mark.parametrize("token", [" 1.5 ", "1_0", "-0", "nan", "-Infinity", "1e309",
+                                       "4.9e-324", "0x1p3", ""])
+    def test_entry_parses_as_float_does(self, tmp_path, token):
+        """An entry gets float()'s value bit for bit, or is rejected as float()
+        rejects it, with its line and column named."""
+        path = tmp_path / "tricky.csv"
+        path.write_text(f"1,2,3\n4,{token},6\n")
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"line 2, column 2: cannot parse {token.strip()!r} as a number")):
+                load_matrix(path)
+            return
+        got = load_matrix(path)
+        assert got.dtype == np.float64 and got.shape == (2, 3)
+        assert got[1, 1].view(np.uint64) == np.float64(expected).view(np.uint64)
+        np.testing.assert_array_equal(np.delete(got.ravel(), 4), [1, 2, 3, 4, 6])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -7,8 +7,10 @@ import scipy.linalg
 import lrssc.spectral as spectral_module
 from lrssc import (
     DegenerateAffinityError,
+    SyntheticSpec,
     build_affinity,
     clustering_error,
+    generate_synthetic,
     lrr_noisy,
     spectral_cluster,
 )
@@ -141,9 +143,14 @@ class TestSubsetEmbeddingMatchesFullEigh:
             np.testing.assert_array_equal(spectral_cluster(W, len(sizes), seed),
                                           full_eigh_spectral_labels(W, len(sizes), seed))
 
-    def test_isolated_vertex(self):
+    @staticmethod
+    def isolated_vertex_affinity():
         W = np.zeros((11, 11))
         W[:-1, :-1] = block_affinity([5, 5], seed=8)[0]  # last vertex has zero degree
+        return W
+
+    def test_isolated_vertex(self):
+        W = self.isolated_vertex_affinity()
         np.testing.assert_array_equal(spectral_cluster(W, 2, seed=0),
                                       full_eigh_spectral_labels(W, 2, seed=0))
 
@@ -158,6 +165,160 @@ class TestSubsetEmbeddingMatchesFullEigh:
         for seed in (0, 7, 2024):
             np.testing.assert_array_equal(spectral_cluster(W, 3, seed),
                                           full_eigh_spectral_labels(W, 3, seed))
+
+
+class TestLanczosEmbeddingMatchesFullEigh(TestSubsetEmbeddingMatchesFullEigh):
+    """Every test above, on the certified Lanczos path: the crossover is
+    moved to 0, and each Lanczos embedding must pass its certificate."""
+
+    @pytest.fixture(autouse=True)
+    def lanczos_path(self, monkeypatch):
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        real = spectral_module._lanczos_embedding
+        results = []
+
+        def recording(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(spectral_module, "_lanczos_embedding", recording)
+        yield
+        # empty when n_clusters is the number of points, which ARPACK cannot take
+        assert all(emb is not None for emb in results)
+
+    def test_isolated_vertex(self):
+        """The zero-degree vertex embeds at the origin, as far from one
+        center as from the other, so its label is a tie that rounding in
+        the basis of the eigenvalue-1 eigenspace (dimension 2) decides; the
+        other vertices must label as the full eigh labels them."""
+        W = self.isolated_vertex_affinity()
+        labels = spectral_cluster(W, 2, seed=0)
+        np.testing.assert_array_equal(labels[:-1], full_eigh_spectral_labels(W, 2, seed=0)[:-1])
+        assert labels[-1] in (0, 1)
+
+
+def subset_eigh_calls(monkeypatch):
+    """Counts spectral_cluster's calls of scipy's eigh, which only its subset path makes."""
+    calls = []
+    real = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+def kmeans_inputs(monkeypatch):
+    """Records the points every spectral_cluster call hands to k-means."""
+    points = []
+    real = spectral_module._kmeans
+
+    def capture(emb, k, seed):
+        points.append(emb.copy())
+        return real(emb, k, seed)
+
+    monkeypatch.setattr(spectral_module, "_kmeans", capture)
+    return points
+
+
+def subset_eigh_labels(monkeypatch, W, n_clusters, seed):
+    """spectral_cluster with the crossover above W's size: the subset eigh path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral_module, "_LANCZOS_MIN_N", W.shape[0] + 1)
+        return spectral_cluster(W, n_clusters, seed)
+
+
+class TestLanczosFallsBackToSubsetEigh:
+    """Where the Lanczos result cannot be used, the subset eigh gives the
+    embedding it gives below the crossover, bit for bit."""
+
+    def test_missed_multiplicity_fails_the_certificate(self, monkeypatch):
+        # four equal components: lambda_3 = lambda_4 = 1, so no 3 vectors
+        # hold every eigenvector of eigenvalue 1 and the certificate must fail
+        W = np.kron(np.eye(4), block_affinity([6], seed=3)[0])
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        factorizations = []
+        real_potrf = scipy.linalg.lapack.dpotrf
+
+        def recording_potrf(*args, **kwargs):
+            out = real_potrf(*args, **kwargs)
+            factorizations.append(out[1])
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_potrf)
+        calls = subset_eigh_calls(monkeypatch)
+        points = kmeans_inputs(monkeypatch)
+        # the eigenspace of eigenvalue 1 has dimension 4 > n_clusters, so any 3
+        # of its vectors are a valid embedding: the oracle is the subset eigh
+        # below the crossover, which the full eigh agrees with only by chance
+        for seed in (0, 1, 2):
+            labels = spectral_cluster(W, 3, seed)
+            fallback = points.pop()
+            np.testing.assert_array_equal(labels, subset_eigh_labels(monkeypatch, W, 3, seed))
+            np.testing.assert_array_equal(fallback, points.pop())
+        assert len(factorizations) == 3 and all(info > 0 for info in factorizations)
+        assert calls == [[0, 2]] * 6
+
+    def test_no_convergence_falls_back(self, monkeypatch):
+        from scipy.sparse import linalg as sparse_linalg
+
+        def no_convergence(A, k, **kwargs):
+            raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                    np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        calls = subset_eigh_calls(monkeypatch)
+        points = kmeans_inputs(monkeypatch)
+        W, _ = block_affinity([4, 6, 8], off_block=0.2, seed=3)
+        for seed in (0, 1):
+            labels = spectral_cluster(W, 3, seed)
+            fallback = points.pop()
+            np.testing.assert_array_equal(labels, subset_eigh_labels(monkeypatch, W, 3, seed))
+            np.testing.assert_array_equal(fallback, points.pop())
+            np.testing.assert_array_equal(labels, full_eigh_spectral_labels(W, 3, seed))
+        assert calls == [[0, 2]] * 4
+
+    def test_slow_convergence_stops_at_the_matvec_budget(self, monkeypatch):
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_MATVECS", 5)
+        matvecs = []
+        real_dsymv = scipy.linalg.blas.dsymv
+
+        def counting_dsymv(*args, **kwargs):
+            matvecs.append(1)
+            return real_dsymv(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dsymv", counting_dsymv)
+        calls = subset_eigh_calls(monkeypatch)
+        W, _ = block_affinity([4, 6, 8], off_block=0.2, seed=3)  # 18 points: budget 9
+        np.testing.assert_array_equal(spectral_cluster(W, 3, 0),
+                                      subset_eigh_labels(monkeypatch, W, 3, 0))
+        assert len(matvecs) == 9 and calls == [[0, 2]] * 2
+
+
+def test_lanczos_embedding_repeats_at_the_benchmark_size(monkeypatch):
+    """At N=1500, above the crossover, repeated calls hand k-means identical
+    points, certified without the subset eigh; they are the subset eigh's
+    up to column signs, and label as that eigh's do."""
+    X = generate_synthetic(SyntheticSpec(points_per_subspace=500, noise_variance=0.01,
+                                         seed=1809)).X
+    W = build_affinity(lrr_noisy(X, 2.0).C)
+    assert W.shape[0] >= spectral_module._LANCZOS_MIN_N
+    calls = subset_eigh_calls(monkeypatch)
+    points = kmeans_inputs(monkeypatch)
+    for seed in (7, 2024):
+        first, again = spectral_cluster(W, 3, seed), spectral_cluster(W, 3, seed)
+        assert calls == []
+        np.testing.assert_array_equal(points[0], points[1])
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(first, subset_eigh_labels(monkeypatch, W, 3, seed))
+        assert len(calls) == 1
+        np.testing.assert_allclose(np.abs(points[0]), np.abs(points[2]), rtol=0, atol=1e-9)
+        calls.clear()
+        points.clear()
 
 
 @pytest.mark.parametrize("sizes, n_clusters", [([8], 1), ([4, 6, 8], 3), ([3, 3], 6)])
