@@ -1,8 +1,9 @@
 """Closed-form low-rank representation (LRR) solutions.
 
-Their SVD and product run on scipy's BLAS; :func:`lrr_noisy`, the one the
-CLI clusters with, holds numpy's at one thread meanwhile
-(:func:`lrssc.parallel.numpy_blas_single_thread`).
+Both hold numpy's BLAS at one thread
+(:func:`lrssc.parallel.numpy_blas_single_thread`).  Their thin SVD of X is
+numpy's, so it runs on that one thread; their product runs on scipy's BLAS
+at full width.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .parallel import numpy_blas_single_thread
 from .prox import _gemm
@@ -35,9 +35,10 @@ def _checked_svd(X):
         raise ValueError("X contains non-finite entries")
     if not np.any(X):
         raise ValueError("X must contain at least one nonzero entry")
-    return scipy.linalg.svd(X, full_matrices=False, check_finite=False)
+    return np.linalg.svd(X, full_matrices=False)
 
 
+@numpy_blas_single_thread()
 def lrr_noiseless(X) -> LrrSolution:
     """Minimum-nuclear-norm solution of X = XC: the row-space projector V V^T."""
     _, s, Vt = _checked_svd(X)

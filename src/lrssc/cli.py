@@ -208,12 +208,23 @@ def _sweep_cell(args, cfgs, task):
             f"{ce:.6f},{trace.n_iters},{seconds:.3f}")
 
 
+def _comma_list(text: str, flag: str, kind: type) -> list:
+    """The values of a comma-list flag; ValueError names the flag and the bad value."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise ValueError(f"--{flag} wants {_TYPE_WORDS[kind]}, got {item!r}") from None
+    return values
+
+
 def cmd_sweep(args) -> int:
     for flag in ("trials", "jobs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    pers = [int(v) for v in args.pers.split(",")]
-    variances = [float(v) for v in args.vars.split(",")]
+    pers = _comma_list(args.pers, "pers", int)
+    variances = _comma_list(args.vars, "vars", float)
     algorithms = args.algorithms.split(",")
     unknown = [a for a in algorithms if a not in _ALGORITHMS]
     if unknown:

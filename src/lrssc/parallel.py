@@ -18,10 +18,12 @@ setting, and each pool sets it to this list.  Where the platform has no
 
 Within one process, numpy and scipy may each load their own OpenBLAS, each
 with a thread pool as wide as the environment allows.  The solves, the LRR
-baseline and the spectral embedding run all their dense kernels on scipy's
-and hold numpy's at one thread while they run
-(:func:`numpy_blas_single_thread`), so one pool at a time works on the
-cores and no idle one spins against it.
+baseline and the spectral embedding hold numpy's at one thread while they
+run (:func:`numpy_blas_single_thread`) and run their dense kernels on
+scipy's at full width, so one pool at a time works on the cores and no idle
+one spins against it.  The one exception is the thin SVD of the data matrix
+X, which is numpy's and so runs on the one thread: on 2 cores, gesdd of the
+short, wide X is 2-3x faster there than on scipy's two threads.
 """
 
 from __future__ import annotations

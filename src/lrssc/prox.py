@@ -22,11 +22,12 @@ SVT runs on an SVD (gesdd, retried with gesvd) instead.
 
 Every dense kernel here runs on scipy's BLAS and LAPACK: the Gram matrix's
 lower triangle comes from one ``dsyrk`` (half the flops of M^T M), which is
-all that ``dsytrd`` and ``eigh`` read; the SVDs are scipy's; and the
-products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
+all that ``dsytrd`` and ``eigh`` read; the fallback SVD of M is scipy's; and
+the products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
 :mod:`lrssc.baselines` use too.  Their callers hold numpy's BLAS at one
 thread (:func:`lrssc.parallel.numpy_blas_single_thread`), so scipy's runs
-them at its full thread count.
+them at its full thread count.  (The thin SVD of the data matrix in those
+two modules is numpy's, on that one thread.)
 """
 
 from __future__ import annotations

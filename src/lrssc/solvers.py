@@ -201,13 +201,14 @@ class GramSolver:
     With X = U diag(s) V^T (V is N x r, r = min(d, N)) and f = s^2/(s^2 + shift),
     ``solve(shift, R)`` returns (X^T X + shift*I)^-1 (X^T X + R), which is
     (R + V diag(f) V^T (shift*I - R)) / shift: two N x N x r products and no
-    N x N factorization.
+    N x N factorization.  The SVD is numpy's, so inside a solve it runs on
+    numpy's BLAS at one thread (see :mod:`lrssc.parallel`).
     """
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
         try:
-            _, s, self.Vt = scipy.linalg.svd(X, full_matrices=False)
+            _, s, self.Vt = np.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as err:  # pragma: no cover
             raise NumericalError(f"SVD of X failed: {err}") from err
         self.s2 = s * s
@@ -524,7 +525,8 @@ def _check_data(X) -> np.ndarray:
 def _solve(X, cfg: SolverConfig | None, variant: str):
     """The ADMM loop of every variant; returns (C of the first split, trace).
 
-    Its dense kernels run on scipy's BLAS, with numpy's held at one thread.
+    Its dense kernels run on scipy's BLAS, with numpy's held at one thread;
+    the thin SVD of X is numpy's and runs on that one thread.
     """
     cfg = cfg or SolverConfig()
     algorithm = ALGORITHMS[variant]

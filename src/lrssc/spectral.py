@@ -27,8 +27,12 @@ at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`).
 
 k-means is kept in-package so its constants (k-means++ seeding, 20
 replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
-lowest replicate index) are pinned for reproducibility.  The replicates run in lockstep, one Lloyd loop over all
-of them, and each gives the labels and inertia it would give run alone.
+lowest replicate index) are pinned for reproducibility.  The replicates run
+in lockstep, one Lloyd loop over all of them, and each gives the labels and
+inertia it would give run alone.  A step visits one center at a time: it
+adds that center's squared distances over the dimensions into one
+(replicates, points) array and keeps a running minimum; the new centers'
+sums come from one ``bincount`` per dimension.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ _CERTIFIED_GAP = 1e-6
 _KMEANS_REPLICATES = 20
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-9
-# Entries of the (replicates, n, k, dim) difference array formed at once.
-_KMEANS_BLOCK = 1 << 20
 
 
 def build_affinity(C) -> np.ndarray:
@@ -213,21 +215,36 @@ def _lloyd(points, centers):
     falls by at most _KMEANS_REL_TOL of itself, and an emptied cluster is
     re-seated at its replicate's worst-fit point.  Returns each replicate's
     labels, shape (r, n), and final inertia, shape (r,).
+
+    Squared distances are summed over the dimensions in index order.  That
+    is the order of numpy's sum over the last axis of the difference array
+    for the Fortran-ordered embeddings :func:`spectral_cluster` hands over;
+    for a C-ordered one of 8 or more dimensions that sum runs pairwise.
     """
     n, dim = points.shape
     reps, k = centers.shape[:2]
+    coords = np.ascontiguousarray(points.T)  # one row per dimension
     labels = np.empty((reps, n), dtype=int)
     inertia = np.full(reps, np.inf)
     live = np.arange(reps)  # the replicates still iterating
-    block = max(1, _KMEANS_BLOCK // (n * k * dim))
+
+    def distances(center):
+        # ||p - c||^2 of each (replicate, point) for one center per replicate,
+        # shape (r, n), summed over the dimensions in index order
+        total = np.square(coords[0] - center[:, 0, None])
+        for i in range(1, dim):
+            total += np.square(coords[i] - center[:, i, None])
+        return total
+
     for step in range(_KMEANS_MAX_ITER):
-        # ||p - c||^2 of each (replicate, point, center), summed over the last
-        # axis as a single replicate's would be; shape (r, n, k)
-        d2 = np.concatenate([
-            ((points[None, :, None, :] - centers[i:i + block, None]) ** 2).sum(axis=3)
-            for i in range(0, live.size, block)])
-        step_labels = d2.argmin(axis=2)
-        assigned = np.take_along_axis(d2, step_labels[:, :, None], axis=2)[:, :, 0]
+        # one center at a time; a strict < keeps a tie at the lowest center,
+        # as argmin does
+        assigned = distances(centers[:, 0])
+        step_labels = np.zeros(assigned.shape, dtype=int)
+        for j in range(1, k):
+            d2 = distances(centers[:, j])
+            step_labels[d2 < assigned] = j
+            np.minimum(assigned, d2, out=assigned)
         step_inertia = assigned.sum(axis=1)
         previous = inertia[live]
         labels[live], inertia[live] = step_labels, step_inertia
@@ -241,11 +258,10 @@ def _lloyd(points, centers):
         # cluster j of replicate i is bin j + k*i; bincount adds a bin's points
         # in point order, the order points[mask].mean(axis=0) of one cluster
         # adds them in whenever dim > 1
-        bins = step_labels + k * np.arange(r)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=r * k).reshape(r, k)
-        sums = np.bincount((bins[:, :, None] * dim + np.arange(dim)).ravel(),
-                           weights=np.broadcast_to(points, (r, n, dim)).ravel(),
-                           minlength=r * k * dim).reshape(r, k, dim)
+        bins = (step_labels + k * np.arange(r)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=r * k).reshape(r, k)
+        sums = np.stack([np.bincount(bins, weights=np.tile(row, r), minlength=r * k)
+                         for row in coords], axis=1).reshape(r, k, dim)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled][:, None]
         # re-seat an emptied cluster at its replicate's worst-fit point

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lrssc import SolverConfig, SyntheticSpec, generate_synthetic, spectral
+from lrssc import SolverConfig, SyntheticSpec, generate_synthetic, parallel, spectral
 
 
 def brute_force_prox_objective(y, penalty, candidates):
@@ -148,6 +148,21 @@ def small_dataset():
 def bench_dataset():
     """The full benchmark construction: 100-dim, 3x5-dim, rank 10, 150 points."""
     return generate_synthetic(SyntheticSpec(seed=2024))
+
+
+@pytest.fixture
+def numpy_threads():
+    """Getter of numpy's BLAS thread count, with the count set to 2 for the
+    test; None where the package does not pin numpy's BLAS."""
+    controls = parallel._find_numpy_blas()
+    if controls is None:
+        yield None
+        return
+    get, put = controls
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
 
 
 @pytest.fixture()

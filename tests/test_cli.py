@@ -607,6 +607,21 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: lam must be positive, got {float(lam)}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pers", "50,abc", "error: --pers wants an integer, got 'abc'\n"),
+        ("--vars", "0.0,0..2", "error: --vars wants a number, got '0..2'\n"),
+    ], ids=["pers", "vars"])
+    def test_unparsable_grid_value_names_its_flag(self, tmp_path, capsys, monkeypatch,
+                                                  flag, value, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its settings")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        code = run(["sweep", flag, value, "--jobs", "2", "--out", tmp_path / "sweep.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_unknown_algorithm_fails(self, tmp_path, capsys):
         code = run(["sweep", "--pers", "10", "--vars", "0.0",
                     "--algorithms", "gmc,mystery", "--trials", "1",

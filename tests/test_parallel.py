@@ -16,8 +16,8 @@ import scipy.linalg
 import scipy.linalg.cython_blas
 from scipy.linalg import lapack
 
-from lrssc import (NumericalError, SolverConfig, build_affinity, gmc_lrssc_solve, lrr_noisy,
-                   parallel, spectral_cluster)
+from lrssc import (NumericalError, SolverConfig, build_affinity, gmc_lrssc_solve,
+                   lrr_noiseless, lrr_noisy, parallel, spectral_cluster)
 
 _PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -127,19 +127,14 @@ _FEW_ITERS = SolverConfig(max_iters=3, epsilon=1e-300)
 
 
 @pytest.fixture
-def blas_threads():
+def blas_threads(numpy_threads):
     """(numpy's, scipy's) thread-count getters, numpy's count set to 2 for the test."""
-    controls = parallel._find_numpy_blas()
-    if controls is None:
+    if numpy_threads is None:
         pytest.skip("numpy's BLAS is not pinned here")
     scipy_controls = parallel._thread_controls(scipy.linalg.cython_blas.__file__)
     if scipy_controls is None:
         pytest.skip("scipy's BLAS exposes no thread count here")
-    get, put = controls
-    saved = get()
-    put(2)
-    yield get, scipy_controls[0]
-    put(saved)
+    yield numpy_threads, scipy_controls[0]
 
 
 def _spy_on(monkeypatch, module, name, action):
@@ -162,8 +157,10 @@ def test_solve_pins_numpy_blas_and_leaves_scipys(monkeypatch, small_dataset, bla
     assert numpy_threads() == 2
 
 
-@pytest.mark.parametrize("step", ["embedding", "lrr"])
+@pytest.mark.parametrize("step", ["embedding", "lrr", "lrr_noiseless"])
 def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threads, step):
+    """The embedding's eigh runs on scipy's BLAS at full width, and LRR's thin
+    SVD of X on numpy's held at one thread; scipy's SVD never runs."""
     numpy_threads, scipy_threads = blas_threads
     scipy_count = scipy_threads()
     seen = []
@@ -173,8 +170,12 @@ def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threa
         _spy_on(monkeypatch, scipy.linalg, "eigh", record)
         spectral_cluster(build_affinity(C), 3, seed=0)
     else:
-        _spy_on(monkeypatch, scipy.linalg, "svd", record)
-        lrr_noisy(small_dataset.X, 2.0)
+        _spy_on(monkeypatch, np.linalg, "svd", record)
+        _spy_on(monkeypatch, scipy.linalg, "svd", lambda: seen.append("scipy svd"))
+        if step == "lrr":
+            lrr_noisy(small_dataset.X, 2.0)
+        else:
+            lrr_noiseless(small_dataset.X)
     assert seen == [(1, scipy_count)]
     assert numpy_threads() == 2
 

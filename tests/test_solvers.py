@@ -622,23 +622,27 @@ class TestSolverRuns:
         assert trace.variant == name
 
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
-    def test_svd_count(self, small_dataset, monkeypatch, solve):
+    def test_svd_count(self, small_dataset, monkeypatch, numpy_threads, solve):
         """Every run does one SVD, the thin SVD of X (the J step's
         factorization), and k + 1 SVTs through the Gram matrix: one per
         iteration and the one in the C map of the exit KKT.  Each SVT forms
         its Gram matrix by one dsyrk; the soft SVT (lrssc-convex) decomposes
         it by one symmetric eigendecomposition, the firm and hard SVTs (gmc,
         s0l0) by one tridiagonal reduction.  The Lagrangian takes its
-        penalty from the C step, never from an SVD.  All of them are
-        scipy's; numpy's SVD and eigh are never called."""
+        penalty from the C step, never from an SVD.  The SVD of X is
+        numpy's and runs with numpy's BLAS held at one thread; the rest are
+        scipy's, and numpy's eigh is never called."""
         calls = {"svd": 0, "eigh": 0, "dsyrk": 0, "dsytrd": 0,
                  "numpy svd": 0, "numpy eigh": 0}
+        svd_threads = []
 
         def counting(module, name, key=None):
             real = getattr(module, name)
 
             def wrapper(*args, **kw):
                 calls[key or name] += 1
+                if key == "numpy svd" and numpy_threads is not None:
+                    svd_threads.append(numpy_threads())
                 return real(*args, **kw)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -652,8 +656,9 @@ class TestSolverRuns:
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
         soft = solve is convex_lrssc
-        assert calls == {"svd": 1, "eigh": k + 1 if soft else 0, "dsyrk": k + 1,
-                         "dsytrd": 0 if soft else k + 1, "numpy svd": 0, "numpy eigh": 0}
+        assert calls == {"svd": 0, "eigh": k + 1 if soft else 0, "dsyrk": k + 1,
+                         "dsytrd": 0 if soft else k + 1, "numpy svd": 1, "numpy eigh": 0}
+        assert svd_threads == ([] if numpy_threads is None else [1])
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])

@@ -492,10 +492,22 @@ class TestLockstepKmeansMatchesSerialOracle:
         for seed in (0, 5):
             self.assert_matches_oracle(points, 12, seed)
 
-    def test_replicates_in_blocks(self, monkeypatch):
-        """A difference array over the size limit is formed a few replicates at a time."""
-        W, _ = block_affinity([4, 6, 8], off_block=0.4, seed=3)
-        points = embedded_points(W, 3)
-        monkeypatch.setattr(spectral_module, "_KMEANS_BLOCK", 3 * points.size * 3)
+    def test_beyond_the_old_difference_array_limit(self):
+        """Replicates x points x centers x dimensions above 2**20, the size at
+        which the (r, n, k, dim) difference array used to be formed in blocks."""
+        W, _ = block_affinity([60] * 10, off_block=0.9, seed=10)
+        points = embedded_points(W, 10)
+        assert spectral_module._KMEANS_REPLICATES * points.size * 10 > 1 << 20
+        self.assert_matches_oracle(points, 10, 0)
+
+    @pytest.mark.parametrize("k", [8, 9, 17])
+    def test_eight_or_more_dimensions(self, k):
+        """From 8 terms numpy's sum over a contiguous axis runs pairwise.  The
+        embedding is Fortran-ordered, so the oracle's difference array is not
+        contiguous along its dimensions, and both add them in index order."""
+        sizes = [20 + 3 * i for i in range(k)]
+        W, _ = block_affinity(sizes, off_block=0.9, seed=k)
+        points = embedded_points(W, k)
+        assert points.flags.f_contiguous and not points.flags.c_contiguous
         for seed in (0, 1):
-            self.assert_matches_oracle(points, 3, seed)
+            self.assert_matches_oracle(points, k, seed)
