@@ -129,9 +129,15 @@ def _format_cell(value) -> str:
 
 
 def _write_trace(path, trace) -> None:
-    """One row per iteration; each column after iter is the SolverTrace field
-    of its name, and a field that is None leaves its column empty."""
-    columns = [getattr(trace, name) for name in TRACE_HEADER.split(",")[1:]]
+    """One row per iteration under TRACE_HEADER.
+
+    The splits' gaps fill r_jc1, r_jc2 in update order, and their mu values
+    fill mu1, mu2 from the last split back, so s0l0's one mu is mu2; a column
+    no split fills stays empty.
+    """
+    r_jc = trace.r_jc + [None] * (2 - len(trace.r_jc))
+    mu = [None] * (2 - len(trace.mu)) + trace.mu
+    columns = [*r_jc, trace.r_jj, trace.lagrangian, *mu]
     lines = [TRACE_HEADER] + [
         ",".join([str(k)] + [_format_cell(None if col is None else col[k]) for col in columns])
         for k in range(trace.n_iters)]
@@ -150,8 +156,8 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
     else:
         lam = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
         C = lrr_noisy(X, lam).C
-        trace = SolverTrace(variant=algorithm, r_jc1=[None], r_jj=[None], lagrangian=[None],
-                            mu2=[None], termination="closed_form")
+        trace = SolverTrace(variant=algorithm, r_jj=[None], lagrangian=[None],
+                            termination="closed_form")
     labels = spectral.spectral_cluster(spectral.build_affinity(C), n_clusters, seed)
     return labels, trace
 
@@ -171,10 +177,12 @@ def cmd_cluster(args) -> int:
         _write_trace(args.trace_out, trace)
     if trace.kkt is not None:
         print(f"termination={trace.termination} iters={trace.n_iters}")
-        for name, value in asdict(trace.kkt).items():
-            if value is not None:
-                text = "0" if value <= _KKT_PRINT_FLOOR else f"{value:.6e}"
-                print(f"kkt_{name}={text}")
+        kkt = trace.kkt
+        # r1/r2 are the splits' gaps, r3 the gradient, r4/r5 the fixed points
+        printed = [*zip(("r1", "r2"), kkt.gaps), ("r3", kkt.grad), *zip(("r4", "r5"), kkt.fixed)]
+        for name, value in printed:
+            text = "0" if value <= _KKT_PRINT_FLOOR else f"{value:.6e}"
+            print(f"kkt_{name}={text}")
     print(f"wrote {args.labels_out}", file=sys.stderr)
     return 0
 

@@ -7,9 +7,11 @@ low-rank block C1 (thresholded singular values) and a sparse block C2
 (thresholded entries, zero diagonal), with firm thresholds in gmc and soft
 ones in the convex baseline.  The two-block s0l0 solver keeps a single C
 and averages rank and sparsity hard-threshold prox maps.  All three run one
-ADMM loop over the splits J = C_k of their state.  :data:`ALGORITHMS` holds
-each of them once, under its command-line name: its solve function, state
-type, C maps, Lagrangian penalty, settings rule and tuned defaults.
+ADMM loop over the splits J = C_k of one :class:`State`; they differ only in
+their C maps, their penalty and their number of splits.  :data:`ALGORITHMS`
+holds each of them once, under its command-line name: its solve function,
+the config field of each split's initial mu, C maps, Lagrangian penalty,
+settings rule and tuned defaults.
 
 The update steps, the augmented Lagrangian and the stationarity (KKT)
 residuals are exposed so the solvers can be probed piece by piece.
@@ -98,72 +100,57 @@ def effective_weights(cfg: SolverConfig) -> tuple[float, float]:
 
 
 @dataclass
-class SolverState:
-    """Three-block iterate: J, low-rank C1, sparse C2, and their multipliers."""
+class Split:
+    """One split J = C of the ADMM iterate: its block C, multiplier Lambda and mu."""
 
-    J: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-    Lambda1: np.ndarray
-    Lambda2: np.ndarray
-    mu1: float
-    mu2: float
-
-    # (C, Lambda, mu) attribute names of each split J = C_k, in update order;
-    # the last is the sparse split, whose Lagrangian terms skip the diagonal.
-    SPLITS = (("C1", "Lambda1", "mu1"), ("C2", "Lambda2", "mu2"))
-
-    @classmethod
-    def zeros(cls, n_points: int, cfg: SolverConfig) -> "SolverState":
-        z = lambda: np.zeros((n_points, n_points))
-        return cls(J=z(), C1=z(), C2=z(), Lambda1=z(), Lambda2=z(),
-                   mu1=cfg.mu1_init, mu2=cfg.mu2_init)
-
-
-@dataclass
-class S0L0State:
-    """Two-block iterate: J, a single C, and one multiplier."""
-
-    J: np.ndarray
     C: np.ndarray
     Lambda: np.ndarray
     mu: float
 
-    SPLITS = (("C", "Lambda", "mu"),)
+
+@dataclass
+class State:
+    """ADMM iterate: J and its splits J = C_k, in update order.
+
+    gmc and lrssc-convex have two splits, the low-rank C1 and the sparse C2;
+    s0l0 has one, its single C.  The last split is the sparse one, whose
+    Lagrangian terms skip the diagonal.
+    """
+
+    J: np.ndarray
+    splits: list[Split]
 
     @classmethod
-    def zeros(cls, n_points: int, cfg: SolverConfig) -> "S0L0State":
+    def zeros(cls, n_points: int, mus) -> "State":
+        """J, every C and every Lambda zero; one split per initial mu in ``mus``."""
         z = lambda: np.zeros((n_points, n_points))
-        return cls(J=z(), C=z(), Lambda=z(), mu=cfg.mu2_init)
+        return cls(J=z(), splits=[Split(C=z(), Lambda=z(), mu=mu) for mu in mus])
 
 
 @dataclass
 class KktResiduals:
     """Frobenius norms of the stationarity conditions at a state.
 
-    r1/r2 measure primal feasibility of the splits (J = C1, J = C2), r3 the
-    gradient condition on J, and r4/r5 the fixed-point residuals of the C
-    updates.  Two-block states leave r2 and r5 as None.
+    ``gaps`` holds the primal feasibility ||J - C_k|| of each split and
+    ``fixed`` the fixed-point residual ||C_k - map_k|| of each split's C
+    update, both in update order; ``grad`` is the gradient condition on J.
     """
 
-    r1: float
-    r2: float | None
-    r3: float
-    r4: float
-    r5: float | None
+    gaps: list[float]
+    grad: float
+    fixed: list[float]
 
     def max_residual(self) -> float:
-        return max(v for v in (self.r1, self.r2, self.r3, self.r4, self.r5)
-                   if v is not None)
+        return max(*self.gaps, self.grad, *self.fixed)
 
 
 @dataclass
 class SolverTrace:
     """Per-iteration diagnostics: residuals, Lagrangian, mu schedule, exit info.
 
-    ``variant`` is the algorithm's key in :data:`ALGORITHMS`.  r_jc1 holds
-    the max-abs entry of J - C1 (J - C for two-block runs), r_jc2 the same
-    for J - C2 (None for two-block runs), r_jj the change in J between
+    ``variant`` is the algorithm's key in :data:`ALGORITHMS`.  ``r_jc[k]``
+    holds the max-abs entry of J - C_k of split k per iteration and ``mu[k]``
+    the mu that split used, in update order; r_jj is the change in J between
     iterations.  The Lagrangian is evaluated at the end of each iteration,
     after the multiplier update, with the mu values used during that
     iteration; the gaps, the Lagrangian and the multiplier step share one
@@ -177,16 +164,16 @@ class SolverTrace:
     always to the last digit.  Two-block (s0l0) runs take their penalty from
     counts the C step already has, the singular values its hard SVT kept and
     the nonzero entries of its hard-thresholded sparsity map, so they run no
-    SVD per iteration either.
+    SVD per iteration either.  ``kkt`` holds the exit :class:`KktResiduals`;
+    it is None only in the partial trace a NumericalError carries and in the
+    command line's one-row trace of closed-form LRR, which has no splits.
     """
 
     variant: str
-    r_jc1: list = field(default_factory=list)
-    r_jc2: list | None = None
+    r_jc: list[list] = field(default_factory=list)
     r_jj: list = field(default_factory=list)
     lagrangian: list = field(default_factory=list)
-    mu1: list | None = None
-    mu2: list = field(default_factory=list)
+    mu: list[list] = field(default_factory=list)
     termination: str = "max_iters"
     kkt: KktResiduals | None = None
 
@@ -223,17 +210,6 @@ class GramSolver:
         return out
 
 
-def _splits(state) -> list:
-    """(C, Lambda, mu) of each split of a state, in update order."""
-    return [tuple(getattr(state, name) for name in split) for split in state.SPLITS]
-
-
-def _assign(state, slot: int, values) -> None:
-    """Set slot 0 (C), 1 (Lambda) or 2 (mu) of every split, in update order."""
-    for split, value in zip(state.SPLITS, values, strict=True):
-        setattr(state, split[slot], value)
-
-
 def j_update(X, state, gram: GramSolver | None = None) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian over J (ridge-type solve).
 
@@ -242,14 +218,13 @@ def j_update(X, state, gram: GramSolver | None = None) -> np.ndarray:
     """
     if gram is None:
         gram = GramSolver(X)
-    splits = _splits(state)
-    if not all(mu > 0 for _, _, mu in splits):
+    if not all(split.mu > 0 for split in state.splits):
         raise ValueError("every mu must be positive")
     rhs = np.zeros_like(state.J)
-    for C, Lambda, mu in splits:
-        rhs += mu * C
-        rhs -= Lambda
-    return gram.solve(sum(mu for _, _, mu in splits), rhs)
+    for split in state.splits:
+        rhs += split.mu * split.C
+        rhs -= split.Lambda
+    return gram.solve(sum(split.mu for split in state.splits), rhs)
 
 
 def normalize_columns(J) -> np.ndarray:
@@ -299,9 +274,9 @@ def _check_average_weights(cfg):
             f"needs lam + tau = 1 with both nonnegative, got lam={cfg.lam}, tau={cfg.tau}")
 
 
-def _prox_point(J, Lambda, mu) -> np.ndarray:
-    """J + Lambda/mu, the point a C step thresholds, as one new array."""
-    point = Lambda / mu
+def _prox_point(J, split: Split) -> np.ndarray:
+    """J + Lambda/mu of a split, the point its C step thresholds, as one new array."""
+    point = split.Lambda / split.mu
     point += J
     return point
 
@@ -309,8 +284,9 @@ def _prox_point(J, Lambda, mu) -> np.ndarray:
 def _gmc_c1_step(state, cfg):
     """C1 update with its spectrum: (C1, singular values of C1)."""
     lam_eff, _ = effective_weights(cfg)
-    return prox.svt_firm(_prox_point(state.J, state.Lambda1, state.mu1),
-                         _mc_shape(lam_eff, state.mu1, cfg.gamma)[0], return_spectrum=True)
+    low_rank = state.splits[0]
+    return prox.svt_firm(_prox_point(state.J, low_rank),
+                         _mc_shape(lam_eff, low_rank.mu, cfg.gamma)[0], return_spectrum=True)
 
 def gmc_c1_update(state, cfg) -> np.ndarray:
     """Firm threshold on the singular values of J + Lambda1/mu1."""
@@ -320,8 +296,9 @@ def gmc_c1_update(state, cfg) -> np.ndarray:
 def gmc_c2_update(state, cfg) -> np.ndarray:
     """Entrywise firm threshold of J + Lambda2/mu2 with the diagonal zeroed."""
     _, tau_eff = effective_weights(cfg)
-    C2 = prox.entrywise_firm(_prox_point(state.J, state.Lambda2, state.mu2),
-                             _mc_shape(tau_eff, state.mu2, cfg.gamma)[0])
+    sparse = state.splits[1]
+    C2 = prox.entrywise_firm(_prox_point(state.J, sparse),
+                             _mc_shape(tau_eff, sparse.mu, cfg.gamma)[0])
     np.fill_diagonal(C2, 0.0)
     return C2
 
@@ -335,16 +312,17 @@ def _s0l0_c_step(state, cfg):
     """
     _check_average_weights(cfg)
     lam_eff, tau_eff = effective_weights(cfg)
-    V = _prox_point(state.J, state.Lambda, state.mu)
+    (split,) = state.splits
+    V = _prox_point(state.J, split)
     if cfg.tau == 0.0:
-        P_rank, sv = prox.svt_hard(V, lam_eff / state.mu, return_spectrum=True)
+        P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
         return P_rank, (np.count_nonzero(sv), 0)
-    P_sparse = prox.entrywise_hard(V, tau_eff / state.mu)
+    P_sparse = prox.entrywise_hard(V, tau_eff / split.mu)
     np.fill_diagonal(P_sparse, 0.0)
     nnz = np.count_nonzero(P_sparse)
     if cfg.lam == 0.0:
         return P_sparse, (0, nnz)
-    P_rank, sv = prox.svt_hard(V, lam_eff / state.mu, return_spectrum=True)
+    P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
     return cfg.lam * P_rank + cfg.tau * P_sparse, (np.count_nonzero(sv), nnz)
 
 def s0l0_c_update(state, cfg) -> np.ndarray:
@@ -369,33 +347,32 @@ def _s0l0_c_maps(state, cfg):
 def _convex_c_maps(state, cfg):
     """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
     lam_eff, tau_eff = effective_weights(cfg)
-    C1, sv = prox.svt_soft(_prox_point(state.J, state.Lambda1, state.mu1),
-                           lam_eff / state.mu1, return_spectrum=True)
-    C2 = prox.soft_threshold(_prox_point(state.J, state.Lambda2, state.mu2),
-                             tau_eff / state.mu2)
+    low_rank, sparse = state.splits
+    C1, sv = prox.svt_soft(_prox_point(state.J, low_rank), lam_eff / low_rank.mu,
+                           return_spectrum=True)
+    C2 = prox.soft_threshold(_prox_point(state.J, sparse), tau_eff / sparse.mu)
     np.fill_diagonal(C2, 0.0)
     return (C1, C2), sv
 
 
 def _consensus_residuals(state) -> list:
     """J - C_k of each split, in update order."""
-    return [state.J - C for C, _, _ in _splits(state)]
+    return [state.J - split.C for split in state.splits]
 
 
-def dual_update(state, *, residuals=None):
-    """Multiplier ascent step of each split: the pair (Lambda1, Lambda2) for a
-    three-block state, the single Lambda for a two-block state.
+def dual_update(state, *, residuals=None) -> list:
+    """Multiplier ascent step Lambda_k + mu_k (J - C_k) of each split, in update order.
 
     ``residuals`` supplies J - C_k of each split, computed once by the caller.
     """
     if residuals is None:
         residuals = _consensus_residuals(state)
     steps = []
-    for R, (_, Lambda, mu) in zip(residuals, _splits(state)):
-        step = mu * R
-        step += Lambda
+    for R, split in zip(residuals, state.splits, strict=True):
+        step = split.mu * R
+        step += split.Lambda
         steps.append(step)
-    return tuple(steps) if len(steps) > 1 else steps[0]
+    return steps
 
 
 def mu_update(mu: float, cfg: SolverConfig) -> float:
@@ -417,35 +394,36 @@ def _mc_penalty(state, cfg, c_stats, b1: float, b2: float) -> float:
     they come from an SVD of C1.
     """
     lam_eff, tau_eff = effective_weights(cfg)
-    sv = scipy.linalg.svd(state.C1, compute_uv=False) if c_stats is None else c_stats
+    low_rank, sparse = state.splits
+    sv = scipy.linalg.svd(low_rank.C, compute_uv=False) if c_stats is None else c_stats
     return (lam_eff * prox.gmc_penalty_separable(sv, b1)
-            + tau_eff * prox.gmc_penalty_separable(state.C2, b2))
+            + tau_eff * prox.gmc_penalty_separable(sparse.C, b2))
 
 def _gmc_penalty(state, cfg, c_stats) -> float:
     """:func:`_mc_penalty` with each block's b from :func:`_mc_shape` at its
     split's weight and current mu."""
-    b1, b2 = (_mc_shape(weight, mu, cfg.gamma)[1]
-              for weight, (_, _, mu) in zip(effective_weights(cfg), _splits(state)))
+    b1, b2 = (_mc_shape(weight, split.mu, cfg.gamma)[1]
+              for weight, split in zip(effective_weights(cfg), state.splits, strict=True))
     return _mc_penalty(state, cfg, c_stats, b1, b2)
 
 
 def _count_penalty(state, cfg, c_stats) -> float:
     """lam_eff * rank + tau_eff * nnz, from the (rank, nnz) counts of the C step."""
     if c_stats is None:
-        raise ValueError("a two-block state needs the (rank, nnz) counts of its C step")
+        raise ValueError("s0l0 needs the (rank, nnz) counts of its C step")
     rank, nnz = c_stats
     lam_eff, tau_eff = effective_weights(cfg)
     return lam_eff * rank + tau_eff * nnz
 
 
 def _algorithm(state, variant: str) -> Algorithm:
-    """The record of a variant; ValueError unless the state is of its kind."""
+    """The record of a variant; ValueError unless the state has its number of splits."""
     if variant not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
     algorithm = ALGORITHMS[variant]
-    if type(state) is not algorithm.state:
-        raise ValueError(f"variant {variant!r} needs a {algorithm.state.__name__}, "
-                         f"got a {type(state).__name__}")
+    if len(state.splits) != len(algorithm.mu_inits):
+        raise ValueError(f"variant {variant!r} needs a state with {len(algorithm.mu_inits)} "
+                         f"split(s), got {len(state.splits)}")
     return algorithm
 
 
@@ -461,7 +439,7 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     kept plus tau_eff times the nonzero entries of its sparsity map.
 
     ``c_stats`` is what the variant's C step reported beside its C, the second
-    item its ``c_maps`` returns.  For three-block states it is the singular
+    item its ``c_maps`` returns.  For gmc and lrssc-convex it is the singular
     values of C1; without it they are computed by an SVD of C1.  For s0l0 it
     is the (rank, nnz) pair and is required: C alone does not give them.
     ``residuals``, as for :func:`dual_update`, supplies J - C_k of each split.
@@ -471,41 +449,38 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     fid = 0.5 * np.linalg.norm(X - prox._gemm(X, state.J), "fro") ** 2
     pen = algorithm.penalty(state, cfg, c_stats)
 
-    splits = _splits(state)
     residuals = list(_consensus_residuals(state) if residuals is None else residuals)
     # the sparse split's terms skip the diagonal: add C's diagonal back
-    sparse_diag = np.diag(splits[-1][0])
+    sparse_diag = np.diag(state.splits[-1].C)
     if sparse_diag.any():
         R = residuals[-1].copy()
         R[np.diag_indices_from(R)] += sparse_diag
         residuals[-1] = R
     value = pen + fid
-    for R, (_, _, mu) in zip(residuals, splits):
-        value += 0.5 * mu * np.linalg.norm(R, "fro") ** 2
-    for R, (_, Lambda, _) in zip(residuals, splits):
-        value += np.sum(Lambda * R)
+    for R, split in zip(residuals, state.splits):
+        value += 0.5 * split.mu * np.linalg.norm(R, "fro") ** 2
+    for R, split in zip(residuals, state.splits):
+        value += np.sum(split.Lambda * R)
     return float(value)
 
 
 def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     """Stationarity residuals (Frobenius norms) at a state.
 
-    The fixed-point residuals r4/r5 reuse the variant's own C update maps,
+    The fixed-point residuals reuse the variant's own C update maps,
     evaluated with the state's current multipliers and mu values.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
     grad = prox._gemm(X.T, prox._gemm(X, state.J) - X)  # -X^T (X - XJ)
-    splits = _splits(state)
     maps, _ = algorithm.c_maps(state, cfg)
-    for _, Lambda, _ in splits:
-        grad = grad + Lambda
-    gaps = [float(np.linalg.norm(R, "fro")) for R in _consensus_residuals(state)]
-    fixed = [float(np.linalg.norm(C - C_map, "fro")) for (C, _, _), C_map in zip(splits, maps)]
-    # a two-block state has one split and leaves r2 and r5 None
-    r1, r2 = (gaps + [None])[:2]
-    r4, r5 = (fixed + [None])[:2]
-    return KktResiduals(r1=r1, r2=r2, r3=float(np.linalg.norm(grad, "fro")), r4=r4, r5=r5)
+    for split in state.splits:
+        grad = grad + split.Lambda
+    return KktResiduals(
+        gaps=[float(np.linalg.norm(R, "fro")) for R in _consensus_residuals(state)],
+        grad=float(np.linalg.norm(grad, "fro")),
+        fixed=[float(np.linalg.norm(split.C - C_map, "fro"))
+               for split, C_map in zip(state.splits, maps, strict=True)])
 
 
 def _linf(M) -> float:
@@ -533,10 +508,9 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
     algorithm.check(cfg)
     X = _check_data(X)
     gram = GramSolver(X)
-    state = algorithm.state.zeros(X.shape[1], cfg)
-    two_splits = len(state.SPLITS) == 2
-    trace = SolverTrace(variant=variant, r_jc2=[] if two_splits else None,
-                        mu1=[] if two_splits else None)
+    state = State.zeros(X.shape[1], [getattr(cfg, name) for name in algorithm.mu_inits])
+    trace = SolverTrace(variant=variant, r_jc=[[] for _ in state.splits],
+                        mu=[[] for _ in state.splits])
 
     try:
         for _ in range(cfg.max_iters):
@@ -545,26 +519,24 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
             blocks, c_stats = algorithm.c_maps(state, cfg)
-            _assign(state, 0, blocks)
+            for split, C in zip(state.splits, blocks, strict=True):
+                split.C = C
             residuals = _consensus_residuals(state)
-            lambdas = dual_update(state, residuals=residuals)
-            _assign(state, 1, lambdas if two_splits else (lambdas,))
+            for split, Lambda in zip(state.splits, dual_update(state, residuals=residuals)):
+                split.Lambda = Lambda
 
             gaps = [_linf(R) for R in residuals]
             rj = _linf(np.subtract(state.J, J_prev, out=J_prev))  # J_prev is unused after
-            mus = [mu for _, _, mu in _splits(state)]
-            trace.r_jc1.append(gaps[0])
+            for split, gap, r_jc, mu in zip(state.splits, gaps, trace.r_jc, trace.mu):
+                r_jc.append(gap)
+                mu.append(split.mu)
             trace.r_jj.append(rj)
-            # a two-block run's one mu starts at mu2_init and is traced as mu2
-            trace.mu2.append(mus[-1])
-            if two_splits:
-                trace.r_jc2.append(gaps[1])
-                trace.mu1.append(mus[0])
             trace.lagrangian.append(lagrangian_value(
                 X, state, cfg, variant, c_stats=c_stats, residuals=residuals))
 
             converged = stopping_check(gaps + [rj], cfg)
-            _assign(state, 2, [mu_update(mu, cfg) for mu in mus])
+            for split in state.splits:
+                split.mu = mu_update(split.mu, cfg)
             if converged:
                 trace.termination = "converged"
                 break
@@ -572,7 +544,7 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
         err.trace = trace
         raise
     trace.kkt = kkt_residuals(X, state, cfg, variant)
-    return _splits(state)[0][0], trace
+    return state.splits[0].C, trace
 
 
 def gmc_lrssc_solve(X, cfg: SolverConfig | None = None):
@@ -614,18 +586,19 @@ def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
 class Algorithm(NamedTuple):
     """What one iterative algorithm adds to the shared ADMM loop.
 
-    ``solve(X, cfg)`` runs it and ``state`` is its iterate type.
-    ``c_maps(state, cfg)`` returns the new C of each split in update order
-    and what the step learned that the penalty needs: the singular values
-    of C1 for three-block states, the kept rank and nnz for s0l0; the loop
-    and the exit KKT share them.  ``penalty(state, cfg, c_stats)`` is the
+    ``solve(X, cfg)`` runs it.  ``mu_inits`` names the SolverConfig field of
+    each split's initial mu, in update order, and so gives the number of
+    splits of its :class:`State`.  ``c_maps(state, cfg)`` returns the new C
+    of each split in update order and what the step learned that the penalty
+    needs: the singular values of C1 for gmc and lrssc-convex, the kept rank
+    and nnz for s0l0; the loop and the exit KKT share them.  ``penalty(state, cfg, c_stats)`` is the
     penalty term of its augmented Lagrangian, given that second item.
     ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
     on how far scripts/tune_defaults.py reproduces them).
     """
     solve: Callable
-    state: type
+    mu_inits: tuple
     c_maps: Callable
     penalty: Callable
     check: Callable
@@ -636,11 +609,11 @@ class Algorithm(NamedTuple):
 # SolverTrace.variant and the variant argument of lagrangian_value and
 # kkt_residuals.
 ALGORITHMS = {
-    GMC: Algorithm(gmc_lrssc_solve, SolverState, _gmc_c_maps,
+    GMC: Algorithm(gmc_lrssc_solve, ("mu1_init", "mu2_init"), _gmc_c_maps,
                    _gmc_penalty, _check_gmc, {}),
-    S0L0: Algorithm(s0l0_lrssc_solve, S0L0State, _s0l0_c_maps,
+    S0L0: Algorithm(s0l0_lrssc_solve, ("mu2_init",), _s0l0_c_maps,
                     _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
-    CONVEX: Algorithm(convex_lrssc, SolverState, _convex_c_maps,
+    CONVEX: Algorithm(convex_lrssc, ("mu1_init", "mu2_init"), _convex_c_maps,
                       lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0, 0.0),
                       _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
 }

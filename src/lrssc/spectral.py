@@ -87,8 +87,11 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     """Cluster the graph with affinity W into n_clusters groups.
 
     Embeds each vertex by the n_clusters eigenvectors of the normalized
-    Laplacian with smallest eigenvalues (rows normalized to unit norm,
-    all-zero rows left alone), then labels the rows by seeded k-means.
+    Laplacian with smallest eigenvalues, normalizes the rows to unit norm and
+    labels them by seeded k-means.  A row of norm at most _ROW_NORM_FLOOR, a
+    zero-degree vertex's, sits at the same distance from every center, so it
+    is left out of k-means and takes label 0; an embedding of rank
+    n_clusters keeps at least n_clusters rows for k-means.
     Below _LANCZOS_MIN_N (600) points the eigenvectors come from LAPACK's
     subset eigh; from there on from certified Lanczos, which falls back to
     the subset eigh when it does not converge within N/2 matvecs or fails
@@ -117,8 +120,10 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
         _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR
-    emb[rows] /= norms[rows, None]
-    return _kmeans(emb, n_clusters, seed)
+    labels = np.zeros(n, dtype=int)
+    # Fortran order, as the eigensolvers return it: see _lloyd on summation order
+    labels[rows] = _kmeans(np.asfortranarray(emb[rows] / norms[rows, None]), n_clusters, seed)
+    return labels
 
 
 def _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed):

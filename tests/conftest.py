@@ -9,11 +9,12 @@ the thin-SVD J step against a solve through the eigendecomposition of X^T X.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lrssc import SolverConfig, SyntheticSpec, generate_synthetic, parallel, spectral
+from lrssc import SolverConfig, State, SyntheticSpec, generate_synthetic, parallel, spectral
 
 
 def brute_force_prox_objective(y, penalty, candidates):
@@ -104,8 +105,9 @@ def full_eigh_spectral_labels(W, n_clusters, seed):
     """spectral_cluster with the embedding taken from the full eigenbasis.
 
     Runs np.linalg.eigh on the whole normalized Laplacian and keeps the first
-    n_clusters eigenvectors; the floors, row normalization and k-means are
-    the library's, so only the eigensolver differs from spectral_cluster.
+    n_clusters eigenvectors; the floors, row normalization, label 0 for rows
+    at or below the row-norm floor and k-means are the library's, so only the
+    eigensolver differs from spectral_cluster.
     """
     W = np.asarray(W, dtype=float)
     inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), spectral._DEGREE_FLOOR))
@@ -114,24 +116,35 @@ def full_eigh_spectral_labels(W, n_clusters, seed):
     emb = vecs[:, :n_clusters].copy()
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > spectral._ROW_NORM_FLOOR
-    emb[rows] /= norms[rows, None]
-    return spectral._kmeans(emb, n_clusters, seed)
+    labels = np.zeros(W.shape[0], dtype=int)
+    labels[rows] = spectral._kmeans(emb[rows] / norms[rows, None], n_clusters, seed)
+    return labels
 
 
 def eigh_gram_j_update(X, state, gram=None):
     """The J step solved through eigh(X^T X): the solve j_update replaced.
 
     J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k),
-    with the splits read from the state's SPLITS; ``gram`` is ignored, so the
+    with the splits read from ``state.splits``; ``gram`` is ignored, so the
     function can stand in for ``solvers.j_update``.
     """
     X = np.asarray(X, dtype=float)
-    splits = [[getattr(state, name) for name in split] for split in state.SPLITS]
+    splits = state.splits
     gram_matrix = X.T @ X
     evals, evecs = np.linalg.eigh(gram_matrix)
-    rhs = gram_matrix + sum(mu * C for C, _, mu in splits) - sum(L for _, L, _ in splits)
-    shift = sum(mu for _, _, mu in splits)
+    rhs = gram_matrix + sum(s.mu * s.C for s in splits) - sum(s.Lambda for s in splits)
+    shift = sum(s.mu for s in splits)
     return evecs @ ((evecs.T @ rhs) / (evals + shift)[:, None])
+
+
+def replaced_state(state, J=None, split=None, C=None):
+    """A new State: ``state`` with J, or the C of split number ``split``,
+    replaced.  Every Split is new, so states built from one another never
+    alias (``dataclasses.replace`` alone would share the splits list)."""
+    splits = [replace(s) for s in state.splits]
+    if split is not None:
+        splits[split].C = C
+    return State(J=state.J if J is None else J, splits=splits)
 
 
 SMALL_SPEC = SyntheticSpec(ambient_dim=30, subspace_dim=3, num_subspaces=3,

@@ -25,9 +25,11 @@ from conftest import (
     l0_penalty,
     l1_penalty,
     prox_candidates,
+    replaced_state,
 )
 from lrssc import (
     SolverConfig,
+    State,
     SyntheticSpec,
     build_affinity,
     clustering_error,
@@ -45,7 +47,6 @@ from lrssc.solvers import (
     ALGORITHMS,
     GMC,
     GramSolver,
-    SolverState,
     dual_update,
     gmc_c1_update,
     gmc_c2_update,
@@ -125,26 +126,24 @@ def test_criterion_04_block_updates_descend_frozen_lagrangian(small_dataset):
     X = small_dataset.X
     cfg = SolverConfig(normalize_j=False, epsilon=1e-300)
     gram = GramSolver(X)
-    state = SolverState.zeros(X.shape[1], cfg)
+    state = State.zeros(X.shape[1], [cfg.mu1_init, cfg.mu2_init])
     worst = -np.inf
     for _ in range(20):
         L_start = lagrangian_value(X, state, cfg, GMC)
-        state_j = replace(state, J=j_update(X, state, gram))
+        state_j = replaced_state(state, J=j_update(X, state, gram))
         L_j = lagrangian_value(X, state_j, cfg, GMC)
-        C1_new = gmc_c1_update(state_j, cfg)
-        state_c1 = replace(state_j, C1=C1_new)
+        state_c1 = replaced_state(state_j, split=0, C=gmc_c1_update(state_j, cfg))
         L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-        C2_new = gmc_c2_update(state_c1, cfg)
-        state = replace(state_c1, C2=C2_new)
+        state = replaced_state(state_c1, split=1, C=gmc_c2_update(state_c1, cfg))
         L_c2 = lagrangian_value(X, state, cfg, GMC)
 
         scale = max(abs(L_start), abs(L_j), abs(L_c1), abs(L_c2), 1.0)
         worst = max(worst, (L_j - L_start) / scale, (L_c1 - L_j) / scale,
                     (L_c2 - L_c1) / scale)
 
-        state.Lambda1, state.Lambda2 = dual_update(state)
-        state.mu1 = mu_update(state.mu1, cfg)
-        state.mu2 = mu_update(state.mu2, cfg)
+        for split, Lambda in zip(state.splits, dual_update(state)):
+            split.Lambda = Lambda
+            split.mu = mu_update(split.mu, cfg)
     ok = worst <= 1e-8
     _report(4, ok, f"worst relative ascent {worst:.2e} across 20 iterations "
                    f"x 3 block updates (tol 1e-8)")

@@ -114,8 +114,8 @@ class TestConvexSolverBaseline:
         cfg = SolverConfig()
         C, trace = convex_lrssc(small_dataset.X, cfg)
         assert trace.variant == "lrssc-convex"
-        assert np.all(np.isfinite(trace.r_jc1))
-        assert np.all(np.isfinite(trace.r_jc2))
+        assert len(trace.r_jc) == 2
+        assert np.all(np.isfinite(trace.r_jc))
         assert np.all(np.isfinite(trace.r_jj))
         assert np.all(np.isfinite(trace.lagrangian))
         # at exit |diag| <= ||J - C1||inf + ||J - C2||inf (C2 is exactly hollow)

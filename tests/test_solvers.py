@@ -7,7 +7,8 @@ then mu) as part of the public contract.
 """
 
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from scipy.linalg import blas, lapack
 
 from lrssc import (
     NumericalError,
-    S0L0State,
     SolverConfig,
-    SolverState,
+    Split,
+    State,
     build_affinity,
     convex_lrssc,
     dual_update,
@@ -41,7 +42,7 @@ from lrssc import (
 )
 from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
 
-from conftest import eigh_gram_j_update
+from conftest import eigh_gram_j_update, replaced_state
 
 # Three-block algorithms whose C updates are exported one block at a time.
 EXPORTED_C_UPDATES = {GMC: (gmc_c1_update, gmc_c2_update)}
@@ -53,33 +54,45 @@ def redrive(X, name, cfg):
     and the second item of the C maps (the C1 spectrum, or s0l0's counts)."""
     algorithm = ALGORITHMS[name]
     gram = GramSolver(X)
-    state = algorithm.state.zeros(X.shape[1], cfg)
-    c_names, lambda_names, mu_names = zip(*state.SPLITS)
+    state = zero_state(name, X.shape[1], cfg)
     for _ in range(cfg.max_iters):
         state.J = j_update(X, state, gram)
         if cfg.normalize_j:
             state.J = normalize_columns(state.J)
         blocks, c_stats = algorithm.c_maps(state, cfg)
-        for c_name, C in zip(c_names, blocks, strict=True):
-            setattr(state, c_name, C)
-        lambdas = dual_update(state)
-        for lambda_name, Lambda in zip(lambda_names, lambdas if len(lambda_names) > 1
-                                       else (lambdas,), strict=True):
-            setattr(state, lambda_name, Lambda)
+        for split, C in zip(state.splits, blocks, strict=True):
+            split.C = C
+        for split, Lambda in zip(state.splits, dual_update(state), strict=True):
+            split.Lambda = Lambda
         yield state, c_stats
-        for mu_name in mu_names:
-            setattr(state, mu_name, mu_update(getattr(state, mu_name), cfg))
+        for split in state.splits:
+            split.mu = mu_update(split.mu, cfg)
 
 
-def random_state(state_type, n, seed):
-    """A state of the given type with Gaussian blocks and multipliers."""
+def zero_state(name, n, cfg):
+    """The all-zero State that ALGORITHMS[name]'s loop starts from."""
+    return State.zeros(n, [getattr(cfg, field) for field in ALGORITHMS[name].mu_inits])
+
+
+def random_state(mus, n, seed):
+    """A State with one split per mu in ``mus`` and Gaussian J, blocks and multipliers."""
     rng = np.random.default_rng(seed)
-    blocks = lambda k: [rng.standard_normal((n, n)) for _ in range(k)]
-    if state_type is SolverState:
-        J, C1, C2, L1, L2 = blocks(5)
-        return SolverState(J=J, C1=C1, C2=C2, Lambda1=L1, Lambda2=L2, mu1=0.7, mu2=2.3)
-    J, C, L = blocks(3)
-    return S0L0State(J=J, C=C, Lambda=L, mu=1.7)
+    block = lambda: rng.standard_normal((n, n))
+    return State(J=block(), splits=[Split(C=block(), Lambda=block(), mu=mu) for mu in mus])
+
+
+def step_duals(state, cfg):
+    """The loop's dual step, then its mu step, on every split of ``state``."""
+    for split, Lambda in zip(state.splits, dual_update(state), strict=True):
+        split.Lambda = Lambda
+        split.mu = mu_update(split.mu, cfg)
+
+
+# the mu values of random_state's two-split and one-split states
+TWO_SPLITS, ONE_SPLIT = (0.7, 2.3), (1.7,)
+# test ids of a state by its split count: the names of the three-block and
+# two-block state classes that State replaced, so that test ids stay stable
+STATE_IDS = {2: "SolverState", 1: "S0L0State"}
 
 
 def registry_config(name, **overrides):
@@ -127,10 +140,10 @@ class TestConfigValidation:
 class TestJUpdate:
     def test_zero_data_returns_average_of_blocks(self):
         cfg = SolverConfig(mu1_init=2.0, mu2_init=3.0)
-        state = SolverState.zeros(4, cfg)
+        state = zero_state(GMC, 4, cfg)
         A = np.arange(16.0).reshape(4, 4)
-        state.C1 = A.copy()
-        state.C2 = A.copy()
+        for split in state.splits:
+            split.C = A.copy()
         J = j_update(np.zeros((3, 4)), state)
         np.testing.assert_allclose(J, A, atol=1e-12)
 
@@ -138,42 +151,39 @@ class TestJUpdate:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 9))
         cfg = SolverConfig(mu1_init=0.7, mu2_init=2.3)
-        state = SolverState.zeros(9, cfg)
-        state.C1 = rng.standard_normal((9, 9))
-        state.C2 = rng.standard_normal((9, 9))
-        state.Lambda1 = rng.standard_normal((9, 9))
-        state.Lambda2 = rng.standard_normal((9, 9))
+        state = zero_state(GMC, 9, cfg)
+        for split in state.splits:
+            split.C = rng.standard_normal((9, 9))
+            split.Lambda = rng.standard_normal((9, 9))
         J = j_update(X, state)
         gram = X.T @ X
-        rhs = (gram + state.mu1 * state.C1 + state.mu2 * state.C2
-               - state.Lambda1 - state.Lambda2)
-        lhs = (gram + (state.mu1 + state.mu2) * np.eye(9)) @ J
+        (C1, L1, mu1), (C2, L2, mu2) = [(s.C, s.Lambda, s.mu) for s in state.splits]
+        rhs = gram + mu1 * C1 + mu2 * C2 - L1 - L2
+        lhs = (gram + (mu1 + mu2) * np.eye(9)) @ J
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_large_mu_pins_j_to_consensus(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 7))
         C = rng.standard_normal((7, 7))
-        state = SolverState(J=np.zeros((7, 7)), C1=C, C2=C,
-                            Lambda1=np.zeros((7, 7)), Lambda2=np.zeros((7, 7)),
-                            mu1=1e8, mu2=1e8)
+        state = State(J=np.zeros((7, 7)), splits=[
+            Split(C=C, Lambda=np.zeros((7, 7)), mu=1e8) for _ in range(2)])
         J = j_update(X, state)
         assert np.abs(J - C).max() <= 1e-6
 
     def test_two_block_form(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 6))
-        state = S0L0State(J=np.zeros((6, 6)), C=rng.standard_normal((6, 6)),
-                          Lambda=rng.standard_normal((6, 6)), mu=1.7)
+        split = Split(C=rng.standard_normal((6, 6)), Lambda=rng.standard_normal((6, 6)), mu=1.7)
+        state = State(J=np.zeros((6, 6)), splits=[split])
         J = j_update(X, state)
         gram = X.T @ X
-        rhs = gram + state.mu * state.C - state.Lambda
-        lhs = (gram + state.mu * np.eye(6)) @ J
+        rhs = gram + split.mu * split.C - split.Lambda
+        lhs = (gram + split.mu * np.eye(6)) @ J
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_rejects_nonpositive_mu(self):
-        state = S0L0State(J=np.zeros((2, 2)), C=np.zeros((2, 2)),
-                          Lambda=np.zeros((2, 2)), mu=0.0)
+        state = State.zeros(2, [0.0])
         with pytest.raises(ValueError):
             j_update(np.eye(2), state)
 
@@ -182,14 +192,14 @@ class TestJUpdate:
         for shape in ((5, 8), (8, 8), (12, 8)):  # wide, square, tall
             X = rng.standard_normal(shape)
             gram = GramSolver(X)
-            for state_type in (SolverState, S0L0State):
+            for mus in (TWO_SPLITS, ONE_SPLIT):
                 for seed in range(3):
-                    state = random_state(state_type, 8, seed)
+                    state = random_state(mus, 8, seed)
                     np.testing.assert_array_equal(j_update(X, state, gram), j_update(X, state))
 
-    @pytest.mark.parametrize("state_type", [SolverState, S0L0State])
+    @pytest.mark.parametrize("mus", [TWO_SPLITS, ONE_SPLIT], ids=lambda mus: STATE_IDS[len(mus)])
     @pytest.mark.parametrize("case", ["wide", "square", "tall", "rank_deficient", "zero"])
-    def test_matches_eigh_of_gram_oracle(self, bench_dataset, state_type, case):
+    def test_matches_eigh_of_gram_oracle(self, bench_dataset, mus, case):
         """The thin-SVD solve agrees with the solve through eigh(X^T X) on every
         shape of X, including a noiseless rank-10 X and an all-zero X."""
         rng = np.random.default_rng(5)
@@ -201,7 +211,7 @@ class TestJUpdate:
         rank = {"rank_deficient": 10, "zero": 0}.get(case, min(X.shape))
         assert np.linalg.matrix_rank(X) == rank
         for seed in range(3):
-            state = random_state(state_type, 50, seed)
+            state = random_state(mus, 50, seed)
             J = j_update(X, state)
             oracle = eigh_gram_j_update(X, state)
             assert np.linalg.norm(J - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -230,16 +240,11 @@ class TestNormalizeColumns:
         np.testing.assert_array_equal(J, [[3.0], [4.0]])
 
 
-def make_three_block_state(J, cfg, Lambda1=None, Lambda2=None):
-    n = J.shape[0]
-    state = SolverState.zeros(n, cfg)
+def make_three_block_state(J, cfg, Lambda2=None):
+    state = zero_state(GMC, J.shape[0], cfg)
     state.J = np.asarray(J, dtype=float)
-    if Lambda1 is not None:
-        state.Lambda1 = np.asarray(Lambda1, dtype=float)
     if Lambda2 is not None:
-        state.Lambda2 = np.asarray(Lambda2, dtype=float)
-    state.mu1 = cfg.mu1_init
-    state.mu2 = cfg.mu2_init
+        state.splits[1].Lambda = np.asarray(Lambda2, dtype=float)
     return state
 
 
@@ -253,7 +258,7 @@ class TestCUpdates:
 
     def test_gmc_c1_zero_state(self):
         cfg = SolverConfig(gamma=0.5)
-        state = SolverState.zeros(3, cfg)
+        state = zero_state(GMC, 3, cfg)
         np.testing.assert_array_equal(gmc_c1_update(state, cfg), np.zeros((3, 3)))
 
     def test_gmc_c2_firm_entries_and_hollow_diagonal(self):
@@ -277,7 +282,7 @@ class TestCUpdates:
     def test_gmc_updates_reject_zero_gamma(self):
         # gamma = 0 is a legal setting (lrssc-convex ignores gamma) but not a firm prox
         bad = SolverConfig(gamma=0.0)
-        state = SolverState.zeros(3, bad)
+        state = zero_state(GMC, 3, bad)
         with pytest.raises(ValueError):
             gmc_c1_update(state, bad)
         with pytest.raises(ValueError):
@@ -285,8 +290,7 @@ class TestCUpdates:
 
 
 def make_two_block_state(V, cfg):
-    n = V.shape[0]
-    state = S0L0State.zeros(n, cfg)
+    state = zero_state(S0L0, V.shape[0], cfg)
     state.J = np.asarray(V, dtype=float)
     return state
 
@@ -324,7 +328,7 @@ class TestS0L0Update:
 
     def test_rejects_unbalanced_weights(self):
         cfg = SolverConfig(lam=0.5, tau=0.6)
-        state = S0L0State.zeros(3, cfg)
+        state = zero_state(S0L0, 3, cfg)
         with pytest.raises(ValueError):
             s0l0_c_update(state, cfg)
 
@@ -332,18 +336,19 @@ class TestS0L0Update:
 class TestDualAndSchedule:
     def test_dual_unchanged_at_consensus(self):
         cfg = SolverConfig()
-        state = S0L0State.zeros(4, cfg)
-        state.J = state.C = np.ones((4, 4))
-        np.testing.assert_array_equal(dual_update(state), np.zeros((4, 4)))
+        state = zero_state(S0L0, 4, cfg)
+        state.J = state.splits[0].C = np.ones((4, 4))
+        np.testing.assert_array_equal(dual_update(state), [np.zeros((4, 4))])
 
     def test_dual_step_is_scaled_gap(self):
         M = np.arange(9.0).reshape(3, 3)
-        state = S0L0State(J=M, C=np.zeros((3, 3)), Lambda=np.zeros((3, 3)), mu=2.0)
-        np.testing.assert_array_equal(dual_update(state), 2.0 * M)
+        state = State.zeros(3, [2.0])
+        state.J = M
+        np.testing.assert_array_equal(dual_update(state), [2.0 * M])
 
     def test_dual_three_block_pair(self):
         cfg = SolverConfig(mu1_init=0.5, mu2_init=4.0)
-        state = SolverState.zeros(3, cfg)
+        state = zero_state(GMC, 3, cfg)
         state.J = np.ones((3, 3))
         L1, L2 = dual_update(state)
         np.testing.assert_array_equal(L1, 0.5 * np.ones((3, 3)))
@@ -366,10 +371,10 @@ class TestLagrangianValue:
     def test_zero_state_zero_data(self):
         cfg = SolverConfig()
         X = np.zeros((3, 4))
-        for name, algorithm in ALGORITHMS.items():
+        for name in ALGORITHMS:
             # s0l0 needs its C step's counts: rank 0 and nnz 0 at C = 0
             c_stats = (0, 0) if name == S0L0 else None
-            assert lagrangian_value(X, algorithm.state.zeros(4, cfg), cfg, name,
+            assert lagrangian_value(X, zero_state(name, 4, cfg), cfg, name,
                                     c_stats=c_stats) == 0.0
 
     def test_convex_penalty_is_weighted_norms(self):
@@ -378,8 +383,10 @@ class TestLagrangianValue:
         rng = np.random.default_rng(9)
         C = rng.standard_normal((5, 5))
         np.fill_diagonal(C, 0.0)
-        state = SolverState.zeros(5, cfg)
-        state.J = state.C1 = state.C2 = C  # consensus, hollow: quadratic terms vanish
+        state = zero_state(CONVEX, 5, cfg)
+        state.J = C
+        for split in state.splits:
+            split.C = C  # consensus, hollow: quadratic terms vanish
         value = lagrangian_value(np.zeros((3, 5)), state, cfg, CONVEX)
         nuclear = np.linalg.svd(C, compute_uv=False).sum()
         expect = lam_eff * nuclear + tau_eff * np.abs(C).sum()
@@ -387,22 +394,25 @@ class TestLagrangianValue:
 
     @pytest.mark.parametrize("fn", [lagrangian_value, kkt_residuals],
                              ids=["lagrangian_value", "kkt_residuals"])
-    @pytest.mark.parametrize("state_cls, variant", [
-        (state_cls, name) for name, algorithm in ALGORITHMS.items()
-        for state_cls in (SolverState, S0L0State) if state_cls is not algorithm.state
-    ] + [(SolverState, "bogus"), (SolverState, "convex")])
-    def test_variant_state_mismatch_rejected(self, fn, state_cls, variant):
+    @pytest.mark.parametrize("n_splits, variant", [
+        pytest.param(n_splits, variant, id=f"{STATE_IDS[n_splits]}-{variant}")
+        for n_splits, variant in [(3 - len(algorithm.mu_inits), name)
+                                  for name, algorithm in ALGORITHMS.items()]
+        + [(2, "bogus"), (2, "convex")]])
+    def test_variant_state_mismatch_rejected(self, fn, n_splits, variant):
+        """A state whose split count is not the variant's is rejected by name."""
         cfg = SolverConfig()
-        expect = (f"needs a {ALGORITHMS[variant].state.__name__}, got a {state_cls.__name__}"
+        expect = (re.escape(f"variant '{variant}' needs a state with "
+                            f"{len(ALGORITHMS[variant].mu_inits)} split(s), got {n_splits}")
                   if variant in ALGORITHMS else f"unknown variant '{variant}'")
         with pytest.raises(ValueError, match=expect):
-            fn(np.zeros((2, 3)), state_cls.zeros(3, cfg), cfg, variant)
+            fn(np.zeros((2, 3)), State.zeros(3, [1.0] * n_splits), cfg, variant)
 
     def test_two_block_state_rejects_c1_spectrum(self):
         """s0l0's penalty needs its C step's (rank, nnz): neither a missing
         value nor a C1 spectrum stands in for them."""
         cfg = SolverConfig()
-        state = S0L0State.zeros(3, cfg)
+        state = zero_state(S0L0, 3, cfg)
         with pytest.raises(ValueError, match=r"needs the \(rank, nnz\) counts"):
             lagrangian_value(np.zeros((2, 3)), state, cfg, S0L0)
         with pytest.raises(ValueError):
@@ -427,9 +437,7 @@ class TestMcShape:
     @pytest.mark.parametrize("mu", [0.1, 3.0, 81.0, 1e6])
     def test_knee_times_b_squared(self, monkeypatch, gamma, product, mu):
         cfg = SolverConfig(lam=0.4, gamma=gamma, mu2_init=3.0)
-        state = SolverState.zeros(4, cfg)
-        state.mu1 = mu
-        state.mu2 = 2.0 * mu
+        state = State.zeros(4, [mu, 2.0 * mu])
         knees, bs = [], []
         _record_prox_calls(monkeypatch, "svt_firm", lambda M, params: params.a, knees)
         _record_prox_calls(monkeypatch, "entrywise_firm", lambda M, params: params.a, knees)
@@ -444,7 +452,7 @@ class TestMcShape:
     @pytest.mark.parametrize("kwargs", [dict(lam=1.0), dict(lam=0.0), dict(gamma=0.0)])
     def test_gmc_penalty_rejects_zero_weight_or_gamma(self, kwargs):
         cfg = SolverConfig(**kwargs)
-        state = SolverState.zeros(3, cfg)
+        state = zero_state(GMC, 3, cfg)
         with pytest.raises(ValueError, match="the MC shape needs weight > 0"):
             lagrangian_value(np.zeros((2, 3)), state, cfg, GMC)
         # the convex penalty takes b = 0 by itself, at any weights
@@ -455,26 +463,30 @@ class TestKktResiduals:
     def test_zero_point_is_stationary(self):
         cfg = SolverConfig(gamma=0.5)
         X = np.zeros((3, 4))
-        for name, algorithm in ALGORITHMS.items():
-            kkt = kkt_residuals(X, algorithm.state.zeros(4, cfg), cfg, name)
+        for name in ALGORITHMS:
+            kkt = kkt_residuals(X, zero_state(name, 4, cfg), cfg, name)
             assert kkt.max_residual() == 0.0
 
     def test_random_state_not_stationary(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((4, 6))
         cfg = SolverConfig(gamma=0.5)
-        state = SolverState.zeros(6, cfg)
+        state = zero_state(GMC, 6, cfg)
         state.J = rng.standard_normal((6, 6))
-        state.C1 = rng.standard_normal((6, 6))
-        state.C2 = rng.standard_normal((6, 6))
+        for split in state.splits:
+            split.C = rng.standard_normal((6, 6))
         kkt = kkt_residuals(X, state, cfg, GMC)
-        assert min(kkt.r1, kkt.r2, kkt.r3, kkt.r4, kkt.r5) > 0.0
+        assert len(kkt.gaps) == len(kkt.fixed) == 2
+        assert min(*kkt.gaps, kkt.grad, *kkt.fixed) > 0.0
 
-    def test_two_block_leaves_unused_slots_none(self, small_dataset):
-        _, trace = s0l0_lrssc_solve(small_dataset.X, SolverConfig(max_iters=5))
-        assert trace.kkt.r2 is None
-        assert trace.kkt.r5 is None
-        assert trace.kkt.max_residual() >= 0.0
+    def test_two_block_has_one_residual_per_split(self, small_dataset):
+        """s0l0 has one split: one gap, one fixed-point residual, one mu series."""
+        _, trace = s0l0_lrssc_solve(small_dataset.X, SolverConfig(lam=0.5, max_iters=5))
+        assert len(trace.kkt.gaps) == len(trace.kkt.fixed) == 1
+        assert len(trace.mu) == len(trace.r_jc) == 1
+        assert len(trace.mu[0]) == len(trace.r_jc[0]) == trace.n_iters == 5
+        assert trace.kkt.max_residual() == max(*trace.kkt.gaps, trace.kkt.grad,
+                                               *trace.kkt.fixed)
 
 
 class TestSolverRuns:
@@ -491,7 +503,7 @@ class TestSolverRuns:
             C_a, t_a = solve(small_dataset.X, cfg)
             C_b, t_b = solve(small_dataset.X, cfg)
             np.testing.assert_array_equal(C_a, C_b)
-            assert t_a.r_jc1 == t_b.r_jc1
+            assert t_a.r_jc == t_b.r_jc
             assert t_a.r_jj == t_b.r_jj
             assert t_a.lagrangian == t_b.lagrangian
 
@@ -507,19 +519,18 @@ class TestSolverRuns:
             return out
 
         _, trace = gmc_lrssc_solve(small_dataset.X, cfg)
-        assert trace.mu1 == expected(0.1, trace.n_iters)
-        assert trace.mu2 == expected(5.0, trace.n_iters)
+        assert trace.mu == [expected(0.1, trace.n_iters), expected(5.0, trace.n_iters)]
         _, trace2 = s0l0_lrssc_solve(small_dataset.X, cfg)
-        assert trace2.mu2 == expected(5.0, trace2.n_iters)
-        assert trace2.mu1 is None
+        assert trace2.mu == [expected(5.0, trace2.n_iters)]
 
     def test_trace_lengths_consistent(self, small_dataset):
         _, trace = gmc_lrssc_solve(small_dataset.X, SolverConfig(max_iters=7,
                                                                  epsilon=1e-300))
         n = trace.n_iters
         assert n == 7
-        assert len(trace.r_jc1) == len(trace.r_jc2) == len(trace.r_jj) == n
-        assert len(trace.lagrangian) == len(trace.mu1) == len(trace.mu2) == n
+        assert len(trace.r_jc) == len(trace.mu) == 2
+        assert all(len(series) == n for series in trace.r_jc + trace.mu)
+        assert len(trace.r_jj) == len(trace.lagrangian) == n
 
     @pytest.mark.parametrize("name", list(ALGORITHMS))
     def test_loop_matches_manual_redrive(self, small_dataset, name):
@@ -530,7 +541,7 @@ class TestSolverRuns:
         C_solver, trace = ALGORITHMS[name].solve(X, cfg)
         for state, _ in redrive(X, name, cfg):
             pass
-        np.testing.assert_array_equal(C_solver, getattr(state, state.SPLITS[0][0]))
+        np.testing.assert_array_equal(C_solver, state.splits[0].C)
         assert trace.n_iters == cfg.max_iters
 
     @pytest.mark.parametrize("variant", list(EXPORTED_C_UPDATES))
@@ -542,17 +553,16 @@ class TestSolverRuns:
         c1_update, c2_update = EXPORTED_C_UPDATES[variant]
 
         gram = GramSolver(X)
-        state = SolverState.zeros(X.shape[1], cfg)
+        state = zero_state(variant, X.shape[1], cfg)
+        low_rank, sparse = state.splits
         for _ in range(cfg.max_iters):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            state.C1 = c1_update(state, cfg)
-            state.C2 = c2_update(state, cfg)
-            state.Lambda1, state.Lambda2 = dual_update(state)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
-        np.testing.assert_array_equal(C_solver, state.C1)
+            low_rank.C = c1_update(state, cfg)
+            sparse.C = c2_update(state, cfg)
+            step_duals(state, cfg)
+        np.testing.assert_array_equal(C_solver, low_rank.C)
         assert trace.n_iters == cfg.max_iters
 
     def test_two_block_loop_matches_manual_redrive(self, small_dataset):
@@ -561,15 +571,15 @@ class TestSolverRuns:
         C_solver, _ = s0l0_lrssc_solve(X, cfg)
 
         gram = GramSolver(X)
-        state = S0L0State.zeros(X.shape[1], cfg)
+        state = zero_state(S0L0, X.shape[1], cfg)
+        (split,) = state.splits
         for _ in range(cfg.max_iters):
             state.J = j_update(X, state, gram)
             if cfg.normalize_j:
                 state.J = normalize_columns(state.J)
-            state.C = s0l0_c_update(state, cfg)
-            state.Lambda = dual_update(state)
-            state.mu = mu_update(state.mu, cfg)
-        np.testing.assert_array_equal(C_solver, state.C)
+            split.C = s0l0_c_update(state, cfg)
+            step_duals(state, cfg)
+        np.testing.assert_array_equal(C_solver, split.C)
 
     @pytest.mark.parametrize("variant", list(ALGORITHMS))
     def test_trace_lagrangian_matches_svd_oracle(self, small_dataset, variant):
@@ -598,14 +608,15 @@ class TestSolverRuns:
         Lambda = np.zeros((X.shape[1], X.shape[1]))  # the multiplier the C step saw
         ranks = []
         for state, (rank, nnz) in redrive(X, S0L0, cfg):
-            V = Lambda / state.mu + state.J
+            (split,) = state.splits
+            V = Lambda / split.mu + state.J
             s = np.linalg.svd(V, compute_uv=False)
-            assert rank == np.count_nonzero(s > math.sqrt(2.0 * lam_eff / state.mu))
-            hard = np.where(np.abs(V) > math.sqrt(2.0 * tau_eff / state.mu), V, 0.0)
+            assert rank == np.count_nonzero(s > math.sqrt(2.0 * lam_eff / split.mu))
+            hard = np.where(np.abs(V) > math.sqrt(2.0 * tau_eff / split.mu), V, 0.0)
             np.fill_diagonal(hard, 0.0)
             assert nnz == np.count_nonzero(hard)
             ranks.append(rank)
-            Lambda = state.Lambda.copy()
+            Lambda = split.Lambda.copy()
         assert 0 < min(ranks) and max(ranks) < X.shape[1]  # the count is not trivial
 
     @pytest.mark.parametrize("lam, left_out", [(1.0, 1), (0.0, 0)])
@@ -690,23 +701,21 @@ class TestSolverRuns:
         np.testing.assert_array_equal(labels, labels_ref)
         assert trace.n_iters == trace_ref.n_iters
         assert trace.termination == trace_ref.termination
-        assert trace.mu1 == trace_ref.mu1
-        assert trace.mu2 == trace_ref.mu2
+        assert trace.mu == trace_ref.mu
 
     def test_hollow_diagonal_every_iteration(self, small_dataset):
         """The sparse block keeps an exactly zero diagonal at every step."""
         X = small_dataset.X
         cfg = SolverConfig(max_iters=8, epsilon=1e-300)
         gram = GramSolver(X)
-        state = SolverState.zeros(X.shape[1], cfg)
+        state = zero_state(GMC, X.shape[1], cfg)
+        low_rank, sparse = state.splits
         for _ in range(cfg.max_iters):
             state.J = normalize_columns(j_update(X, state, gram))
-            state.C1 = gmc_c1_update(state, cfg)
-            state.C2 = gmc_c2_update(state, cfg)
-            np.testing.assert_array_equal(np.diag(state.C2), 0.0)
-            state.Lambda1, state.Lambda2 = dual_update(state)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
+            low_rank.C = gmc_c1_update(state, cfg)
+            sparse.C = gmc_c2_update(state, cfg)
+            np.testing.assert_array_equal(np.diag(sparse.C), 0.0)
+            step_duals(state, cfg)
 
     def test_sparse_dual_entries_bounded_by_weight(self, small_dataset):
         """Off-diagonal entries of the sparse-block multiplier never exceed
@@ -715,16 +724,16 @@ class TestSolverRuns:
         cfg = SolverConfig(max_iters=12, epsilon=1e-300)
         _, tau_eff = effective_weights(cfg)
         gram = GramSolver(X)
-        state = SolverState.zeros(X.shape[1], cfg)
+        state = zero_state(GMC, X.shape[1], cfg)
+        low_rank, sparse = state.splits
         off_diag = ~np.eye(X.shape[1], dtype=bool)
         for _ in range(cfg.max_iters):
             state.J = normalize_columns(j_update(X, state, gram))
-            state.C1 = gmc_c1_update(state, cfg)
-            state.C2 = gmc_c2_update(state, cfg)
-            state.Lambda1, state.Lambda2 = dual_update(state)
-            assert np.abs(state.Lambda2[off_diag]).max() <= tau_eff * (1 + 1e-8)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
+            low_rank.C = gmc_c1_update(state, cfg)
+            sparse.C = gmc_c2_update(state, cfg)
+            sparse_Lambda = dual_update(state)[1]
+            step_duals(state, cfg)
+            assert np.abs(sparse_Lambda[off_diag]).max() <= tau_eff * (1 + 1e-8)
 
     def test_dual_step_small_after_convergence(self, small_dataset):
         """A converged run's final multiplier step is bounded by mu_max * eps."""
@@ -733,7 +742,7 @@ class TestSolverRuns:
         C, trace = s0l0_lrssc_solve(X, cfg)
         assert trace.termination == "converged"
         # the last consensus gap is what the final dual step scales
-        assert trace.mu2[-1] * trace.r_jc1[-1] <= cfg.mu_max * cfg.epsilon
+        assert trace.mu[0][-1] * trace.r_jc[0][-1] <= cfg.mu_max * cfg.epsilon
 
     def test_pure_rank_two_block_runs(self, small_dataset):
         C, trace = s0l0_lrssc_solve(small_dataset.X,
@@ -799,16 +808,14 @@ class TestDescentChain:
         X = small_dataset.X
         cfg = SolverConfig(gamma=0.6, normalize_j=False, epsilon=1e-300)
         gram = GramSolver(X)
-        state = SolverState.zeros(X.shape[1], cfg)
+        state = zero_state(GMC, X.shape[1], cfg)
         for _ in range(10):
             L_start = lagrangian_value(X, state, cfg, GMC)
-            state_j = replace(state, J=j_update(X, state, gram))
+            state_j = replaced_state(state, J=j_update(X, state, gram))
             L_j = lagrangian_value(X, state_j, cfg, GMC)
-            C1_new = gmc_c1_update(state_j, cfg)
-            state_c1 = replace(state_j, C1=C1_new)
+            state_c1 = replaced_state(state_j, split=0, C=gmc_c1_update(state_j, cfg))
             L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-            C2_new = gmc_c2_update(state_c1, cfg)
-            state = replace(state_c1, C2=C2_new)
+            state = replaced_state(state_c1, split=1, C=gmc_c2_update(state_c1, cfg))
             L_c2 = lagrangian_value(X, state, cfg, GMC)
 
             scale = max(abs(L_start), abs(L_j), abs(L_c1), abs(L_c2), 1.0)
@@ -816,6 +823,4 @@ class TestDescentChain:
             assert L_c1 <= L_j + 1e-8 * scale
             assert L_c2 <= L_c1 + 1e-8 * scale
 
-            state.Lambda1, state.Lambda2 = dual_update(state)
-            state.mu1 = mu_update(state.mu1, cfg)
-            state.mu2 = mu_update(state.mu2, cfg)
+            step_duals(state, cfg)

@@ -186,16 +186,6 @@ class TestLanczosEmbeddingMatchesFullEigh(TestSubsetEmbeddingMatchesFullEigh):
         # empty when n_clusters is the number of points, which ARPACK cannot take
         assert all(emb is not None for emb in results)
 
-    def test_isolated_vertex(self):
-        """The zero-degree vertex embeds at the origin, as far from one
-        center as from the other, so its label is a tie that rounding in
-        the basis of the eigenvalue-1 eigenspace (dimension 2) decides; the
-        other vertices must label as the full eigh labels them."""
-        W = self.isolated_vertex_affinity()
-        labels = spectral_cluster(W, 2, seed=0)
-        np.testing.assert_array_equal(labels[:-1], full_eigh_spectral_labels(W, 2, seed=0)[:-1])
-        assert labels[-1] in (0, 1)
-
 
 def subset_eigh_calls(monkeypatch):
     """Counts spectral_cluster's calls of scipy's eigh, which only its subset path makes."""
@@ -430,7 +420,8 @@ def embedded_points(W, n_clusters):
     """The rows spectral_cluster hands to k-means for the affinity W."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral_module, "_kmeans", lambda points, k, seed: captured.append(points))
+        mp.setattr(spectral_module, "_kmeans",
+                   lambda points, k, seed: captured.append(points) or np.zeros(len(points), int))
         spectral_cluster(W, n_clusters, seed=0)
     return captured[0]
 
