@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_GENERATION_ATTEMPTS = 5
-_CONTAINMENT_TOL = 1e-6
-
 
 @dataclass
 class SyntheticSpec:
@@ -68,35 +65,19 @@ def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
     return q[:, :cols]
 
 
-def _contained(U, V) -> bool:
-    # span(U) inside span(V)?
-    resid = U - V @ (V.T @ U)
-    return np.linalg.norm(resid) <= _CONTAINMENT_TOL * np.sqrt(U.shape[1])
-
-
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     """Sample a union-of-subspaces dataset; deterministic in ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
     d, L, r = spec.subspace_dim, spec.num_subspaces, spec.union_rank
     starts = _window_starts(r, d, L)
-    bases = None
-    for _ in range(_GENERATION_ATTEMPTS):
-        pool = _random_orthonormal(rng, spec.ambient_dim, r)
-        candidate = []
-        for start in starts:
-            window = pool[:, start:start + d]
-            rotation = _random_orthonormal(rng, d, d)
-            candidate.append(window @ rotation)
-        overlapped = any(
-            _contained(candidate[i], candidate[j])
-            for i in range(L) for j in range(L) if i != j)
-        if not overlapped:
-            bases = candidate
-            break
-    if bases is None:
+    # Windows of an orthonormal pool span the same subspace when they start
+    # at the same column and never contain one another otherwise.
+    if len(set(starts)) < L:
         raise ValueError(
             f"could not draw {L} mutually non-contained {d}-dim subspaces "
             f"with union rank {r}")
+    pool = _random_orthonormal(rng, spec.ambient_dim, r)
+    bases = [pool[:, start:start + d] @ _random_orthonormal(rng, d, d) for start in starts]
 
     blocks = [basis @ rng.standard_normal((d, spec.points_per_subspace))
               for basis in bases]
@@ -111,9 +92,7 @@ def save_matrix(path, X) -> None:
     """Write a matrix as comma-separated rows, 17 significant digits per entry."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with open(path, "w") as fh:
-        for row in X:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        np.savetxt(fh, X, fmt="%.17g", delimiter=",")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -11,19 +11,19 @@ singular values, and the result is (M V) diag(f(s)/s) V^T over the
 components f keeps.  When fewer components change (f(s) != s, or f(s) = 0)
 than are kept (f(s) != 0), as late in a hard or gamma = 1 firm threshold, it
 is the complement M - (M V_c) diag(1 - f(s_c)/s_c) V_c^T over the changed
-ones, so the product always runs over the smaller side.  The firm and hard
-SVTs compute eigenvectors for that side only: one tridiagonal reduction,
-all eigenvalues from it, and vectors for an index range (none when nothing
-is kept or nothing changes).  The soft SVT changes every component and keeps
-most, so it takes all eigenpairs from one full ``eigh``.  Squaring loses the
-singular values below about sqrt(eps) * s_max, so when the threshold's dead
-zone reaches down to 1e3 * sqrt(eps) * s_max, or an eigensolver fails, the
-SVT runs on an SVD (gesdd, retried with gesvd) instead.
+ones, so the product always runs over the smaller side.  Every SVT computes
+eigenvectors for that side only, from one kernel: one tridiagonal
+reduction, all eigenvalues from it, and vectors for an index range (none
+when nothing is kept or nothing changes), by MRRR for a few and divide and
+conquer for many.  Squaring loses the singular values below about
+sqrt(eps) * s_max, so when the threshold's dead zone stops short of
+1e3 * sqrt(eps) * s_max, or an eigensolver fails, the SVT runs on an SVD
+(gesdd, retried with gesvd) instead.
 
 Every dense kernel here runs on scipy's BLAS and LAPACK: the Gram matrix's
 lower triangle comes from one ``dsyrk`` (half the flops of M^T M), which is
-all that ``dsytrd`` and ``eigh`` read; the fallback SVD of M is scipy's; and
-the products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
+all that ``dsytrd`` reads; the fallback SVD of M is scipy's; and the
+products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
 :mod:`lrssc.baselines` use too.  Their callers hold numpy's BLAS at one
 thread (:func:`lrssc.parallel.numpy_blas_single_thread`), so scipy's runs
 them at its full thread count.  (The thin SVD of the data matrix in those
@@ -178,22 +178,12 @@ def _lapack_ok(info):
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK returned info={info}")
 
-def _full_eigenpairs(G):
-    """All eigenpairs of the Gram matrix G from one divide-and-conquer ``eigh``
-    (dsyevd) on its lower triangle: the soft kernel.
+def _tridiagonal_eigenpairs(G):
+    """The eigenpairs of the Gram matrix G from one tridiagonal reduction.
 
     Returns ``(s, vectors)``: the square roots of the eigenvalues in
     descending order, and ``vectors(lo, hi)``, the eigenvectors of
-    ``s[lo:hi]`` as columns in the same order.  G is overwritten.
-    """
-    w, V = scipy.linalg.eigh(G, lower=True, driver="evd", overwrite_a=True, check_finite=False)
-    V = V[:, ::-1]
-    return np.sqrt(np.maximum(w[::-1], 0.0)), lambda lo, hi: np.asfortranarray(V[:, lo:hi])
-
-def _tridiagonal_eigenpairs(G):
-    """The eigenpairs of G from one tridiagonal reduction: the firm and hard kernel.
-
-    Returns what :func:`_full_eigenpairs` does.  G = Q T Q^T by Householder
+    ``s[lo:hi]`` as columns in the same order.  G = Q T Q^T by Householder
     reduction (dsytrd), then all eigenvalues of T without vectors (dsterf).
     ``vectors`` computes only the asked range: MRRR on T (dstemr), or divide
     and conquer on all of T (dstevd) for a range over a quarter of n, then Q
@@ -236,20 +226,21 @@ def _tridiagonal_eigenpairs(G):
 
     return np.sqrt(np.maximum(w[::-1], 0.0)), vectors
 
-def _svt(M, shrink, dead_zone, return_spectrum, eigenpairs):
+def _svt(M, shrink, return_spectrum):
     """SVT through the eigenpairs of the Gram matrix; see the module docstring.
 
-    ``shrink`` maps singular values to thresholded ones and is zero on
-    [0, dead_zone]; ``eigenpairs`` is the kernel that decomposes the Gram
-    matrix.  A wide M is handled as svt(M^T)^T.
+    ``shrink`` maps singular values to thresholded ones; it is nondecreasing
+    and zero on a dead zone [0, t].  When it is not zero at _GRAM_CUT * s_max
+    the dead zone stops short of the cut and the SVD takes over.  A wide M
+    is handled as svt(M^T)^T.
     """
     M = _finite(M)
     wide = M.shape[0] < M.shape[1]
     A = M.T if wide else M
     n = A.shape[1]
     try:
-        s, vectors = eigenpairs(_gram(A))
-        if s.size and dead_zone < _GRAM_CUT * s[0]:
+        s, vectors = _tridiagonal_eigenpairs(_gram(A))
+        if s.size and shrink(_GRAM_CUT * s[0]) != 0.0:
             return _svt_gesdd(M, shrink, return_spectrum)
         fs = shrink(s)
         # shrink is nondecreasing, so the kept components (fs != 0) lead and the
@@ -290,17 +281,12 @@ def svt_firm(M, params: ThresholdParams, *, return_spectrum=False):
     thresholded singular values in descending order, i.e. the singular values
     of the matrix (the same holds for :func:`svt_hard` and :func:`svt_soft`).
     """
-    return _svt(M, lambda s: firm_threshold(s, params), params.lam, return_spectrum,
-                _tridiagonal_eigenpairs)
+    return _svt(M, lambda s: firm_threshold(s, params), return_spectrum)
 
 def svt_hard(M, lam, *, return_spectrum=False):
     """Apply the hard threshold to the singular values of M."""
-    # A nonpositive lam gets dead zone 0 here and is rejected by hard_threshold.
-    return _svt(M, lambda s: hard_threshold(s, lam), math.sqrt(2.0 * max(lam, 0.0)),
-                return_spectrum, _tridiagonal_eigenpairs)
+    return _svt(M, lambda s: hard_threshold(s, lam), return_spectrum)
 
 def svt_soft(M, lam, *, return_spectrum=False):
     """Apply the soft threshold to the singular values of M."""
-    # The soft threshold changes every component and keeps most of them, so it
-    # needs nearly all eigenvectors, which one full eigh gives fastest.
-    return _svt(M, lambda s: soft_threshold(s, lam), lam, return_spectrum, _full_eigenpairs)
+    return _svt(M, lambda s: soft_threshold(s, lam), return_spectrum)

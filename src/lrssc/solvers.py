@@ -157,14 +157,14 @@ class SolverTrace:
     residual J - C_k per split.  The J step uses the thin SVD of X taken once
     per solve (:class:`GramSolver`), so three-block runs, which take the
     singular values of C1 from the C1 step, cost one decomposition of the
-    N x N Gram matrix of the SVT per iteration and no SVD (gmc: a tridiagonal
-    reduction and the eigenvectors of the smaller side; lrssc-convex: a full
-    symmetric eigendecomposition; see :mod:`lrssc.prox`).  The value agrees
-    with :func:`lagrangian_value`, which runs its own SVD, to rounding, not
-    always to the last digit.  Two-block (s0l0) runs take their penalty from
-    counts the C step already has, the singular values its hard SVT kept and
-    the nonzero entries of its hard-thresholded sparsity map, so they run no
-    SVD per iteration either.  ``kkt`` holds the exit :class:`KktResiduals`;
+    N x N Gram matrix of the SVT per iteration and no SVD (a tridiagonal
+    reduction and the eigenvectors of the smaller side; see
+    :mod:`lrssc.prox`).  The value agrees with :func:`lagrangian_value`,
+    which runs its own SVD, to rounding, not always to the last digit.
+    Two-block (s0l0) runs take their penalty from counts the C step already
+    has, the singular values its hard SVT kept and the nonzero entries of
+    its hard-thresholded sparsity map, so they run no SVD per iteration
+    either.  ``kkt`` holds the exit :class:`KktResiduals`;
     it is None only in the partial trace a NumericalError carries and in the
     command line's one-row trace of closed-form LRR, which has no splits.
     """
@@ -503,8 +503,8 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
     Its dense kernels run on scipy's BLAS, with numpy's held at one thread;
     the thin SVD of X is numpy's and runs on that one thread.
     """
-    cfg = cfg or SolverConfig()
     algorithm = ALGORITHMS[variant]
+    cfg = cfg or SolverConfig(**algorithm.defaults)
     algorithm.check(cfg)
     X = _check_data(X)
     gram = GramSolver(X)
@@ -554,6 +554,8 @@ def gmc_lrssc_solve(X, cfg: SolverConfig | None = None):
     ----------
     X : (n_features, n_points) array
     cfg : SolverConfig, optional
+        Without it each solver runs at its own tuned defaults, the
+        ``defaults`` of its record in :data:`ALGORITHMS`.
 
     Returns
     -------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrssc import SolverConfig, convex_lrssc, lrr_noiseless, lrr_noisy
+from lrssc.solvers import ALGORITHMS, CONVEX
 from conftest import ista_low_rank
 
 
@@ -135,9 +136,14 @@ class TestConvexSolverBaseline:
             convex_lrssc(small_dataset.X, SolverConfig(lam=0.0))
 
     def test_default_config_used_when_omitted(self, small_dataset):
+        """Without a config the solve runs at lrssc-convex's own defaults, the
+        ones the command line uses, not at SolverConfig's (gmc's)."""
         C_default, _ = convex_lrssc(small_dataset.X)
-        C_explicit, _ = convex_lrssc(small_dataset.X, SolverConfig())
+        C_explicit, _ = convex_lrssc(small_dataset.X,
+                                     SolverConfig(**ALGORITHMS[CONVEX].defaults))
         np.testing.assert_array_equal(C_default, C_explicit)
+        C_gmc_defaults, _ = convex_lrssc(small_dataset.X, SolverConfig())
+        assert not np.array_equal(C_default, C_gmc_defaults)
 
     def test_large_rank_weight_drops_rank(self, small_dataset):
         """Heavier nuclear-norm weight must not raise the spectral rank."""

@@ -7,6 +7,7 @@ import pytest
 
 from lrssc import (
     SyntheticSpec,
+    datasets,
     generate_synthetic,
     load_labels,
     load_matrix,
@@ -98,6 +99,21 @@ class TestGenerator:
         assert ds.X.shape == (10, 6)
         np.testing.assert_array_equal(ds.truth, np.zeros(6, dtype=int))
 
+    @pytest.mark.parametrize("union_rank, subspaces", [(5, 3), (6, 3), (5, 2)])
+    def test_coinciding_windows_rejected_before_drawing(self, monkeypatch, union_rank,
+                                                        subspaces):
+        """Two subspaces whose windows of the pool start at the same column
+        are one subspace; such a spec fails before anything is drawn."""
+        def never(*args):
+            raise AssertionError("drew a pool for a spec that cannot succeed")
+
+        monkeypatch.setattr(datasets, "_random_orthonormal", never)
+        spec = SyntheticSpec(union_rank=union_rank, num_subspaces=subspaces)
+        message = (f"could not draw {subspaces} mutually non-contained 5-dim subspaces "
+                   f"with union rank {union_rank}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_synthetic(spec)
+
     def test_orthonormal_helper(self):
         rng = np.random.default_rng(4)
         Q = _random_orthonormal(rng, 100, 10)
@@ -106,10 +122,18 @@ class TestGenerator:
 
 class TestMatrixFiles:
     def test_round_trip_exact(self, tmp_path):
+        """Entries are written byte for byte as format(v, ".17g") writes them,
+        the sign of -0.0 included, which assert_array_equal cannot see, and
+        read back exactly."""
         rng = np.random.default_rng(5)
         X = rng.standard_normal((7, 11)) * np.logspace(-8, 8, 11)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e-300, 1.0, 0.1]
+        wide = rng.standard_normal(11) * 10.0 ** rng.uniform(-300, 300, 11)
+        X = np.vstack([X, special, wide])
         path = tmp_path / "m.csv"
         save_matrix(path, X)
+        assert path.read_text() == "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in X)
         np.testing.assert_array_equal(load_matrix(path), X)
 
     def test_one_dimensional_input_saved_as_row(self, tmp_path):

@@ -14,7 +14,9 @@ the command line, and compares:
   compared to a relative 10^(1 - DIGITS), and cells within ``ABS_FLOOR`` of
   zero, rounding noise, compared as zero).
 
-One ``sweep`` over all four algorithms pins its rows without ``seconds``.
+The lrssc-convex cases run a second time with scipy's BLAS on one thread,
+and must match the same file.  One ``sweep`` over all four algorithms pins
+its rows without ``seconds``.
 
 The file records what the code computes, not what it should compute: after
 a change that is meant to move these outputs, regenerate it with
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrssc import SyntheticSpec, cli, datasets
+from lrssc import SyntheticSpec, cli, datasets, parallel
 
 GOLDEN = Path(__file__).with_name("golden.json")
 DIGITS = 8
@@ -124,6 +126,28 @@ def workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", CASES)
 def test_cluster_case(name, golden, workdir):
+    check_cluster_case(name, golden, workdir)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("lrssc-convex")])
+def test_cluster_case_at_one_blas_thread(name, golden, workdir):
+    """The lrssc-convex cases again with scipy's BLAS on one thread: the
+    pinned outputs hold at either thread count."""
+    import scipy.linalg.cython_blas
+
+    controls = parallel._thread_controls(scipy.linalg.cython_blas.__file__)
+    if controls is None:
+        pytest.skip("scipy's BLAS has no thread-count setter")
+    get_threads, set_threads = controls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        check_cluster_case(name, golden, workdir)
+    finally:
+        set_threads(threads)
+
+
+def check_cluster_case(name, golden, workdir):
     want = golden["cluster"][name]
     got = cluster_case(name, workdir)
     assert got["labels"] == want["labels"]

@@ -343,7 +343,7 @@ def _rng_matrix(shape, seed, rank=None):
     return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
 
 
-# The LAPACK stages of the firm and hard kernel, in call order.
+# The LAPACK stages of the Gram kernel, in call order.
 _STAGES = ("dsytrd_lwork", "dsytrd", "dsterf", "dstemr", "dstevd", "dormqr")
 _VECTOR_STAGES = ("dstemr", "dstevd", "dormqr")
 
@@ -469,7 +469,7 @@ class TestGramKernel:
     @pytest.mark.parametrize("kept, stage", [
         (0, None), (2, "dstemr"), (12, "dstevd"), (22, "dstemr"), (24, None)])
     def test_partial_kernel_sides(self, monkeypatch, kind, shape, kept, stage):
-        """The firm and hard kernel computes vectors for the smaller side only:
+        """The Gram kernel computes vectors for the smaller side only:
         none when nothing is kept (the result is zero) or nothing changes (the
         result is a copy of M), MRRR for 2 of 24 kept or changed (hard and
         knee), divide and conquer on all for a side above a quarter."""
@@ -531,8 +531,7 @@ class TestGramKernel:
         else:
             M[-1, :] = 0.0
         A = M if shape[0] >= shape[1] else M.T
-        kernel = prox._full_eigenpairs if kind == "soft" else prox._tridiagonal_eigenpairs
-        gram_s = kernel(A.T @ A)[0]
+        gram_s = prox._tridiagonal_eigenpairs(A.T @ A)[0]
         assert gram_s[-1] == 0.0
         t = 0.05 * gram_s[-2]
         self.check(monkeypatch, kind, M, t, fallback=False)
@@ -544,27 +543,17 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
     def test_eigensolver_failure_falls_back_to_svd(self, monkeypatch, kind):
-        """A failed eigh (soft) or tridiagonal eigensolver (firm, hard) gives
-        exactly the SVD result."""
-        failed = []
-
-        def failing(*args, **kw):
-            failed.append(args)
-            raise np.linalg.LinAlgError("synthetic eigh failure")
-
+        """A failed tridiagonal eigensolver gives exactly the SVD result."""
         M = _rng_matrix((15, 10), seed=4)
         svt, arg, shrink = _svt_case(kind, 0.5)
         ref, ref_sv = prox._svt_gesdd(M, shrink, True)
-        if kind == "soft":
-            monkeypatch.setattr(scipy.linalg, "eigh", failing)
-        else:
-            calls = _count_stages(monkeypatch, failing="dsterf")
+        calls = _count_stages(monkeypatch, failing="dsterf")
         out, sv = svt(M, arg, return_spectrum=True)
-        assert len(failed) == 1 if kind == "soft" else calls["dsterf"] == 1
+        assert calls["dsterf"] == 1
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(sv, ref_sv)
 
-    @pytest.mark.parametrize("kind", ["firm", "hard"])
+    @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
     @pytest.mark.parametrize("stage, kept", [
         ("dsytrd_lwork", 2), ("dsytrd", 2), ("dsterf", 2), ("dstemr", 2), ("dormqr", 2),
         ("dstevd", 12), ("dormqr", 12)])

@@ -637,12 +637,11 @@ class TestSolverRuns:
         """Every run does one SVD, the thin SVD of X (the J step's
         factorization), and k + 1 SVTs through the Gram matrix: one per
         iteration and the one in the C map of the exit KKT.  Each SVT forms
-        its Gram matrix by one dsyrk; the soft SVT (lrssc-convex) decomposes
-        it by one symmetric eigendecomposition, the firm and hard SVTs (gmc,
-        s0l0) by one tridiagonal reduction.  The Lagrangian takes its
-        penalty from the C step, never from an SVD.  The SVD of X is
-        numpy's and runs with numpy's BLAS held at one thread; the rest are
-        scipy's, and numpy's eigh is never called."""
+        its Gram matrix by one dsyrk and decomposes it by one tridiagonal
+        reduction, whether it is soft (lrssc-convex), firm (gmc) or hard
+        (s0l0).  The Lagrangian takes its penalty from the C step, never from
+        an SVD.  The SVD of X is numpy's and runs with numpy's BLAS held at
+        one thread; the rest are scipy's, and no eigh is ever called."""
         calls = {"svd": 0, "eigh": 0, "dsyrk": 0, "dsytrd": 0,
                  "numpy svd": 0, "numpy eigh": 0}
         svd_threads = []
@@ -666,37 +665,32 @@ class TestSolverRuns:
         k = 4
         _, trace = solve(small_dataset.X, SolverConfig(max_iters=k, epsilon=1e-300))
         assert trace.n_iters == k
-        soft = solve is convex_lrssc
-        assert calls == {"svd": 0, "eigh": k + 1 if soft else 0, "dsyrk": k + 1,
-                         "dsytrd": 0 if soft else k + 1, "numpy svd": 1, "numpy eigh": 0}
+        assert calls == {"svd": 0, "eigh": 0, "dsyrk": k + 1, "dsytrd": k + 1,
+                         "numpy svd": 1, "numpy eigh": 0}
         assert svd_threads == ([] if numpy_threads is None else [1])
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "bench_dataset"])
     @pytest.mark.parametrize("solve", [gmc_lrssc_solve, convex_lrssc, s0l0_lrssc_solve])
     def test_gram_svt_matches_svd_path(self, request, monkeypatch, dataset, solve):
-        """Whole solves agree with solves whose every SVT runs on the SVD: both
-        Gram kernels are made to fail, which sends each SVT to its fallback."""
+        """Whole solves agree with solves whose every SVT runs on the SVD: the
+        Gram kernel is made to fail, which sends each SVT to its fallback."""
         import lrssc.prox as prox_module
         ds = request.getfixturevalue(dataset)
         n_clusters = int(ds.truth.max()) + 1
         failed = []
 
-        def failing(name):
-            def kernel_fails(G):
-                failed.append(name)
-                raise np.linalg.LinAlgError("kernel patched out")
-            return kernel_fails
+        def kernel_fails(G):
+            failed.append(G.shape)
+            raise np.linalg.LinAlgError("kernel patched out")
 
         runs = []
         for _ in range(2):
             C, trace = solve(ds.X, SolverConfig())
             labels = spectral_cluster(build_affinity(C), n_clusters=n_clusters, seed=0)
             runs.append((C, trace, labels))
-            for name in ("_full_eigenpairs", "_tridiagonal_eigenpairs"):
-                monkeypatch.setattr(prox_module, name, failing(name))
-        soft = solve is convex_lrssc
-        assert set(failed) == {"_full_eigenpairs" if soft else "_tridiagonal_eigenpairs"}
+            monkeypatch.setattr(prox_module, "_tridiagonal_eigenpairs", kernel_fails)
         (C, trace, labels), (C_ref, trace_ref, labels_ref) = runs
+        assert len(failed) == trace.n_iters + 1  # every SVT of the second solve
         assert np.linalg.norm(C - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
         np.testing.assert_array_equal(labels, labels_ref)
         assert trace.n_iters == trace_ref.n_iters
