@@ -54,6 +54,8 @@ class ThresholdParams:
             raise ValueError(f"threshold lam must be positive, got {self.lam}")
         if not self.a > self.lam:
             raise ValueError(f"firm threshold needs a > lam, got a={self.a}, lam={self.lam}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"firm threshold knee a must be finite, got a={self.a}")
 
 
 def soft_threshold(x, lam):
@@ -100,7 +102,7 @@ def scaled_mc_penalty(y, b):
 
     b = 0 gives plain |y|.
     """
-    if b < 0:
+    if not b >= 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     y = np.asarray(y, dtype=float)
     ay = np.abs(y)

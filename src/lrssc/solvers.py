@@ -13,8 +13,10 @@ holds each of them once, under its command-line name: its solve function,
 the config field of each split's initial mu, C maps, Lagrangian penalty,
 settings rule and tuned defaults.
 
-The update steps, the augmented Lagrangian and the stationarity (KKT)
-residuals are exposed so the solvers can be probed piece by piece.
+The J, dual and mu steps, the augmented Lagrangian and the stationarity
+(KKT) residuals are exposed so the solvers can be probed piece by piece.
+Each algorithm's C step exists once, as its record's ``c_maps``:
+``ALGORITHMS[name].c_maps(state, cfg)``.
 """
 
 from __future__ import annotations
@@ -281,34 +283,30 @@ def _prox_point(J, split: Split) -> np.ndarray:
     return point
 
 
-def _gmc_c1_step(state, cfg):
-    """C1 update with its spectrum: (C1, singular values of C1)."""
-    lam_eff, _ = effective_weights(cfg)
-    low_rank = state.splits[0]
-    return prox.svt_firm(_prox_point(state.J, low_rank),
-                         _mc_shape(lam_eff, low_rank.mu, cfg.gamma)[0], return_spectrum=True)
-
-def gmc_c1_update(state, cfg) -> np.ndarray:
-    """Firm threshold on the singular values of J + Lambda1/mu1."""
-    return _gmc_c1_step(state, cfg)[0]
-
-
-def gmc_c2_update(state, cfg) -> np.ndarray:
-    """Entrywise firm threshold of J + Lambda2/mu2 with the diagonal zeroed."""
-    _, tau_eff = effective_weights(cfg)
-    sparse = state.splits[1]
+def _gmc_c_maps(state, cfg):
+    """Firm thresholds at the :func:`_mc_shape` of each split: C1 on the
+    singular values of J + Lambda1/mu1, returned with its spectrum, and C2 on
+    the entries of J + Lambda2/mu2 with the diagonal zeroed."""
+    lam_eff, tau_eff = effective_weights(cfg)
+    low_rank, sparse = state.splits
+    C1, sv = prox.svt_firm(_prox_point(state.J, low_rank),
+                           _mc_shape(lam_eff, low_rank.mu, cfg.gamma)[0], return_spectrum=True)
     C2 = prox.entrywise_firm(_prox_point(state.J, sparse),
                              _mc_shape(tau_eff, sparse.mu, cfg.gamma)[0])
     np.fill_diagonal(C2, 0.0)
-    return C2
+    return (C1, C2), sv
 
 
-def _s0l0_c_step(state, cfg):
-    """C update with the counts its penalty takes: (C, (rank, nnz)).
+def _s0l0_c_maps(state, cfg):
+    """Proximal average of the rank and sparsity hard-threshold maps, with the
+    counts its penalty takes: ((C,), (rank, nnz)).
 
-    rank is the number of singular values the rank map keeps and nnz the
-    number of nonzero entries of the sparsity map's output; a map the
-    weights leave out (tau = 0 or lam = 0) counts 0.
+    C is lam * svt_hard(V) + tau * entrywise_hard(V) at V = J + Lambda/mu,
+    with the diagonal of the sparsity component zeroed.  Requires
+    lam + tau = 1; the pure-rank (tau = 0) and pure-sparsity (lam = 0) cases
+    degenerate to the single prox map.  rank is the number of singular
+    values the rank map keeps and nnz the number of nonzero entries of the
+    sparsity map's output; a map the weights leave out counts 0.
     """
     _check_average_weights(cfg)
     lam_eff, tau_eff = effective_weights(cfg)
@@ -316,33 +314,15 @@ def _s0l0_c_step(state, cfg):
     V = _prox_point(state.J, split)
     if cfg.tau == 0.0:
         P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
-        return P_rank, (np.count_nonzero(sv), 0)
+        return (P_rank,), (np.count_nonzero(sv), 0)
     P_sparse = prox.entrywise_hard(V, tau_eff / split.mu)
     np.fill_diagonal(P_sparse, 0.0)
     nnz = np.count_nonzero(P_sparse)
     if cfg.lam == 0.0:
-        return P_sparse, (0, nnz)
+        return (P_sparse,), (0, nnz)
     P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
-    return cfg.lam * P_rank + cfg.tau * P_sparse, (np.count_nonzero(sv), nnz)
+    return (cfg.lam * P_rank + cfg.tau * P_sparse,), (np.count_nonzero(sv), nnz)
 
-def s0l0_c_update(state, cfg) -> np.ndarray:
-    """Proximal average of the rank and sparsity hard-threshold maps.
-
-    Returns lam * svt_hard(V) + tau * entrywise_hard(V) at V = J + Lambda/mu,
-    with the diagonal of the sparsity component zeroed.  Requires
-    lam + tau = 1; the pure-rank (tau = 0) and pure-sparsity (lam = 0) cases
-    degenerate to the single prox map.
-    """
-    return _s0l0_c_step(state, cfg)[0]
-
-
-def _gmc_c_maps(state, cfg):
-    C1, sv = _gmc_c1_step(state, cfg)
-    return (C1, gmc_c2_update(state, cfg)), sv
-
-def _s0l0_c_maps(state, cfg):
-    C, counts = _s0l0_c_step(state, cfg)
-    return (C,), counts
 
 def _convex_c_maps(state, cfg):
     """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
@@ -590,11 +570,13 @@ class Algorithm(NamedTuple):
 
     ``solve(X, cfg)`` runs it.  ``mu_inits`` names the SolverConfig field of
     each split's initial mu, in update order, and so gives the number of
-    splits of its :class:`State`.  ``c_maps(state, cfg)`` returns the new C
-    of each split in update order and what the step learned that the penalty
-    needs: the singular values of C1 for gmc and lrssc-convex, the kept rank
-    and nnz for s0l0; the loop and the exit KKT share them.  ``penalty(state, cfg, c_stats)`` is the
-    penalty term of its augmented Lagrangian, given that second item.
+    splits of its :class:`State`.  ``c_maps(state, cfg)`` is its one C step:
+    it returns ``(blocks, c_stats)``, the new C of each split in update order
+    and what the step learned that the penalty needs (the singular values of
+    C1 for gmc and lrssc-convex, the kept rank and nnz for s0l0).  The loop,
+    the exit KKT and direct callers all take C from it.
+    ``penalty(state, cfg, c_stats)`` is the penalty term of its augmented
+    Lagrangian, given that second item.
     ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
     on how far scripts/tune_defaults.py reproduces them).

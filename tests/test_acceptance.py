@@ -48,8 +48,6 @@ from lrssc.solvers import (
     GMC,
     GramSolver,
     dual_update,
-    gmc_c1_update,
-    gmc_c2_update,
     j_update,
     lagrangian_value,
     mu_update,
@@ -132,9 +130,10 @@ def test_criterion_04_block_updates_descend_frozen_lagrangian(small_dataset):
         L_start = lagrangian_value(X, state, cfg, GMC)
         state_j = replaced_state(state, J=j_update(X, state, gram))
         L_j = lagrangian_value(X, state_j, cfg, GMC)
-        state_c1 = replaced_state(state_j, split=0, C=gmc_c1_update(state_j, cfg))
+        (C1, C2), _ = ALGORITHMS[GMC].c_maps(state_j, cfg)
+        state_c1 = replaced_state(state_j, split=0, C=C1)
         L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-        state = replaced_state(state_c1, split=1, C=gmc_c2_update(state_c1, cfg))
+        state = replaced_state(state_c1, split=1, C=C2)
         L_c2 = lagrangian_value(X, state, cfg, GMC)
 
         scale = max(abs(L_start), abs(L_j), abs(L_c1), abs(L_c2), 1.0)

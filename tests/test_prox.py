@@ -78,6 +78,8 @@ class TestParameterValidation:
             ThresholdParams(lam=1.0, a=0.5)
         with pytest.raises(ValueError):
             ThresholdParams(lam=0.0, a=1.0)
+        with pytest.raises(ValueError, match="knee a must be finite, got a=inf"):
+            ThresholdParams(lam=1.0, a=np.inf)
 
 
 class TestPenalties:
@@ -89,6 +91,8 @@ class TestPenalties:
     def test_scaled_mc_rejects_negative_b(self):
         with pytest.raises(ValueError):
             scaled_mc_penalty(1.0, -1.0)
+        with pytest.raises(ValueError, match="b must be nonnegative, got nan"):
+            scaled_mc_penalty(1.0, np.nan)
 
     def test_separable_values(self):
         assert gmc_penalty_separable(np.zeros(3), 0.7) == 0.0

@@ -1,9 +1,10 @@
 """ADMM solver pieces and full runs: update steps, traces, and diagnostics.
 
-Several tests re-drive the iteration loop out of the exported update
-functions and check the result against the packaged solvers bit for bit;
-that pins the update order (J, then the C blocks, then the multipliers,
-then mu) as part of the public contract.
+Several tests re-drive the iteration loop out of the exported J, dual and
+mu steps and each algorithm's one C step, the ``c_maps`` of its
+``ALGORITHMS`` record, and check the result against the packaged solvers
+bit for bit; that pins the update order (J, then the C blocks, then the
+multipliers, then mu) as part of the public contract.
 """
 
 import math
@@ -25,8 +26,6 @@ from lrssc import (
     dual_update,
     effective_weights,
     entrywise_hard,
-    gmc_c1_update,
-    gmc_c2_update,
     gmc_lrssc_solve,
     j_update,
     kkt_residuals,
@@ -34,7 +33,6 @@ from lrssc import (
     mu_update,
     normalize_columns,
     prox,
-    s0l0_c_update,
     s0l0_lrssc_solve,
     spectral_cluster,
     stopping_check,
@@ -43,10 +41,6 @@ from lrssc import (
 from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
 
 from conftest import eigh_gram_j_update, replaced_state
-
-# Three-block algorithms whose C updates are exported one block at a time.
-EXPORTED_C_UPDATES = {GMC: (gmc_c1_update, gmc_c2_update)}
-
 
 def redrive(X, name, cfg):
     """Re-drive the loop of ALGORITHMS[name] from the exported pieces and its
@@ -67,6 +61,11 @@ def redrive(X, name, cfg):
         yield state, c_stats
         for split in state.splits:
             split.mu = mu_update(split.mu, cfg)
+
+
+def c_blocks(name, state, cfg):
+    """The new C of each split, in update order, from ALGORITHMS[name]'s C step."""
+    return ALGORITHMS[name].c_maps(state, cfg)[0]
 
 
 def zero_state(name, n, cfg):
@@ -253,40 +252,38 @@ class TestCUpdates:
         # threshold lam_eff/mu1 = 1 and knee lam/(gamma*mu1) = 2
         cfg = SolverConfig(lam=1.0, tau=0.5, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.diag([1.5, 0.5]), cfg)
-        np.testing.assert_allclose(gmc_c1_update(state, cfg),
+        np.testing.assert_allclose(c_blocks(GMC, state, cfg)[0],
                                    np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_gmc_c1_zero_state(self):
         cfg = SolverConfig(gamma=0.5)
         state = zero_state(GMC, 3, cfg)
-        np.testing.assert_array_equal(gmc_c1_update(state, cfg), np.zeros((3, 3)))
+        np.testing.assert_array_equal(c_blocks(GMC, state, cfg)[0], np.zeros((3, 3)))
 
     def test_gmc_c2_firm_entries_and_hollow_diagonal(self):
         cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.array([[0.0, 1.5], [5.0, 0.0]]), cfg)
-        np.testing.assert_allclose(gmc_c2_update(state, cfg),
+        np.testing.assert_allclose(c_blocks(GMC, state, cfg)[1],
                                    np.array([[0.0, 1.0], [5.0, 0.0]]), atol=1e-12)
 
     def test_gmc_c2_small_entries_vanish(self):
         cfg = SolverConfig(lam=0.5, tau=1.0, gamma=0.5, mu1_init=1.0, mu2_init=1.0)
         state = make_three_block_state(np.full((3, 3), 0.9), cfg)
-        np.testing.assert_array_equal(gmc_c2_update(state, cfg), np.zeros((3, 3)))
+        np.testing.assert_array_equal(c_blocks(GMC, state, cfg)[1], np.zeros((3, 3)))
 
     def test_gmc_c2_diagonal_always_zero(self):
         rng = np.random.default_rng(5)
         cfg = SolverConfig(gamma=0.6)
         state = make_three_block_state(rng.standard_normal((5, 5)) * 3, cfg,
                                        Lambda2=rng.standard_normal((5, 5)))
-        np.testing.assert_array_equal(np.diag(gmc_c2_update(state, cfg)), 0.0)
+        np.testing.assert_array_equal(np.diag(c_blocks(GMC, state, cfg)[1]), 0.0)
 
     def test_gmc_updates_reject_zero_gamma(self):
         # gamma = 0 is a legal setting (lrssc-convex ignores gamma) but not a firm prox
         bad = SolverConfig(gamma=0.0)
         state = zero_state(GMC, 3, bad)
         with pytest.raises(ValueError):
-            gmc_c1_update(state, bad)
-        with pytest.raises(ValueError):
-            gmc_c2_update(state, bad)
+            ALGORITHMS[GMC].c_maps(state, bad)
 
 
 def make_two_block_state(V, cfg):
@@ -301,7 +298,7 @@ class TestS0L0Update:
         rng = np.random.default_rng(6)
         V = rng.standard_normal((5, 5))
         state = make_two_block_state(V, cfg)
-        np.testing.assert_array_equal(s0l0_c_update(state, cfg),
+        np.testing.assert_array_equal(c_blocks(S0L0, state, cfg)[0],
                                       svt_hard(V, 1.0))
 
     def test_pure_sparsity_degenerates_to_hollow_hard(self):
@@ -311,7 +308,7 @@ class TestS0L0Update:
         state = make_two_block_state(V, cfg)
         expect = entrywise_hard(V, 1.0)
         np.fill_diagonal(expect, 0.0)
-        np.testing.assert_array_equal(s0l0_c_update(state, cfg), expect)
+        np.testing.assert_array_equal(c_blocks(S0L0, state, cfg)[0], expect)
 
     def test_average_matches_recombination(self):
         cfg = SolverConfig(lam=0.5, mu2_init=2.0)
@@ -322,7 +319,7 @@ class TestS0L0Update:
         rank_part = svt_hard(V, 0.5)
         sparse_part = entrywise_hard(V, 0.5)
         np.fill_diagonal(sparse_part, 0.0)
-        np.testing.assert_allclose(s0l0_c_update(state, cfg),
+        np.testing.assert_allclose(c_blocks(S0L0, state, cfg)[0],
                                    0.5 * rank_part + 0.5 * sparse_part,
                                    atol=1e-14)
 
@@ -330,7 +327,7 @@ class TestS0L0Update:
         cfg = SolverConfig(lam=0.5, tau=0.6)
         state = zero_state(S0L0, 3, cfg)
         with pytest.raises(ValueError):
-            s0l0_c_update(state, cfg)
+            ALGORITHMS[S0L0].c_maps(state, cfg)
 
 
 class TestDualAndSchedule:
@@ -442,8 +439,7 @@ class TestMcShape:
         _record_prox_calls(monkeypatch, "svt_firm", lambda M, params: params.a, knees)
         _record_prox_calls(monkeypatch, "entrywise_firm", lambda M, params: params.a, knees)
         _record_prox_calls(monkeypatch, "gmc_penalty_separable", lambda z, b: b, bs)
-        gmc_c1_update(state, cfg)
-        gmc_c2_update(state, cfg)
+        ALGORITHMS[GMC].c_maps(state, cfg)
         lagrangian_value(np.zeros((2, 4)), state, cfg, GMC)
         assert len(knees) == len(bs) == 2
         for knee, b in zip(knees, bs):
@@ -532,54 +528,20 @@ class TestSolverRuns:
         assert all(len(series) == n for series in trace.r_jc + trace.mu)
         assert len(trace.r_jj) == len(trace.lagrangian) == n
 
-    @pytest.mark.parametrize("name", list(ALGORITHMS))
-    def test_loop_matches_manual_redrive(self, small_dataset, name):
+    @pytest.mark.parametrize("name, overrides", [
+        *[pytest.param(name, {}, id=name) for name in ALGORITHMS],
+        pytest.param(S0L0, {"mu2_init": 3.0}, id="s0l0-mu2_init3")])
+    def test_loop_matches_manual_redrive(self, small_dataset, name, overrides):
         """Re-driving a record's C maps between the exported J, dual and mu
-        steps reproduces its solver exactly."""
+        steps reproduces its solver exactly, at its tuned defaults and, for
+        s0l0, also at SolverConfig(lam=0.5), whose mu2_init is 3."""
         X = small_dataset.X
-        cfg = registry_config(name, max_iters=6, epsilon=1e-300)
+        cfg = registry_config(name, **overrides, max_iters=6, epsilon=1e-300)
         C_solver, trace = ALGORITHMS[name].solve(X, cfg)
         for state, _ in redrive(X, name, cfg):
             pass
         np.testing.assert_array_equal(C_solver, state.splits[0].C)
         assert trace.n_iters == cfg.max_iters
-
-    @pytest.mark.parametrize("variant", list(EXPORTED_C_UPDATES))
-    def test_three_block_loop_matches_manual_redrive(self, small_dataset, variant):
-        """Re-driving the exported update steps reproduces the solver exactly."""
-        X = small_dataset.X
-        cfg = SolverConfig(max_iters=6, epsilon=1e-300)
-        C_solver, trace = ALGORITHMS[variant].solve(X, cfg)
-        c1_update, c2_update = EXPORTED_C_UPDATES[variant]
-
-        gram = GramSolver(X)
-        state = zero_state(variant, X.shape[1], cfg)
-        low_rank, sparse = state.splits
-        for _ in range(cfg.max_iters):
-            state.J = j_update(X, state, gram)
-            if cfg.normalize_j:
-                state.J = normalize_columns(state.J)
-            low_rank.C = c1_update(state, cfg)
-            sparse.C = c2_update(state, cfg)
-            step_duals(state, cfg)
-        np.testing.assert_array_equal(C_solver, low_rank.C)
-        assert trace.n_iters == cfg.max_iters
-
-    def test_two_block_loop_matches_manual_redrive(self, small_dataset):
-        X = small_dataset.X
-        cfg = SolverConfig(lam=0.5, max_iters=6, epsilon=1e-300)
-        C_solver, _ = s0l0_lrssc_solve(X, cfg)
-
-        gram = GramSolver(X)
-        state = zero_state(S0L0, X.shape[1], cfg)
-        (split,) = state.splits
-        for _ in range(cfg.max_iters):
-            state.J = j_update(X, state, gram)
-            if cfg.normalize_j:
-                state.J = normalize_columns(state.J)
-            split.C = s0l0_c_update(state, cfg)
-            step_duals(state, cfg)
-        np.testing.assert_array_equal(C_solver, split.C)
 
     @pytest.mark.parametrize("variant", list(ALGORITHMS))
     def test_trace_lagrangian_matches_svd_oracle(self, small_dataset, variant):
@@ -706,8 +668,7 @@ class TestSolverRuns:
         low_rank, sparse = state.splits
         for _ in range(cfg.max_iters):
             state.J = normalize_columns(j_update(X, state, gram))
-            low_rank.C = gmc_c1_update(state, cfg)
-            sparse.C = gmc_c2_update(state, cfg)
+            low_rank.C, sparse.C = c_blocks(GMC, state, cfg)
             np.testing.assert_array_equal(np.diag(sparse.C), 0.0)
             step_duals(state, cfg)
 
@@ -723,8 +684,7 @@ class TestSolverRuns:
         off_diag = ~np.eye(X.shape[1], dtype=bool)
         for _ in range(cfg.max_iters):
             state.J = normalize_columns(j_update(X, state, gram))
-            low_rank.C = gmc_c1_update(state, cfg)
-            sparse.C = gmc_c2_update(state, cfg)
+            low_rank.C, sparse.C = c_blocks(GMC, state, cfg)
             sparse_Lambda = dual_update(state)[1]
             step_duals(state, cfg)
             assert np.abs(sparse_Lambda[off_diag]).max() <= tau_eff * (1 + 1e-8)
@@ -807,9 +767,10 @@ class TestDescentChain:
             L_start = lagrangian_value(X, state, cfg, GMC)
             state_j = replaced_state(state, J=j_update(X, state, gram))
             L_j = lagrangian_value(X, state_j, cfg, GMC)
-            state_c1 = replaced_state(state_j, split=0, C=gmc_c1_update(state_j, cfg))
+            (C1, C2), _ = ALGORITHMS[GMC].c_maps(state_j, cfg)
+            state_c1 = replaced_state(state_j, split=0, C=C1)
             L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
-            state = replaced_state(state_c1, split=1, C=gmc_c2_update(state_c1, cfg))
+            state = replaced_state(state_c1, split=1, C=C2)
             L_c2 = lagrangian_value(X, state, cfg, GMC)
 
             scale = max(abs(L_start), abs(L_j), abs(L_c1), abs(L_c2), 1.0)
