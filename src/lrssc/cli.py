@@ -8,6 +8,8 @@ command-line flag > config file entry > built-in per-algorithm default.
 from __future__ import annotations
 
 import argparse
+import csv
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -33,6 +35,8 @@ _LRR_DEFAULT_LAM = 2.0
 # Exit KKT residuals at or below this print as 0: they are rounding noise, and
 # their digits would tie stdout to the order of floating-point operations.
 _KKT_PRINT_FLOOR = 1e-12
+# The status a shell reports for a writer stopped by a closed pipe (128 + SIGPIPE).
+EXIT_BROKEN_PIPE = 141
 
 # Each setting's type (bool, int or float), read off SolverConfig's defaults.
 _SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).items()}
@@ -194,10 +198,11 @@ def cmd_eval(args) -> int:
     print(f"{report.ce:.6f}")
     if args.csv_out is not None:
         fresh = not args.csv_out.exists()
-        with open(args.csv_out, "a") as fh:
+        with open(args.csv_out, "a", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             if fresh:
-                fh.write("pred,truth,n_points,ce\n")
-            fh.write(f"{args.pred},{args.truth},{report.n_points},{report.ce:.6f}\n")
+                writer.writerow(["pred", "truth", "n_points", "ce"])
+            writer.writerow([args.pred, args.truth, report.n_points, f"{report.ce:.6f}"])
     return 0
 
 
@@ -313,10 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit status is 0, 1 on an error, or
+    EXIT_BROKEN_PIPE when the reader of standard output has gone."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the exit's flush
+        return status
+    except BrokenPipeError:
+        # End quietly, as a filter does under `| head`; what is still buffered
+        # goes to devnull, so that the interpreter's final flush finds no pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, DegenerateAffinityError, NumericalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -215,15 +215,20 @@ def _tridiagonal_eigenpairs(G):
                                           n - hi + 1, n - lo)
             _lapack_ok(info or m - (hi - lo))
             Z = Z[:, :m]
-        Z = Z[:, ::-1]
+        # dstevd and dstemr both return an n x n Z: keep the asked columns, descending,
+        # and let Z die before the reflectors are copied.
+        top, rest = Z[0, ::-1].copy(), np.array(Z[1:, ::-1], order="F")
+        del Z
         # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal
-        V = np.empty(Z.shape)
-        V[0] = Z[0]
         below = np.asfortranarray(refl[1:, :-1])
-        work, info = lapack.dormqr("L", "N", below, tau, Z[1:], -1)[1:]
+        work, info = lapack.dormqr("L", "N", below, tau, rest, -1, overwrite_c=1)[1:]
         _lapack_ok(info)
-        V[1:], _, info = lapack.dormqr("L", "N", below, tau, Z[1:], int(work[0]))
+        rest, _, info = lapack.dormqr("L", "N", below, tau, rest, int(work[0]), overwrite_c=1)
         _lapack_ok(info)
+        del below
+        V = np.empty((n, rest.shape[1]))
+        V[0] = top
+        V[1:] = rest
         return V
 
     return np.sqrt(np.maximum(w[::-1], 0.0)), vectors
@@ -256,20 +261,23 @@ def _svt(M, shrink, return_spectrum):
             mat = np.zeros_like(A)
         elif nc == 0:
             mat = A.copy()
-        elif nc < nk:
-            # A V diag(fs/s) V^T = A - A V_c diag(1 - fs_c/s_c) V_c^T over the changed
-            # components only; a dead one gets factor 1 without dividing by its s.
-            Vc, fc, sc = vectors(n - nc, n), fs[n - nc:], s[n - nc:]
-            factor = 1.0 - np.divide(fc, sc, out=np.zeros_like(fc), where=fc != 0.0)
-            AV = _gemm(A, Vc)
-            AV *= factor
-            mat = _gemm(AV, Vc.T)
-            np.subtract(A, mat, out=mat)
         else:
-            Vk = vectors(0, nk)
-            AV = _gemm(A, Vk)
-            AV *= fs[:nk] / s[:nk]
-            mat = _gemm(AV, Vk.T)
+            # With fewer changed than kept components, A V diag(fs/s) V^T is
+            # A - A V_c diag(1 - fs_c/s_c) V_c^T over the changed ones only; a
+            # dead one gets factor 1 without dividing by its s.
+            complement = nc < nk
+            lo, hi = (n - nc, n) if complement else (0, nk)
+            V, f, sv = vectors(lo, hi), fs[lo:hi], s[lo:hi]
+            del vectors  # the reflectors die before the products
+            if complement:
+                factor = 1.0 - np.divide(f, sv, out=np.zeros_like(f), where=f != 0.0)
+            else:
+                factor = f / sv
+            AV = _gemm(A, V)
+            AV *= factor
+            mat = _gemm(AV, V.T)
+            if complement:
+                np.subtract(A, mat, out=mat)
     except np.linalg.LinAlgError:
         return _svt_gesdd(M, shrink, return_spectrum)
     if wide:

@@ -155,8 +155,8 @@ class SolverTrace:
     the mu that split used, in update order; r_jj is the change in J between
     iterations.  The Lagrangian is evaluated at the end of each iteration,
     after the multiplier update, with the mu values used during that
-    iteration; the gaps, the Lagrangian and the multiplier step share one
-    residual J - C_k per split.  The J step uses the thin SVD of X taken once
+    iteration; the gaps, the Lagrangian and the multiplier step each form
+    the residual J - C_k of one split at a time.  The J step uses the thin SVD of X taken once
     per solve (:class:`GramSolver`), so three-block runs, which take the
     singular values of C1 from the C1 step, cost one decomposition of the
     N x N Gram matrix of the SVT per iteration and no SVD (a tridiagonal
@@ -321,7 +321,11 @@ def _s0l0_c_maps(state, cfg):
     if cfg.lam == 0.0:
         return (P_sparse,), (0, nnz)
     P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
-    return (cfg.lam * P_rank + cfg.tau * P_sparse,), (np.count_nonzero(sv), nnz)
+    del V
+    P_rank *= cfg.lam  # lam * P_rank + tau * P_sparse, with no temporaries
+    P_sparse *= cfg.tau
+    P_rank += P_sparse
+    return (P_rank,), (np.count_nonzero(sv), nnz)
 
 
 def _convex_c_maps(state, cfg):
@@ -335,24 +339,18 @@ def _convex_c_maps(state, cfg):
     return (C1, C2), sv
 
 
-def _consensus_residuals(state) -> list:
-    """J - C_k of each split, in update order."""
-    return [state.J - split.C for split in state.splits]
+def dual_update(state) -> list:
+    """Multiplier ascent step Lambda_k += mu_k (J - C_k) of each split, in place.
 
-
-def dual_update(state, *, residuals=None) -> list:
-    """Multiplier ascent step Lambda_k + mu_k (J - C_k) of each split, in update order.
-
-    ``residuals`` supplies J - C_k of each split, computed once by the caller.
+    Returns the multipliers, in update order.  One residual lives at a time
+    and becomes mu_k (J - C_k) in place, so the step's one N x N temporary
+    gives the rounding of mu_k (J - C_k) + Lambda_k.
     """
-    if residuals is None:
-        residuals = _consensus_residuals(state)
-    steps = []
-    for R, split in zip(residuals, state.splits, strict=True):
-        step = split.mu * R
-        step += split.Lambda
-        steps.append(step)
-    return steps
+    for split in state.splits:
+        R = state.J - split.C
+        R *= split.mu
+        split.Lambda += R
+    return [split.Lambda for split in state.splits]
 
 
 def mu_update(mu: float, cfg: SolverConfig) -> float:
@@ -407,8 +405,7 @@ def _algorithm(state, variant: str) -> Algorithm:
     return algorithm
 
 
-def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
-                     c_stats=None, residuals=None) -> float:
+def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
     The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
@@ -422,25 +419,25 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *,
     item its ``c_maps`` returns.  For gmc and lrssc-convex it is the singular
     values of C1; without it they are computed by an SVD of C1.  For s0l0 it
     is the (rank, nnz) pair and is required: C alone does not give them.
-    ``residuals``, as for :func:`dual_update`, supplies J - C_k of each split.
+    The residual J - C_k of one split at a time is the only N x N temporary.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
     fid = 0.5 * np.linalg.norm(X - prox._gemm(X, state.J), "fro") ** 2
     pen = algorithm.penalty(state, cfg, c_stats)
 
-    residuals = list(_consensus_residuals(state) if residuals is None else residuals)
-    # the sparse split's terms skip the diagonal: add C's diagonal back
-    sparse_diag = np.diag(state.splits[-1].C)
-    if sparse_diag.any():
-        R = residuals[-1].copy()
-        R[np.diag_indices_from(R)] += sparse_diag
-        residuals[-1] = R
+    quadratic, dual = [], []
+    for split in state.splits:
+        R = state.J - split.C
+        if split is state.splits[-1]:
+            # the sparse split's terms skip the diagonal: add C's diagonal back
+            R[np.diag_indices_from(R)] += np.diag(split.C)
+        quadratic.append(0.5 * split.mu * np.linalg.norm(R, "fro") ** 2)
+        R *= split.Lambda
+        dual.append(np.sum(R))
     value = pen + fid
-    for R, split in zip(residuals, state.splits):
-        value += 0.5 * split.mu * np.linalg.norm(R, "fro") ** 2
-    for R, split in zip(residuals, state.splits):
-        value += np.sum(split.Lambda * R)
+    for term in quadratic + dual:
+        value += term
     return float(value)
 
 
@@ -448,19 +445,23 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     """Stationarity residuals (Frobenius norms) at a state.
 
     The fixed-point residuals reuse the variant's own C update maps,
-    evaluated with the state's current multipliers and mu values.
+    evaluated with the state's current multipliers and mu values.  The maps
+    are gone before the gradient is formed, and the gradient takes each
+    multiplier in place.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
-    grad = prox._gemm(X.T, prox._gemm(X, state.J) - X)  # -X^T (X - XJ)
     maps, _ = algorithm.c_maps(state, cfg)
+    fixed = [float(np.linalg.norm(split.C - C_map, "fro"))
+             for split, C_map in zip(state.splits, maps, strict=True)]
+    del maps
+    grad = prox._gemm(X.T, prox._gemm(X, state.J) - X)  # -X^T (X - XJ)
     for split in state.splits:
-        grad = grad + split.Lambda
+        grad += split.Lambda
     return KktResiduals(
-        gaps=[float(np.linalg.norm(R, "fro")) for R in _consensus_residuals(state)],
+        gaps=[float(np.linalg.norm(state.J - split.C, "fro")) for split in state.splits],
         grad=float(np.linalg.norm(grad, "fro")),
-        fixed=[float(np.linalg.norm(split.C - C_map, "fro"))
-               for split, C_map in zip(state.splits, maps, strict=True)])
+        fixed=fixed)
 
 
 def _linf(M) -> float:
@@ -482,6 +483,20 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
 
     Its dense kernels run on scipy's BLAS, with numpy's held at one thread;
     the thin SVD of X is numpy's and runs on that one thread.
+
+    Live set, in N x N arrays: between steps only the state, J and each
+    split's C and Lambda (five arrays, three for s0l0), and Vt of X (r x N).
+    Each step adds its own temporaries, and each dies at its last use:
+
+    * J step: the right side and the new J; the previous J becomes
+      J_new - J_prev in place, for r_jj, and dies.
+    * C step: the old C of every split is dropped first, because the C maps
+      read only J, Lambda and mu.  A map holds its point J + Lambda/mu and
+      its SVT's Gram matrix, the kept eigenvectors and two products.
+    * Gaps, dual step and Lagrangian: one residual J - C_k at a time.
+    * Exit KKT: the C maps run beside the whole state, which makes it the
+      peak of a solve: 8.7 (gmc), 7.5 (s0l0) and 9.5 (lrssc-convex) arrays
+      at N = 300 by tracemalloc (tests/test_solvers.py holds the budgets).
     """
     algorithm = ALGORITHMS[variant]
     cfg = cfg or SolverConfig(**algorithm.defaults)
@@ -494,25 +509,25 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
 
     try:
         for _ in range(cfg.max_iters):
-            J_prev = state.J
-            state.J = j_update(X, state, gram)
+            J = j_update(X, state, gram)
             if cfg.normalize_j:
-                state.J = normalize_columns(state.J)
+                J = normalize_columns(J)
+            rj = _linf(np.subtract(J, state.J, out=state.J))  # the previous J dies here
+            state.J = J
+            for split in state.splits:
+                split.C = None  # the C maps read only J, Lambda and mu
             blocks, c_stats = algorithm.c_maps(state, cfg)
             for split, C in zip(state.splits, blocks, strict=True):
                 split.C = C
-            residuals = _consensus_residuals(state)
-            for split, Lambda in zip(state.splits, dual_update(state, residuals=residuals)):
-                split.Lambda = Lambda
+            del blocks, C  # so that the next C step frees each C with its split
+            gaps = [_linf(state.J - split.C) for split in state.splits]
+            dual_update(state)
 
-            gaps = [_linf(R) for R in residuals]
-            rj = _linf(np.subtract(state.J, J_prev, out=J_prev))  # J_prev is unused after
             for split, gap, r_jc, mu in zip(state.splits, gaps, trace.r_jc, trace.mu):
                 r_jc.append(gap)
                 mu.append(split.mu)
             trace.r_jj.append(rj)
-            trace.lagrangian.append(lagrangian_value(
-                X, state, cfg, variant, c_stats=c_stats, residuals=residuals))
+            trace.lagrangian.append(lagrangian_value(X, state, cfg, variant, c_stats=c_stats))
 
             converged = stopping_check(gaps + [rj], cfg)
             for split in state.splits:

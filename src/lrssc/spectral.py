@@ -116,7 +116,12 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     if n >= _LANCZOS_MIN_N and n_clusters < n:
         emb = _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed)
     if emb is None:
-        lap = np.eye(n) - (inv_sqrt_deg[:, None] * W) * inv_sqrt_deg[None, :]
+        # I - D^{-1/2} W D^{-1/2} in one array: 0 - x off the diagonal, then
+        # 1 + (0 - x) = 1 - x on it, so the signs of zeros stay those of I - x
+        lap = inv_sqrt_deg[:, None] * W
+        lap *= inv_sqrt_deg[None, :]
+        np.subtract(0.0, lap, out=lap)
+        lap[np.diag_indices(n)] += 1.0
         _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR

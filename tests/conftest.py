@@ -9,6 +9,7 @@ the thin-SVD J step against a solve through the eigendecomposition of X^T X.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,22 @@ def replaced_state(state, J=None, split=None, C=None):
     if split is not None:
         splits[split].C = C
     return State(J=state.J if J is None else J, splits=splits)
+
+
+def peak_arrays(call, n):
+    """The tracemalloc peak of ``call()`` above the memory traced before it,
+    in N x N float arrays (units of 8 n^2 bytes)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n * n)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 SMALL_SPEC = SyntheticSpec(ambient_dim=30, subspace_dim=3, num_subspaces=3,

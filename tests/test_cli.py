@@ -1,5 +1,6 @@
 """End-to-end command-line tests: synth, cluster, eval, sweep."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -479,6 +480,45 @@ class TestEval:
         assert lines[0] == "pred,truth,n_points,ce"
         assert len(lines) == 3
         assert lines[1].endswith(",4,0.000000")
+
+    def test_csv_row_quotes_a_path_with_a_comma_or_quote(self, tmp_path, capsys):
+        """A file name holding a comma or a double quote stays one field."""
+        pred = tmp_path / 'a,b "c".txt'
+        truth = tmp_path / "t.txt"
+        save_labels(pred, [0, 1])
+        save_labels(truth, [0, 1])
+        csv_out = tmp_path / "results.csv"
+        assert run(["eval", "--pred", pred, "--truth", truth, "--csv-out", csv_out]) == 0
+        with csv_out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["pred", "truth", "n_points", "ce"],
+                        [str(pred), str(truth), "2", "0.000000"]]
+        assert csv_out.read_text().endswith(f'"{tmp_path}/a,b ""c"".txt",{truth},2,0.000000\n')
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path, monkeypatch, capsys):
+        """A reader that closed the pipe (``lrssc eval ... | true``) ends the
+        command with EXIT_BROKEN_PIPE, no error line, and stdout on devnull."""
+        path = tmp_path / "labels.txt"
+        save_labels(path, [0, 1])
+
+        class ClosedPipe:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh))
+            assert run(["eval", "--pred", path, "--truth", path]) == cli.EXIT_BROKEN_PIPE
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert "error" not in capsys.readouterr().err
 
     def test_mismatched_lengths_fail(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -21,11 +21,13 @@ from lrssc import (
     SolverConfig,
     Split,
     State,
+    SyntheticSpec,
     build_affinity,
     convex_lrssc,
     dual_update,
     effective_weights,
     entrywise_hard,
+    generate_synthetic,
     gmc_lrssc_solve,
     j_update,
     kkt_residuals,
@@ -40,7 +42,7 @@ from lrssc import (
 )
 from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
 
-from conftest import eigh_gram_j_update, replaced_state
+from conftest import eigh_gram_j_update, peak_arrays, replaced_state
 
 def redrive(X, name, cfg):
     """Re-drive the loop of ALGORITHMS[name] from the exported pieces and its
@@ -685,9 +687,8 @@ class TestSolverRuns:
         for _ in range(cfg.max_iters):
             state.J = normalize_columns(j_update(X, state, gram))
             low_rank.C, sparse.C = c_blocks(GMC, state, cfg)
-            sparse_Lambda = dual_update(state)[1]
             step_duals(state, cfg)
-            assert np.abs(sparse_Lambda[off_diag]).max() <= tau_eff * (1 + 1e-8)
+            assert np.abs(sparse.Lambda[off_diag]).max() <= tau_eff * (1 + 1e-8)
 
     def test_dual_step_small_after_convergence(self, small_dataset):
         """A converged run's final multiplier step is bounded by mu_max * eps."""
@@ -754,6 +755,15 @@ class TestSolverRuns:
                 best = min(best, time.perf_counter() - start)
             times.append(best)
         assert times[1] > times[0]
+
+    @pytest.mark.parametrize("name, budget", [(GMC, 9.5), (S0L0, 8.5), (CONVEX, 11.5)])
+    def test_working_set_within_budget(self, name, budget):
+        """A default solve at N = 300 holds at most ``budget`` N x N arrays at
+        once: its state (J and each split's C and Lambda; five arrays, three
+        for s0l0) plus the temporaries of one step at a time."""
+        X = generate_synthetic(SyntheticSpec(points_per_subspace=100, noise_variance=0.01,
+                                             seed=7)).X
+        assert peak_arrays(lambda: ALGORITHMS[name].solve(X, None), X.shape[1]) <= budget
 
 
 class TestDescentChain:
