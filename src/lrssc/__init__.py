@@ -1,4 +1,10 @@
-"""Low-rank sparse subspace clustering solvers and benchmark tooling."""
+"""Low-rank sparse subspace clustering solvers and benchmark tooling.
+
+The public names are the ones imported below; ``__all__`` is derived from
+them, so a name is made public by importing it here and nowhere else.
+"""
+
+import types as _types
 
 from .baselines import LrrSolution, lrr_noiseless, lrr_noisy
 from .datasets import (
@@ -56,54 +62,5 @@ from .spectral import build_affinity, spectral_cluster
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateAffinityError",
-    "EvalReport",
-    "GridPoint",
-    "GridSearchResult",
-    "GridSpec",
-    "KktResiduals",
-    "LabeledDataset",
-    "LrrSolution",
-    "NumericalError",
-    "SolverConfig",
-    "SolverTrace",
-    "Split",
-    "State",
-    "SyntheticSpec",
-    "ThresholdParams",
-    "build_affinity",
-    "clustering_error",
-    "convex_lrssc",
-    "dual_update",
-    "effective_weights",
-    "entrywise_firm",
-    "entrywise_hard",
-    "firm_threshold",
-    "generate_synthetic",
-    "gmc_default_grid",
-    "gmc_lrssc_solve",
-    "gmc_penalty_separable",
-    "grid_search",
-    "hard_threshold",
-    "j_update",
-    "kkt_residuals",
-    "lagrangian_value",
-    "load_labels",
-    "load_matrix",
-    "lrr_noiseless",
-    "lrr_noisy",
-    "mu_update",
-    "normalize_columns",
-    "s0l0_default_grid",
-    "s0l0_lrssc_solve",
-    "save_labels",
-    "save_matrix",
-    "scaled_mc_penalty",
-    "soft_threshold",
-    "spectral_cluster",
-    "stopping_check",
-    "svt_firm",
-    "svt_hard",
-    "svt_soft",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

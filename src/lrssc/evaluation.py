@@ -135,12 +135,16 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
     Each phase keeps its first minimum in grid order.  The (cell, trial)
     runs of a phase go through :func:`lrssc.parallel.map_tasks` with
     ``jobs`` workers.  Without ``base_config`` the search starts from the
-    algorithm's tuned defaults in ALGORITHMS.
+    algorithm's tuned defaults in ALGORITHMS.  ``grid.lambdas`` and
+    ``grid.mu_inits`` must not be empty.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    for name in ("lambdas", "mu_inits"):
+        if not getattr(grid, name):
+            raise ValueError(f"grid {name} must not be empty")
     base = (base_config if base_config is not None
             else SolverConfig(**ALGORITHMS[algorithm].defaults))
     run_trial = partial(_trial_ce, algorithm, spec, base, seed)

@@ -15,13 +15,15 @@ settings rule and tuned defaults.
 
 The J, dual and mu steps, the augmented Lagrangian and the stationarity
 (KKT) residuals are exposed so the solvers can be probed piece by piece.
-Each algorithm's C step exists once, as its record's ``c_maps``:
-``ALGORITHMS[name].c_maps(state, cfg)``.
+Each algorithm's C step exists once, as the per-split maps of its record:
+``c_map(J, split, cfg)`` for each ``(mu_init, c_map)`` in
+``ALGORITHMS[name].splits``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -50,7 +52,8 @@ class SolverConfig:
     combination weights.  ``normalize_j`` rescales the columns of J to unit
     l2 norm after each J update.  gmc's firm knees and MC penalty scale b
     follow the current mu and gamma by one rule, written only in
-    :func:`_mc_shape`.  Every numeric setting must be finite.
+    :func:`_mc_shape`.  Every numeric setting must be finite, and
+    ``max_iters`` an integer.
 
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
@@ -92,8 +95,8 @@ class SolverConfig:
             raise ValueError("mu_max must be at least the initial mu values")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
 
 
 def effective_weights(cfg: SolverConfig) -> tuple[float, float]:
@@ -155,9 +158,11 @@ class SolverTrace:
     the mu that split used, in update order; r_jj is the change in J between
     iterations.  The Lagrangian is evaluated at the end of each iteration,
     after the multiplier update, with the mu values used during that
-    iteration; the gaps, the Lagrangian and the multiplier step each form
-    the residual J - C_k of one split at a time.  The J step uses the thin SVD of X taken once
-    per solve (:class:`GramSolver`), so three-block runs, which take the
+    iteration.  Each split's gap and multiplier step share one residual
+    J - C_k, formed right after that split's C map; the Lagrangian forms its
+    own, one split at a time.  ``lagrangian_value`` takes the stats of every
+    split's C map, in update order.  The J step uses the thin SVD of X taken
+    once per solve (:class:`GramSolver`), so three-block runs, which take the
     singular values of C1 from the C1 step, cost one decomposition of the
     N x N Gram matrix of the SVT per iteration and no SVD (a tridiagonal
     reduction and the eigenvectors of the smaller side; see
@@ -283,23 +288,30 @@ def _prox_point(J, split: Split) -> np.ndarray:
     return point
 
 
-def _gmc_c_maps(state, cfg):
-    """Firm thresholds at the :func:`_mc_shape` of each split: C1 on the
-    singular values of J + Lambda1/mu1, returned with its spectrum, and C2 on
-    the entries of J + Lambda2/mu2 with the diagonal zeroed."""
-    lam_eff, tau_eff = effective_weights(cfg)
-    low_rank, sparse = state.splits
-    C1, sv = prox.svt_firm(_prox_point(state.J, low_rank),
-                           _mc_shape(lam_eff, low_rank.mu, cfg.gamma)[0], return_spectrum=True)
-    C2 = prox.entrywise_firm(_prox_point(state.J, sparse),
-                             _mc_shape(tau_eff, sparse.mu, cfg.gamma)[0])
-    np.fill_diagonal(C2, 0.0)
-    return (C1, C2), sv
+def _hollow(C):
+    """A sparse split's map output with its diagonal zeroed, and no stats."""
+    np.fill_diagonal(C, 0.0)
+    return C, None
 
 
-def _s0l0_c_maps(state, cfg):
+def _gmc_low_rank(J, split, cfg):
+    """C1: firm SVT of J + Lambda1/mu1 at the :func:`_mc_shape` of lam_eff,
+    returned with its spectrum."""
+    return prox.svt_firm(_prox_point(J, split),
+                         _mc_shape(effective_weights(cfg)[0], split.mu, cfg.gamma)[0],
+                         return_spectrum=True)
+
+
+def _gmc_sparse(J, split, cfg):
+    """C2: firm threshold of the entries of J + Lambda2/mu2 at the
+    :func:`_mc_shape` of tau_eff, diagonal zeroed."""
+    return _hollow(prox.entrywise_firm(
+        _prox_point(J, split), _mc_shape(effective_weights(cfg)[1], split.mu, cfg.gamma)[0]))
+
+
+def _s0l0_c_map(J, split, cfg):
     """Proximal average of the rank and sparsity hard-threshold maps, with the
-    counts its penalty takes: ((C,), (rank, nnz)).
+    counts its penalty takes: (C, (rank, nnz)).
 
     C is lam * svt_hard(V) + tau * entrywise_hard(V) at V = J + Lambda/mu,
     with the diagonal of the sparsity component zeroed.  Requires
@@ -310,46 +322,59 @@ def _s0l0_c_maps(state, cfg):
     """
     _check_average_weights(cfg)
     lam_eff, tau_eff = effective_weights(cfg)
-    (split,) = state.splits
-    V = _prox_point(state.J, split)
+    V = _prox_point(J, split)
     if cfg.tau == 0.0:
         P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
-        return (P_rank,), (np.count_nonzero(sv), 0)
+        return P_rank, (np.count_nonzero(sv), 0)
     P_sparse = prox.entrywise_hard(V, tau_eff / split.mu)
     np.fill_diagonal(P_sparse, 0.0)
     nnz = np.count_nonzero(P_sparse)
     if cfg.lam == 0.0:
-        return (P_sparse,), (0, nnz)
+        return P_sparse, (0, nnz)
     P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
     del V
     P_rank *= cfg.lam  # lam * P_rank + tau * P_sparse, with no temporaries
     P_sparse *= cfg.tau
     P_rank += P_sparse
-    return (P_rank,), (np.count_nonzero(sv), nnz)
+    return P_rank, (np.count_nonzero(sv), nnz)
 
 
-def _convex_c_maps(state, cfg):
-    """Soft-threshold twin of :func:`_gmc_c_maps` (nuclear norm and l1 prox)."""
-    lam_eff, tau_eff = effective_weights(cfg)
-    low_rank, sparse = state.splits
-    C1, sv = prox.svt_soft(_prox_point(state.J, low_rank), lam_eff / low_rank.mu,
-                           return_spectrum=True)
-    C2 = prox.soft_threshold(_prox_point(state.J, sparse), tau_eff / sparse.mu)
-    np.fill_diagonal(C2, 0.0)
-    return (C1, C2), sv
+def _convex_low_rank(J, split, cfg):
+    """Soft-threshold twin of :func:`_gmc_low_rank` (nuclear-norm prox)."""
+    return prox.svt_soft(_prox_point(J, split), effective_weights(cfg)[0] / split.mu,
+                         return_spectrum=True)
+
+
+def _convex_sparse(J, split, cfg):
+    """Soft-threshold twin of :func:`_gmc_sparse` (l1 prox)."""
+    return _hollow(prox.soft_threshold(_prox_point(J, split),
+                                       effective_weights(cfg)[1] / split.mu))
+
+
+def _linf(M) -> float:
+    return float(np.maximum(M.max(), -M.min()))
+
+
+def _dual_step(J, split: Split) -> float:
+    """Lambda += mu (J - C) of one split, in place; returns max |J - C|.
+
+    The residual is formed once and becomes mu (J - C) in place, so the
+    step's one N x N temporary gives the rounding of mu (J - C) + Lambda.
+    """
+    R = J - split.C
+    gap = _linf(R)
+    R *= split.mu
+    split.Lambda += R
+    return gap
 
 
 def dual_update(state) -> list:
     """Multiplier ascent step Lambda_k += mu_k (J - C_k) of each split, in place.
 
-    Returns the multipliers, in update order.  One residual lives at a time
-    and becomes mu_k (J - C_k) in place, so the step's one N x N temporary
-    gives the rounding of mu_k (J - C_k) + Lambda_k.
+    Returns the multipliers, in update order.  One residual lives at a time.
     """
     for split in state.splits:
-        R = state.J - split.C
-        R *= split.mu
-        split.Lambda += R
+        _dual_step(state.J, split)
     return [split.Lambda for split in state.splits]
 
 
@@ -368,12 +393,12 @@ def _mc_penalty(state, cfg, c_stats, b1: float, b2: float) -> float:
     entries of C2 (scale b2).
 
     b1 = b2 = 0 is the nuclear norm plus l1 of the convex baseline.
-    ``c_stats`` is the singular values of C1 from the C1 step; without it
-    they come from an SVD of C1.
+    ``c_stats`` is the stats of each split's C map, the first being the
+    singular values of C1; without it they come from an SVD of C1.
     """
     lam_eff, tau_eff = effective_weights(cfg)
     low_rank, sparse = state.splits
-    sv = scipy.linalg.svd(low_rank.C, compute_uv=False) if c_stats is None else c_stats
+    sv = scipy.linalg.svd(low_rank.C, compute_uv=False) if c_stats is None else c_stats[0]
     return (lam_eff * prox.gmc_penalty_separable(sv, b1)
             + tau_eff * prox.gmc_penalty_separable(sparse.C, b2))
 
@@ -386,10 +411,10 @@ def _gmc_penalty(state, cfg, c_stats) -> float:
 
 
 def _count_penalty(state, cfg, c_stats) -> float:
-    """lam_eff * rank + tau_eff * nnz, from the (rank, nnz) counts of the C step."""
+    """lam_eff * rank + tau_eff * nnz, from the (rank, nnz) counts of the C map."""
     if c_stats is None:
         raise ValueError("s0l0 needs the (rank, nnz) counts of its C step")
-    rank, nnz = c_stats
+    ((rank, nnz),) = c_stats
     lam_eff, tau_eff = effective_weights(cfg)
     return lam_eff * rank + tau_eff * nnz
 
@@ -399,8 +424,8 @@ def _algorithm(state, variant: str) -> Algorithm:
     if variant not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
     algorithm = ALGORITHMS[variant]
-    if len(state.splits) != len(algorithm.mu_inits):
-        raise ValueError(f"variant {variant!r} needs a state with {len(algorithm.mu_inits)} "
+    if len(state.splits) != len(algorithm.splits):
+        raise ValueError(f"variant {variant!r} needs a state with {len(algorithm.splits)} "
                          f"split(s), got {len(state.splits)}")
     return algorithm
 
@@ -415,11 +440,12 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
     (nuclear norm / l1) case; s0l0 takes lam_eff times the rank its rank map
     kept plus tau_eff times the nonzero entries of its sparsity map.
 
-    ``c_stats`` is what the variant's C step reported beside its C, the second
-    item its ``c_maps`` returns.  For gmc and lrssc-convex it is the singular
-    values of C1; without it they are computed by an SVD of C1.  For s0l0 it
-    is the (rank, nnz) pair and is required: C alone does not give them.
-    The residual J - C_k of one split at a time is the only N x N temporary.
+    ``c_stats`` holds what each split's C map reported beside its C, one
+    entry per split in update order.  For gmc and lrssc-convex the first is
+    the singular values of C1 and the second None; without ``c_stats`` the
+    spectrum comes from an SVD of C1.  For s0l0 it is ``((rank, nnz),)`` and
+    is required: C alone does not give the counts.  The residual J - C_k of
+    one split at a time is the only N x N temporary.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
@@ -444,28 +470,21 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
 def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     """Stationarity residuals (Frobenius norms) at a state.
 
-    The fixed-point residuals reuse the variant's own C update maps,
-    evaluated with the state's current multipliers and mu values.  The maps
-    are gone before the gradient is formed, and the gradient takes each
-    multiplier in place.
+    The fixed-point residuals reuse the variant's own C maps, evaluated with
+    the state's current multipliers and mu values, one split at a time: a
+    map's output dies with its norm, before the next map runs, and before
+    the gradient, which takes each multiplier in place, is formed.
     """
     algorithm = _algorithm(state, variant)
     X = np.asarray(X, dtype=float)
-    maps, _ = algorithm.c_maps(state, cfg)
-    fixed = [float(np.linalg.norm(split.C - C_map, "fro"))
-             for split, C_map in zip(state.splits, maps, strict=True)]
-    del maps
+    gaps, fixed = [], []
+    for split, (_, c_map) in zip(state.splits, algorithm.splits):
+        fixed.append(float(np.linalg.norm(split.C - c_map(state.J, split, cfg)[0], "fro")))
+        gaps.append(float(np.linalg.norm(state.J - split.C, "fro")))
     grad = prox._gemm(X.T, prox._gemm(X, state.J) - X)  # -X^T (X - XJ)
     for split in state.splits:
         grad += split.Lambda
-    return KktResiduals(
-        gaps=[float(np.linalg.norm(state.J - split.C, "fro")) for split in state.splits],
-        grad=float(np.linalg.norm(grad, "fro")),
-        fixed=fixed)
-
-
-def _linf(M) -> float:
-    return float(np.maximum(M.max(), -M.min()))
+    return KktResiduals(gaps=gaps, grad=float(np.linalg.norm(grad, "fro")), fixed=fixed)
 
 
 def _check_data(X) -> np.ndarray:
@@ -490,20 +509,25 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
 
     * J step: the right side and the new J; the previous J becomes
       J_new - J_prev in place, for r_jj, and dies.
-    * C step: the old C of every split is dropped first, because the C maps
-      read only J, Lambda and mu.  A map holds its point J + Lambda/mu and
-      its SVT's Gram matrix, the kept eigenvectors and two products.
-    * Gaps, dual step and Lagrangian: one residual J - C_k at a time.
-    * Exit KKT: the C maps run beside the whole state, which makes it the
-      peak of a solve: 8.7 (gmc), 7.5 (s0l0) and 9.5 (lrssc-convex) arrays
-      at N = 300 by tracemalloc (tests/test_solvers.py holds the budgets).
+    * C and dual steps, one split at a time: the old C of every split is
+      dropped first, because a C map reads only J and its split's Lambda and
+      mu.  A map holds its point J + Lambda/mu and its SVT's Gram matrix,
+      the kept eigenvectors and two products.  Its split's residual
+      J - C_k is then formed once, for the gap and the dual step.
+    * Lagrangian: one residual J - C_k at a time.
+    * Exit KKT: one split's C map at a time, beside the whole state.  Each
+      map's output dies with its norm, before the next map runs.  This is
+      still the peak of a solve, 8.4 (gmc), 7.5 (s0l0) and 9.5
+      (lrssc-convex) arrays at N = 300 by tracemalloc, but for gmc only by
+      0.01 array over the loop's own C step (tests/test_solvers.py holds
+      the budgets).
     """
     algorithm = ALGORITHMS[variant]
     cfg = cfg or SolverConfig(**algorithm.defaults)
     algorithm.check(cfg)
     X = _check_data(X)
     gram = GramSolver(X)
-    state = State.zeros(X.shape[1], [getattr(cfg, name) for name in algorithm.mu_inits])
+    state = State.zeros(X.shape[1], [getattr(cfg, name) for name, _ in algorithm.splits])
     trace = SolverTrace(variant=variant, r_jc=[[] for _ in state.splits],
                         mu=[[] for _ in state.splits])
 
@@ -515,13 +539,12 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             rj = _linf(np.subtract(J, state.J, out=state.J))  # the previous J dies here
             state.J = J
             for split in state.splits:
-                split.C = None  # the C maps read only J, Lambda and mu
-            blocks, c_stats = algorithm.c_maps(state, cfg)
-            for split, C in zip(state.splits, blocks, strict=True):
-                split.C = C
-            del blocks, C  # so that the next C step frees each C with its split
-            gaps = [_linf(state.J - split.C) for split in state.splits]
-            dual_update(state)
+                split.C = None  # a C map reads only J, Lambda and mu
+            gaps, c_stats = [], []
+            for split, (_, c_map) in zip(state.splits, algorithm.splits):
+                split.C, stats = c_map(state.J, split, cfg)
+                c_stats.append(stats)
+                gaps.append(_dual_step(state.J, split))
 
             for split, gap, r_jc, mu in zip(state.splits, gaps, trace.r_jc, trace.mu):
                 r_jc.append(gap)
@@ -538,6 +561,7 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
     except NumericalError as err:
         err.trace = trace
         raise
+    del gaps, c_stats, stats  # the last iteration's spectrum dies before the exit KKT
     trace.kkt = kkt_residuals(X, state, cfg, variant)
     return state.splits[0].C, trace
 
@@ -583,22 +607,23 @@ def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
 class Algorithm(NamedTuple):
     """What one iterative algorithm adds to the shared ADMM loop.
 
-    ``solve(X, cfg)`` runs it.  ``mu_inits`` names the SolverConfig field of
-    each split's initial mu, in update order, and so gives the number of
-    splits of its :class:`State`.  ``c_maps(state, cfg)`` is its one C step:
-    it returns ``(blocks, c_stats)``, the new C of each split in update order
-    and what the step learned that the penalty needs (the singular values of
-    C1 for gmc and lrssc-convex, the kept rank and nnz for s0l0).  The loop,
-    the exit KKT and direct callers all take C from it.
+    ``solve(X, cfg)`` runs it.  ``splits`` holds one ``(mu_init, c_map)``
+    pair per split of its :class:`State`, in update order, and so gives their
+    number: ``mu_init`` names the SolverConfig field of the split's initial
+    mu, and ``c_map(J, split, cfg)`` is the split's C step.  A map reads only
+    J and its split's Lambda and mu, and returns ``(C, stats)``: the split's
+    new C and what the step learned that the penalty needs (the singular
+    values of C1 for gmc and lrssc-convex, the kept rank and nnz for s0l0,
+    None for the sparse split of the three-block solvers).  The loop, the
+    exit KKT and direct callers all take C from it.
     ``penalty(state, cfg, c_stats)`` is the penalty term of its augmented
-    Lagrangian, given that second item.
+    Lagrangian, given the stats of every split in update order.
     ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
     on how far scripts/tune_defaults.py reproduces them).
     """
     solve: Callable
-    mu_inits: tuple
-    c_maps: Callable
+    splits: tuple
     penalty: Callable
     check: Callable
     defaults: dict
@@ -608,11 +633,11 @@ class Algorithm(NamedTuple):
 # SolverTrace.variant and the variant argument of lagrangian_value and
 # kkt_residuals.
 ALGORITHMS = {
-    GMC: Algorithm(gmc_lrssc_solve, ("mu1_init", "mu2_init"), _gmc_c_maps,
+    GMC: Algorithm(gmc_lrssc_solve, (("mu1_init", _gmc_low_rank), ("mu2_init", _gmc_sparse)),
                    _gmc_penalty, _check_gmc, {}),
-    S0L0: Algorithm(s0l0_lrssc_solve, ("mu2_init",), _s0l0_c_maps,
+    S0L0: Algorithm(s0l0_lrssc_solve, (("mu2_init", _s0l0_c_map),),
                     _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
-    CONVEX: Algorithm(convex_lrssc, ("mu1_init", "mu2_init"), _convex_c_maps,
-                      lambda state, cfg, sv: _mc_penalty(state, cfg, sv, 0.0, 0.0),
+    CONVEX: Algorithm(convex_lrssc, (("mu1_init", _convex_low_rank), ("mu2_init", _convex_sparse)),
+                      lambda state, cfg, stats: _mc_penalty(state, cfg, stats, 0.0, 0.0),
                       _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
 }

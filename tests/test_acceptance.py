@@ -125,14 +125,16 @@ def test_criterion_04_block_updates_descend_frozen_lagrangian(small_dataset):
     cfg = SolverConfig(normalize_j=False, epsilon=1e-300)
     gram = GramSolver(X)
     state = State.zeros(X.shape[1], [cfg.mu1_init, cfg.mu2_init])
+    (_, c1_map), (_, c2_map) = ALGORITHMS[GMC].splits
     worst = -np.inf
     for _ in range(20):
         L_start = lagrangian_value(X, state, cfg, GMC)
         state_j = replaced_state(state, J=j_update(X, state, gram))
         L_j = lagrangian_value(X, state_j, cfg, GMC)
-        (C1, C2), _ = ALGORITHMS[GMC].c_maps(state_j, cfg)
+        C1, _ = c1_map(state_j.J, state_j.splits[0], cfg)
         state_c1 = replaced_state(state_j, split=0, C=C1)
         L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
+        C2, _ = c2_map(state_c1.J, state_c1.splits[1], cfg)
         state = replaced_state(state_c1, split=1, C=C2)
         L_c2 = lagrangian_value(X, state, cfg, GMC)
 

@@ -1,10 +1,10 @@
 """ADMM solver pieces and full runs: update steps, traces, and diagnostics.
 
 Several tests re-drive the iteration loop out of the exported J, dual and
-mu steps and each algorithm's one C step, the ``c_maps`` of its
-``ALGORITHMS`` record, and check the result against the packaged solvers
-bit for bit; that pins the update order (J, then the C blocks, then the
-multipliers, then mu) as part of the public contract.
+mu steps and each algorithm's one C step, the per-split ``c_map`` of each
+of its ``ALGORITHMS`` record's ``splits``, and check the result against the
+packaged solvers bit for bit; that pins the update order (J, then the C
+blocks, then the multipliers, then mu) as part of the public contract.
 """
 
 import math
@@ -47,7 +47,8 @@ from conftest import eigh_gram_j_update, peak_arrays, replaced_state
 def redrive(X, name, cfg):
     """Re-drive the loop of ALGORITHMS[name] from the exported pieces and its
     record's C maps; after each dual step, before mu grows, yield the state
-    and the second item of the C maps (the C1 spectrum, or s0l0's counts)."""
+    and the stats of each split's C map (the C1 spectrum and None, or
+    s0l0's counts)."""
     algorithm = ALGORITHMS[name]
     gram = GramSolver(X)
     state = zero_state(name, X.shape[1], cfg)
@@ -55,9 +56,10 @@ def redrive(X, name, cfg):
         state.J = j_update(X, state, gram)
         if cfg.normalize_j:
             state.J = normalize_columns(state.J)
-        blocks, c_stats = algorithm.c_maps(state, cfg)
-        for split, C in zip(state.splits, blocks, strict=True):
-            split.C = C
+        c_stats = []
+        for split, (_, c_map) in zip(state.splits, algorithm.splits, strict=True):
+            split.C, stats = c_map(state.J, split, cfg)
+            c_stats.append(stats)
         for split, Lambda in zip(state.splits, dual_update(state), strict=True):
             split.Lambda = Lambda
         yield state, c_stats
@@ -66,13 +68,14 @@ def redrive(X, name, cfg):
 
 
 def c_blocks(name, state, cfg):
-    """The new C of each split, in update order, from ALGORITHMS[name]'s C step."""
-    return ALGORITHMS[name].c_maps(state, cfg)[0]
+    """The new C of each split, in update order, from ALGORITHMS[name]'s C maps."""
+    return [c_map(state.J, split, cfg)[0]
+            for split, (_, c_map) in zip(state.splits, ALGORITHMS[name].splits, strict=True)]
 
 
 def zero_state(name, n, cfg):
     """The all-zero State that ALGORITHMS[name]'s loop starts from."""
-    return State.zeros(n, [getattr(cfg, field) for field in ALGORITHMS[name].mu_inits])
+    return State.zeros(n, [getattr(cfg, field) for field, _ in ALGORITHMS[name].splits])
 
 
 def random_state(mus, n, seed):
@@ -121,6 +124,8 @@ class TestConfigValidation:
         dict(mu_max=0.01),  # below the initial mu values
         dict(epsilon=0.0),
         dict(max_iters=0),
+        dict(max_iters=2.5),
+        dict(max_iters=3.0),
     ])
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -285,7 +290,7 @@ class TestCUpdates:
         bad = SolverConfig(gamma=0.0)
         state = zero_state(GMC, 3, bad)
         with pytest.raises(ValueError):
-            ALGORITHMS[GMC].c_maps(state, bad)
+            c_blocks(GMC, state, bad)
 
 
 def make_two_block_state(V, cfg):
@@ -329,7 +334,7 @@ class TestS0L0Update:
         cfg = SolverConfig(lam=0.5, tau=0.6)
         state = zero_state(S0L0, 3, cfg)
         with pytest.raises(ValueError):
-            ALGORITHMS[S0L0].c_maps(state, cfg)
+            c_blocks(S0L0, state, cfg)
 
 
 class TestDualAndSchedule:
@@ -372,7 +377,7 @@ class TestLagrangianValue:
         X = np.zeros((3, 4))
         for name in ALGORITHMS:
             # s0l0 needs its C step's counts: rank 0 and nnz 0 at C = 0
-            c_stats = (0, 0) if name == S0L0 else None
+            c_stats = ((0, 0),) if name == S0L0 else None
             assert lagrangian_value(X, zero_state(name, 4, cfg), cfg, name,
                                     c_stats=c_stats) == 0.0
 
@@ -395,14 +400,14 @@ class TestLagrangianValue:
                              ids=["lagrangian_value", "kkt_residuals"])
     @pytest.mark.parametrize("n_splits, variant", [
         pytest.param(n_splits, variant, id=f"{STATE_IDS[n_splits]}-{variant}")
-        for n_splits, variant in [(3 - len(algorithm.mu_inits), name)
+        for n_splits, variant in [(3 - len(algorithm.splits), name)
                                   for name, algorithm in ALGORITHMS.items()]
         + [(2, "bogus"), (2, "convex")]])
     def test_variant_state_mismatch_rejected(self, fn, n_splits, variant):
         """A state whose split count is not the variant's is rejected by name."""
         cfg = SolverConfig()
         expect = (re.escape(f"variant '{variant}' needs a state with "
-                            f"{len(ALGORITHMS[variant].mu_inits)} split(s), got {n_splits}")
+                            f"{len(ALGORITHMS[variant].splits)} split(s), got {n_splits}")
                   if variant in ALGORITHMS else f"unknown variant '{variant}'")
         with pytest.raises(ValueError, match=expect):
             fn(np.zeros((2, 3)), State.zeros(3, [1.0] * n_splits), cfg, variant)
@@ -441,7 +446,7 @@ class TestMcShape:
         _record_prox_calls(monkeypatch, "svt_firm", lambda M, params: params.a, knees)
         _record_prox_calls(monkeypatch, "entrywise_firm", lambda M, params: params.a, knees)
         _record_prox_calls(monkeypatch, "gmc_penalty_separable", lambda z, b: b, bs)
-        ALGORITHMS[GMC].c_maps(state, cfg)
+        c_blocks(GMC, state, cfg)
         lagrangian_value(np.zeros((2, 4)), state, cfg, GMC)
         assert len(knees) == len(bs) == 2
         for knee, b in zip(knees, bs):
@@ -571,7 +576,7 @@ class TestSolverRuns:
         lam_eff, tau_eff = effective_weights(cfg)
         Lambda = np.zeros((X.shape[1], X.shape[1]))  # the multiplier the C step saw
         ranks = []
-        for state, (rank, nnz) in redrive(X, S0L0, cfg):
+        for state, ((rank, nnz),) in redrive(X, S0L0, cfg):
             (split,) = state.splits
             V = Lambda / split.mu + state.J
             s = np.linalg.svd(V, compute_uv=False)
@@ -587,7 +592,7 @@ class TestSolverRuns:
     def test_s0l0_counts_zero_for_a_map_left_out(self, small_dataset, lam, left_out):
         """Pure-rank s0l0 (tau = 0) reports nnz 0, pure-sparsity (lam = 0) rank 0."""
         cfg = registry_config(S0L0, lam=lam, tau=1.0 - lam, max_iters=6, epsilon=1e-300)
-        counts = [c_stats for _, c_stats in redrive(small_dataset.X, S0L0, cfg)]
+        counts = [stats for _, (stats,) in redrive(small_dataset.X, S0L0, cfg)]
         assert all(c[left_out] == 0 for c in counts)
         assert max(c[1 - left_out] for c in counts) > 0
 
@@ -756,7 +761,9 @@ class TestSolverRuns:
             times.append(best)
         assert times[1] > times[0]
 
-    @pytest.mark.parametrize("name, budget", [(GMC, 9.5), (S0L0, 8.5), (CONVEX, 11.5)])
+    @pytest.mark.parametrize("name, budget", [
+        pytest.param(GMC, 8.5, id=GMC), pytest.param(S0L0, 7.6, id=S0L0),
+        pytest.param(CONVEX, 9.7, id=CONVEX)])
     def test_working_set_within_budget(self, name, budget):
         """A default solve at N = 300 holds at most ``budget`` N x N arrays at
         once: its state (J and each split's C and Lambda; five arrays, three
@@ -773,13 +780,15 @@ class TestDescentChain:
         cfg = SolverConfig(gamma=0.6, normalize_j=False, epsilon=1e-300)
         gram = GramSolver(X)
         state = zero_state(GMC, X.shape[1], cfg)
+        (_, c1_map), (_, c2_map) = ALGORITHMS[GMC].splits
         for _ in range(10):
             L_start = lagrangian_value(X, state, cfg, GMC)
             state_j = replaced_state(state, J=j_update(X, state, gram))
             L_j = lagrangian_value(X, state_j, cfg, GMC)
-            (C1, C2), _ = ALGORITHMS[GMC].c_maps(state_j, cfg)
+            C1, _ = c1_map(state_j.J, state_j.splits[0], cfg)
             state_c1 = replaced_state(state_j, split=0, C=C1)
             L_c1 = lagrangian_value(X, state_c1, cfg, GMC)
+            C2, _ = c2_map(state_c1.J, state_c1.splits[1], cfg)
             state = replaced_state(state_c1, split=1, C=C2)
             L_c2 = lagrangian_value(X, state, cfg, GMC)
 
