@@ -43,6 +43,8 @@ def main():
     for flag in ("trials", "jobs"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if args.tune_seed < 0:
+        ap.error(f"--tune-seed must be non-negative, got {args.tune_seed}")
 
     try:
         spec = SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)

@@ -108,6 +108,14 @@ def _solver_config(args, algorithm: str) -> SolverConfig | None:
     return SolverConfig(**merged)
 
 
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=_SPEC.ambient_dim, help="ambient dimension")
+    p.add_argument("--d", type=int, default=_SPEC.subspace_dim, help="subspace dimension")
+    p.add_argument("--L", type=int, default=_SPEC.num_subspaces, help="number of subspaces")
+    p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank,
+                   help="rank of the union of subspaces")
+
+
 def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.SyntheticSpec:
     """The SyntheticSpec of the data flags --n --d --L --union-rank at one size, noise and seed."""
     return datasets.SyntheticSpec(
@@ -233,6 +241,8 @@ def _comma_list(text: str, flag: str, kind: type) -> list:
 
 
 def cmd_sweep(args) -> int:
+    """Write the grid's rows to --out, then print each algorithm's table of
+    median clustering errors, a row per variance and a column per size."""
     for flag in ("trials", "jobs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
@@ -253,6 +263,14 @@ def cmd_sweep(args) -> int:
     rows = map_tasks(partial(_sweep_cell, args, cfgs), tasks, args.jobs)
     args.out.write_text("\n".join([SWEEP_HEADER] + rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    # The ce column as written; a cell's trials are consecutive rows.
+    ce = np.array([float(row.split(",")[4]) for row in rows])
+    medians = np.median(ce.reshape(len(algorithms), len(pers), len(variances), -1), axis=3)
+    for algorithm, table in zip(algorithms, medians):
+        print(f"\n{algorithm}: median CE over {args.trials} trials")
+        print("  var\\per " + "".join(f"{per:>8d}" for per in pers))
+        for var, row in zip(variances, table.T):
+            print(f"  {var:<8g}" + "".join(f"{m:>8.1%}" for m in row))
     return 0
 
 
@@ -263,14 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic union-of-subspaces dataset")
-    p.add_argument("--n", type=int, default=_SPEC.ambient_dim, help="ambient dimension")
-    p.add_argument("--d", type=int, default=_SPEC.subspace_dim, help="subspace dimension")
-    p.add_argument("--L", type=int, default=_SPEC.num_subspaces, help="number of subspaces")
+    _add_data_flags(p)
     p.add_argument("--per", type=int, default=_SPEC.points_per_subspace,
                    help="points per subspace")
     p.add_argument("--var", type=float, default=_SPEC.noise_variance, help="noise variance")
-    p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank,
-                   help="rank of the union of subspaces")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."),
                    help="existing directory for X.csv and labels.txt")
@@ -303,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {_ALGORITHMS}")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=_SPEC.ambient_dim)
-    p.add_argument("--d", type=int, default=_SPEC.subspace_dim)
-    p.add_argument("--L", type=int, default=_SPEC.num_subspaces)
-    p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank)
+    _add_data_flags(p)
     p.add_argument("--out", type=Path, required=True, help="results CSV path")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the cells, capped at the usable cores; "
@@ -323,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at the exit's flush
         return status

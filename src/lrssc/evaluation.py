@@ -142,6 +142,8 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for name in ("lambdas", "mu_inits"):
         if not getattr(grid, name):
             raise ValueError(f"grid {name} must not be empty")

@@ -166,7 +166,7 @@ def _svd(M):
         try:
             return scipy.linalg.svd(M, full_matrices=False, check_finite=False,
                                     lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK dependent
+        except scipy.linalg.LinAlgError as err:
             raise NumericalError(f"SVD did not converge: {err}") from err
 
 def _svt_gesdd(M, shrink, return_spectrum):

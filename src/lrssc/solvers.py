@@ -40,6 +40,9 @@ CONVEX = "lrssc-convex"
 
 # gamma = 1 collapses the firm knee onto the threshold; nudge it apart.
 _GAMMA_KNEE_NUDGE = 1e-9
+# What a SolverConfig field holds, by the type of its default, and its name in
+# errors; every other field (a float, or tau with its None) holds a number.
+_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer")}
 
 
 @dataclass
@@ -52,8 +55,8 @@ class SolverConfig:
     combination weights.  ``normalize_j`` rescales the columns of J to unit
     l2 norm after each J update.  gmc's firm knees and MC penalty scale b
     follow the current mu and gamma by one rule, written only in
-    :func:`_mc_shape`.  Every numeric setting must be finite, and
-    ``max_iters`` an integer.
+    :func:`_mc_shape`.  Every numeric setting must be a finite number (not a
+    bool), ``max_iters`` an integer and ``normalize_j`` a bool.
 
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
@@ -76,11 +79,16 @@ class SolverConfig:
     normalize_j: bool = True
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name == "tau" and value is None:
+                continue  # 1 - lam, set once lam is checked
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            kind, words = _KINDS.get(type(getattr(SolverConfig, name)), (numbers.Real, "a number"))
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {words}, got {value!r}")
         if self.tau is None:
             self.tau = 1.0 - self.lam
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if self.tau < 0.0:
@@ -95,8 +103,8 @@ class SolverConfig:
             raise ValueError("mu_max must be at least the initial mu values")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 def effective_weights(cfg: SolverConfig) -> tuple[float, float]:

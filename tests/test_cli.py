@@ -690,6 +690,33 @@ class TestSweep:
         assert "expected key = value" in capsys.readouterr().err
         assert not out.exists()
 
+    # The first grid's tables are, byte for byte, what the deleted
+    # scripts/benchmark_sweep.py printed at the same flags; the second's
+    # variance prints rounded.
+    @pytest.mark.parametrize("grid, tables", [
+        (["--pers", "10,20", "--vars", "0,0.1", "--trials", "3", "--algorithms", "gmc,s0l0,lrr"],
+         "\ngmc: median CE over 3 trials\n"
+         "  var\\per       10      20\n"
+         "  0          33.3%   20.0%\n"
+         "  0.1        46.7%   58.3%\n"
+         "\ns0l0: median CE over 3 trials\n"
+         "  var\\per       10      20\n"
+         "  0          36.7%   15.0%\n"
+         "  0.1        46.7%   48.3%\n"
+         "\nlrr: median CE over 3 trials\n"
+         "  var\\per       10      20\n"
+         "  0          40.0%   18.3%\n"
+         "  0.1        56.7%   60.0%\n"),
+        (["--pers", "10", "--vars", "0.1234567", "--trials", "1", "--algorithms", "lrr"],
+         "\nlrr: median CE over 1 trials\n"
+         "  var\\per       10\n"
+         "  0.123457   43.3%\n"),
+    ], ids=["grid", "unprintable-var"])
+    def test_prints_median_tables(self, tmp_path, capsys, grid, tables):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", *grid, "--jobs", "1", "--out", out]) == 0
+        assert capsys.readouterr().out == tables
+
     def test_closed_form_baseline_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run(["sweep", "--pers", "10", "--vars", "0.0",
@@ -699,6 +726,35 @@ class TestSweep:
         fields = out.read_text().splitlines()[1].split(",")
         assert fields[0] == "lrr"
         assert fields[5] == "1"  # closed form counts as a single iteration
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster", "sweep"])
+def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
+    # the input does not exist, so an error about it would mean it was read
+    argv = {"synth": ["synth", "--out-dir", tmp_path],
+            "cluster": ["cluster", "--input", tmp_path / "absent.csv", "--clusters", "3",
+                        "--labels-out", tmp_path / "pred.txt"],
+            "sweep": ["sweep", "--out", tmp_path / "sweep.csv"]}[command]
+    assert run(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gmc_rejects_zero_gamma_before_the_data_svd(small_data_dir, tmp_path, capsys,
+                                                    monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the data SVD ran")
+
+    monkeypatch.setattr(solvers, "GramSolver", forbidden)
+    labels_out = tmp_path / "pred.txt"
+    code = run(["cluster", "--input", small_data_dir / "X.csv", "--algorithm", "gmc",
+                "--clusters", "3", "--labels-out", labels_out, "--gamma", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: gamma must lie in (0, 1] for firm-threshold updates, got 0.0\n")
+    assert not labels_out.exists()
 
 
 @pytest.mark.parametrize("command, expected", [

@@ -247,6 +247,8 @@ class TestGridSearch:
             grid_search(IDEAL_SPEC, "gmc", grid, trials=0)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             grid_search(IDEAL_SPEC, "gmc", grid, jobs=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            grid_search(IDEAL_SPEC, "gmc", grid, seed=-1)
         for axis in ("lambdas", "mu_inits"):
             with pytest.raises(ValueError, match=f"^grid {axis} must not be empty$"):
                 grid_search(IDEAL_SPEC, "gmc", GridSpec(**{"lambdas": (0.5,), axis: ()}))

@@ -575,6 +575,30 @@ class TestGramKernel:
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(sv, ref_sv)
 
+    def test_svd_retries_gesvd_then_fails_numerically(self, monkeypatch):
+        """The fallback SVD retries a gesdd failure with gesvd, and a second
+        failure is a NumericalError."""
+        M = _rng_matrix((6, 4), seed=1)
+        real_svd = scipy.linalg.svd
+        drivers, failing = [], {"gesdd"}
+
+        def svd(*args, lapack_driver="gesdd", **kw):
+            drivers.append(lapack_driver)
+            if lapack_driver in failing:
+                raise np.linalg.LinAlgError(f"{lapack_driver} patched out")
+            return real_svd(*args, lapack_driver=lapack_driver, **kw)
+
+        monkeypatch.setattr(scipy.linalg, "svd", svd)
+        U, s, Vt = prox._svd(M)
+        assert drivers == ["gesdd", "gesvd"]
+        np.testing.assert_allclose(s, np.linalg.svd(M, compute_uv=False), rtol=1e-12)
+        np.testing.assert_allclose((U * s) @ Vt, M, rtol=0, atol=1e-12)
+        drivers.clear()
+        failing.add("gesvd")
+        with pytest.raises(NumericalError, match="^SVD did not converge: gesvd patched out$"):
+            prox._svd(M)
+        assert drivers == ["gesdd", "gesvd"]
+
     @pytest.mark.parametrize("kind", ["firm", "soft", "hard"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected_before_lapack(self, monkeypatch, kind, bad):

@@ -60,6 +60,7 @@ def test_tune_defaults_rejects_zero_trials():
 @pytest.mark.parametrize("flags, message", [
     (["--per", "0"], "dimensions and counts must be positive"),
     (["--var", "-1"], "noise_variance must be nonnegative, got -1.0"),
+    (["--tune-seed", "-1"], "--tune-seed must be non-negative, got -1"),
 ])
 def test_tune_defaults_rejects_bad_dataset_shape(flags, message):
     done = _run("tune_defaults.py", "--solver", "lrssc-convex", "--trials", "1", *flags)
@@ -69,11 +70,3 @@ def test_tune_defaults_rejects_bad_dataset_shape(flags, message):
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
 
-
-def test_benchmark_sweep_prints_a_table_per_algorithm(tmp_path):
-    done = _run("benchmark_sweep.py", "--pers", "10", "--vars", "0", "--trials", "1",
-                "--jobs", "1", "--algorithms", "gmc,lrr", "--out", str(tmp_path / "out.csv"))
-    assert done.returncode == 0, done.stderr
-    for algorithm in ("gmc", "lrr"):
-        assert f"\n{algorithm}: median CE over 1 trials\n" in done.stdout
-    assert (tmp_path / "out.csv").read_text().count("\n") == 3  # header + one row each

@@ -36,6 +36,7 @@ from lrssc import (
     normalize_columns,
     prox,
     s0l0_lrssc_solve,
+    solvers,
     spectral_cluster,
     stopping_check,
     svt_hard,
@@ -126,9 +127,13 @@ class TestConfigValidation:
         dict(max_iters=0),
         dict(max_iters=2.5),
         dict(max_iters=3.0),
+        dict(max_iters=True),
+        dict(normalize_j=2),
+        dict(normalize_j="no"),
+        dict(lam="0.5"),
     ])
     def test_rejects_invalid_settings(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)
@@ -727,6 +732,15 @@ class TestSolverRuns:
     def test_gmc_rejects_degenerate_weights(self, small_dataset):
         with pytest.raises(ValueError):
             gmc_lrssc_solve(small_dataset.X, SolverConfig(lam=1.0))  # tau = 0
+
+    def test_gmc_rejects_zero_gamma_before_the_data_svd(self, small_dataset, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the data SVD ran")
+
+        monkeypatch.setattr(solvers, "GramSolver", forbidden)
+        with pytest.raises(ValueError, match=re.escape(
+                "gamma must lie in (0, 1] for firm-threshold updates, got 0.0")):
+            gmc_lrssc_solve(small_dataset.X, SolverConfig(gamma=0.0))
 
     def test_partial_trace_preserved_on_numerical_failure(self, small_dataset,
                                                           monkeypatch):

@@ -271,6 +271,25 @@ class TestLanczosFallsBackToSubsetEigh:
             np.testing.assert_array_equal(labels, full_eigh_spectral_labels(W, 3, seed))
         assert calls == [[0, 2]] * 4
 
+    def test_ritz_residual_above_tolerance_falls_back(self, monkeypatch):
+        # every Ritz residual exceeds a negative tolerance, so none is certified
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(spectral_module, "_RITZ_RESIDUAL_TOL", -1.0)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the certificate ran on a rejected Ritz pair")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", never)
+        calls = subset_eigh_calls(monkeypatch)
+        points = kmeans_inputs(monkeypatch)
+        W, _ = block_affinity([4, 6, 8], off_block=0.2, seed=3)
+        for seed in (0, 1):
+            labels = spectral_cluster(W, 3, seed)
+            fallback = points.pop()
+            np.testing.assert_array_equal(labels, subset_eigh_labels(monkeypatch, W, 3, seed))
+            np.testing.assert_array_equal(fallback, points.pop())
+        assert calls == [[0, 2]] * 4
+
     def test_slow_convergence_stops_at_the_matvec_budget(self, monkeypatch):
         monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
         monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_MATVECS", 5)
