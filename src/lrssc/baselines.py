@@ -55,6 +55,8 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
     Keeps singular values with s_i > 1/sqrt(lam) and shrinks the projector
     eigenvalues to 1 - 1/(lam * s_i^2); an empty active set gives C = 0.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     _, s, Vt = _checked_svd(X)

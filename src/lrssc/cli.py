@@ -1,4 +1,5 @@
-"""Command-line interface: synthesize data, cluster it, score labels, run sweeps.
+"""Command-line interface: synthesize data, cluster it, score labels, run sweeps,
+tune the solvers' weights.
 
 Data goes to files or stdout, diagnostics to stderr; every subcommand's
 randomness is pinned by --seed.  Solver settings resolve in the order
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import datasets, spectral
 from .baselines import lrr_noiseless, lrr_noisy
-from .evaluation import clustering_error
+from .evaluation import clustering_error, gmc_default_grid, grid_search, s0l0_default_grid
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
 from .solvers import ALGORITHMS, SolverConfig, SolverTrace
@@ -43,7 +44,7 @@ _SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).it
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 _TYPE_WORDS = {bool: "a boolean", int: "an integer", float: "a number"}
-# The data flags of synth and sweep take their defaults from SyntheticSpec.
+# The data flags of synth, sweep and tune take their defaults from SyntheticSpec.
 _SPEC = datasets.SyntheticSpec()
 
 
@@ -91,11 +92,13 @@ def _solver_config(args, algorithm: str) -> SolverConfig | None:
 
     The config file is parsed for every algorithm, so a malformed file is
     rejected the same way even where its settings go unused.  Closed-form
-    LRR's one setting, a --lam weight, must be positive, and is checked here
-    so that a sweep fails before it makes any data or worker.
+    LRR's one setting, a --lam weight, must be finite and positive, and is
+    checked here so that a sweep fails before it makes any data or worker.
     """
     from_file = _parse_config_file(args.config) if args.config is not None else {}
     if algorithm not in ALGORITHMS:
+        if args.lam is not None and not np.isfinite(args.lam):
+            raise ValueError(f"lam must be finite, got {args.lam}")
         if args.lam is not None and not args.lam > 0:
             raise ValueError(f"lam must be positive, got {args.lam}")
         return None
@@ -114,6 +117,12 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=int, default=_SPEC.num_subspaces, help="number of subspaces")
     p.add_argument("--union-rank", dest="union_rank", type=int, default=_SPEC.union_rank,
                    help="rank of the union of subspaces")
+
+
+def _add_per_var_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--per", type=int, default=_SPEC.points_per_subspace,
+                   help="points per subspace")
+    p.add_argument("--var", type=float, default=_SPEC.noise_variance, help="noise variance")
 
 
 def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.SyntheticSpec:
@@ -229,29 +238,30 @@ def _sweep_cell(args, cfgs, task):
             f"{ce:.6f},{trace.n_iters},{seconds:.3f}")
 
 
-def _comma_list(text: str, flag: str, kind: type) -> list:
-    """The values of a comma-list flag; ValueError names the flag and the bad value."""
+def _comma_list(text: str, flag: str, kind: type = str, known: list | None = None) -> list:
+    """The values of a comma-list flag; ValueError names the flag and a bad or
+    repeated value.  With ``known``, the flag lists algorithms from it."""
     values = []
     for item in text.split(","):
         try:
-            values.append(kind(item))
+            value = kind(item)
         except ValueError:
             raise ValueError(f"--{flag} wants {_TYPE_WORDS[kind]}, got {item!r}") from None
+        if value in values:
+            raise ValueError(f"--{flag} repeats {item!r}")
+        values.append(value)
+    unknown = [v for v in values if known is not None and v not in known]
+    if unknown:
+        raise ValueError(f"unknown algorithm(s) {unknown}, expected subset of {known}")
     return values
 
 
 def cmd_sweep(args) -> int:
     """Write the grid's rows to --out, then print each algorithm's table of
     median clustering errors, a row per variance and a column per size."""
-    for flag in ("trials", "jobs"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    algorithms = _comma_list(args.algorithms, "algorithms", known=_ALGORITHMS)
     pers = _comma_list(args.pers, "pers", int)
     variances = _comma_list(args.vars, "vars", float)
-    algorithms = args.algorithms.split(",")
-    unknown = [a for a in algorithms if a not in _ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown algorithm(s) {unknown}, expected subset of {_ALGORITHMS}")
     cfgs = {alg: _solver_config(args, alg) for alg in algorithms}
     # Every spec of the grid is built, and so checked, before the first solve.
     specs = [[_synthetic_spec(args, per, var, seed=0) for var in variances] for per in pers]
@@ -274,6 +284,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def cmd_tune(args) -> int:
+    """Run grid_search once per algorithm from SolverConfig(mu2_init=5.0) on
+    the gmc or s0l0 lam grid, and print every scored cell and the winner."""
+    spec = datasets.SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
+    for alg in _comma_list(args.algorithms, "algorithms", known=sorted(ALGORITHMS)):
+        print(f"== {alg} (var={args.var}) ==")
+        # gmc tunes gamma over 0.1, 0.2, ..., 1.0; the others keep it at 0.6
+        grid = replace(s0l0_default_grid() if alg == "s0l0" else gmc_default_grid(),
+                       gammas=tuple(k / 10 for k in range(1, 11)) if alg == "gmc" else (0.6,))
+        result = grid_search(spec, alg, grid, trials=args.trials, seed=args.seed,
+                             base_config=SolverConfig(mu2_init=5.0), jobs=args.jobs)
+        for p in result.table:
+            print(f"  {alg}: lam={p.lam:.6f} gamma={p.gamma:.1f} mu={p.mu2_init:g}"
+                  f"  median={p.median_ce:.4f}")
+        best = result.best_config
+        print(f"--> {alg}: lam={best.lam:.6f} gamma={best.gamma:.1f} "
+              f"mu2_init={best.mu2_init:g} median CE={result.best_median_ce:.4f}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrssc",
@@ -282,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic union-of-subspaces dataset")
     _add_data_flags(p)
-    p.add_argument("--per", type=int, default=_SPEC.points_per_subspace,
-                   help="points per subspace")
-    p.add_argument("--var", type=float, default=_SPEC.noise_variance, help="noise variance")
+    _add_per_var_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."),
                    help="existing directory for X.csv and labels.txt")
@@ -325,6 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
 
+    p = sub.add_parser("tune", help="grid-search each algorithm's weights on synthetic data")
+    p.add_argument("--algorithms", default=",".join(sorted(ALGORITHMS)),
+                   help=f"comma list from {sorted(ALGORITHMS)}")
+    _add_per_var_flags(p)
+    p.add_argument("--trials", type=int, default=10, help="datasets scored per grid cell")
+    p.add_argument("--seed", type=int, default=777)
+    p.add_argument("--jobs", type=int, default=4, help="worker processes for the trials")
+    p.set_defaults(func=cmd_tune)
+
     return parser
 
 
@@ -336,6 +373,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        for flag in ("trials", "jobs"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at the exit's flush
         return status

@@ -32,6 +32,8 @@ class SyntheticSpec:
         if min(self.ambient_dim, self.subspace_dim, self.num_subspaces,
                self.points_per_subspace) < 1:
             raise ValueError("dimensions and counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not math.isfinite(self.noise_variance):
             raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
         if self.noise_variance < 0:

@@ -60,9 +60,9 @@ class SolverConfig:
 
     The numeric defaults are gmc_lrssc_solve's tuned values on the synthetic
     benchmark (grid search over lam, gamma, and mu2_init); the overrides of
-    the other solvers live in :data:`ALGORITHMS`.  ``scripts/tune_defaults.py
-    --trials 10 --var 0.0``, which runs :func:`lrssc.evaluation.grid_search`,
-    picks the shipped values for gmc and lrssc-convex.  For s0l0 it picks
+    the other solvers live in :data:`ALGORITHMS`.  ``lrssc tune --trials 10
+    --var 0.0``, which runs :func:`lrssc.evaluation.grid_search`, picks the
+    shipped values for gmc and lrssc-convex.  For s0l0 it picks
     lam 0.8 (median error 0.070) over the shipped 0.5 (0.087 in the same
     run).
     """
@@ -628,7 +628,7 @@ class Algorithm(NamedTuple):
     Lagrangian, given the stats of every split in update order.
     ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
-    on how far scripts/tune_defaults.py reproduces them).
+    on how far ``lrssc tune`` reproduces them).
     """
     solve: Callable
     splits: tuple

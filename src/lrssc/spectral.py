@@ -98,14 +98,16 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     its certificate (see the module docstring).  The seed also draws the
     Lanczos start vector, so repeated calls give identical labels.
     Returns integer labels in [0, n_clusters).  Raises ValueError for a
-    non-square or non-finite affinity or an out-of-range n_clusters, and
-    DegenerateAffinityError for an all-zero affinity.
+    non-square or non-finite affinity, an out-of-range n_clusters or a
+    negative seed, and DegenerateAffinityError for an all-zero affinity.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got shape {W.shape}")
     n = W.shape[0]
     check_n_clusters(n_clusters, n)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not np.isfinite(W).all():
         raise ValueError("affinity has non-finite entries (NaN or inf)")
     if not np.any(W):

@@ -6,9 +6,10 @@ ends or passes through it, so every line of a multi-line expression or
 string literal counts.  A docstring (the first statement of a module, class
 or function, when it is a string) drops out with all its lines.
 
-    python tests/code_lines.py src scripts
+    python tests/code_lines.py src
 
-prints each file's count and then the total.
+prints each file's count and then the total.  A path that is neither a file
+nor a directory ends the count with exit status 2.
 """
 
 import ast
@@ -42,6 +43,10 @@ def count_code_lines(source: str) -> int:
 
 
 def main(argv: list) -> int:
+    for arg in argv:
+        if not (Path(arg).is_file() or Path(arg).is_dir()):
+            print(f"code_lines.py: {arg} is neither a file nor a directory", file=sys.stderr)
+            return 2
     files = sorted(f for arg in argv
                    for f in ([Path(arg)] if Path(arg).is_file() else Path(arg).rglob("*.py")))
     total = 0

@@ -79,6 +79,9 @@ class TestNoisy:
             lrr_noisy(X, 0.0)
         with pytest.raises(ValueError):
             lrr_noisy(X, -2.0)
+        # an infinite weight would keep every singular value, rounding noise too
+        with pytest.raises(ValueError, match="lam must be finite, got inf"):
+            lrr_noisy(X, np.inf)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,4 @@
-"""End-to-end command-line tests: synth, cluster, eval, sweep."""
+"""End-to-end command-line tests: synth, cluster, eval, sweep, tune."""
 
 import csv
 import os
@@ -645,7 +645,8 @@ class TestSweep:
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
         assert os.environ.get("OMP_NUM_THREADS") == blas_threads
 
-    @pytest.mark.parametrize("algorithms, lam", [("lrr", "-1"), ("gmc,lrr", "0")])
+    @pytest.mark.parametrize("algorithms, lam", [("lrr", "-1"), ("gmc,lrr", "0"),
+                                                 ("lrr", "inf")])
     def test_bad_lrr_weight_fails_before_data_or_workers(self, tmp_path, capsys, monkeypatch,
                                                         algorithms, lam):
         def forbidden(*args, **kwargs):
@@ -655,7 +656,25 @@ class TestSweep:
         code = run(["sweep", "--pers", "10", "--algorithms", algorithms, "--lam", lam,
                     "--jobs", "2", "--out", tmp_path / "sweep.csv"])
         assert code == 1
-        assert capsys.readouterr().err == f"error: lam must be positive, got {float(lam)}\n"
+        problem = "finite" if lam == "inf" else "positive"
+        assert capsys.readouterr().err == f"error: lam must be {problem}, got {float(lam)}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    # The values 0 and 0.0 name one variance, so the second is a repeat.
+    @pytest.mark.parametrize("flags, message", [
+        (["--algorithms", "lrr,lrr", "--vars", "0,0.0"], "error: --algorithms repeats 'lrr'\n"),
+        (["--pers", "10,20,10"], "error: --pers repeats '10'\n"),
+        (["--vars", "0,0.0"], "error: --vars repeats '0.0'\n"),
+    ], ids=["algorithms", "pers", "vars"])
+    def test_repeated_grid_value_fails_before_data_or_workers(self, tmp_path, capsys,
+                                                              monkeypatch, flags, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its settings")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        code = run(["sweep", *flags, "--jobs", "2", "--out", tmp_path / "sweep.csv"])
+        assert code == 1
+        assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -726,6 +745,56 @@ class TestSweep:
         fields = out.read_text().splitlines()[1].split(",")
         assert fields[0] == "lrr"
         assert fields[5] == "1"  # closed form counts as a single iteration
+
+
+# The tuning output, pinned byte for byte: grid_search must keep the trial
+# seeding, median scoring and first-minimum picks that produced it.
+TUNE_CONVEX_STDOUT = (
+    "== lrssc-convex (var=0.0) ==\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=5  median=0.1667\n"
+    "  lrssc-convex: lam=0.990099 gamma=0.6 mu=5  median=0.2000\n"
+    "  lrssc-convex: lam=0.909091 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.500000 gamma=0.6 mu=5  median=0.2333\n"
+    "  lrssc-convex: lam=0.090909 gamma=0.6 mu=5  median=0.2667\n"
+    "  lrssc-convex: lam=0.009901 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.000999 gamma=0.6 mu=5  median=0.3000\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=1  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=3  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=5  median=0.1667\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=10  median=0.2000\n"
+    "  lrssc-convex: lam=0.999001 gamma=0.6 mu=20  median=0.1667\n"
+    "--> lrssc-convex: lam=0.999001 gamma=0.6 mu2_init=1 median CE=0.1667\n"
+)
+
+
+class TestTune:
+    def test_default_flags(self):
+        args = build_parser().parse_args(["tune"])
+        assert args.algorithms == "gmc,lrssc-convex,s0l0"
+        assert (args.per, args.var) == (50, 0.0)
+        assert (args.trials, args.seed, args.jobs) == (10, 777, 4)
+
+    def test_small_grid_prints_every_cell_and_the_winner(self, capsys):
+        assert run(["tune", "--algorithms", "lrssc-convex", "--trials", "3", "--per", "10",
+                    "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == TUNE_CONVEX_STDOUT
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["--per", "0"], "dimensions and counts must be positive"),
+        (["--var", "-1"], "noise_variance must be nonnegative, got -1.0"),
+        (["--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["--algorithms", "gmc,gmc"], "--algorithms repeats 'gmc'"),
+        (["--algorithms", "gmc,lrr"],
+         "unknown algorithm(s) ['lrr'], expected subset of ['gmc', 'lrssc-convex', 's0l0']"),
+    ], ids=["trials", "jobs", "per", "var", "seed", "repeat", "lrr"])
+    def test_bad_flag_fails_before_any_search(self, capsys, monkeypatch, flags, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(cli, "grid_search", forbidden)
+        assert run(["tune", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["synth", "cluster", "sweep"])

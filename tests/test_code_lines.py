@@ -38,3 +38,10 @@ def test_counts_code_lines_only(tmp_path, capsys):
         f"     1  {tmp_path / 'b.py'}\n"
         f"     8  {tmp_path / 'pkg' / 'a.py'}\n"
         "     9  total\n")
+
+
+def test_path_that_is_neither_file_nor_directory_fails(tmp_path, capsys):
+    absent = tmp_path / "nosuchdir"
+    assert main([str(tmp_path), str(absent)]) == 2
+    assert capsys.readouterr() == (
+        "", f"code_lines.py: {absent} is neither a file nor a directory\n")

@@ -34,6 +34,7 @@ class TestSpecValidation:
         dict(union_rank=4),    # below subspace_dim
         dict(union_rank=16),   # above subspace_dim * num_subspaces
         dict(ambient_dim=8),   # cannot host union rank 10
+        dict(seed=-1),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

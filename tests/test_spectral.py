@@ -110,6 +110,14 @@ class TestSpectralCluster:
         with pytest.raises(ValueError, match="affinity has non-finite entries"):
             spectral_cluster(W, 2, seed=0)
 
+    def test_rejects_negative_seed_before_the_embedding(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the embedding ran")
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        W, _ = block_affinity([4, 4], seed=9)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            spectral_cluster(W, 2, seed=-1)
+
     def test_rejects_non_square_affinity(self):
         with pytest.raises(ValueError):
             spectral_cluster(np.zeros((3, 5)), 2, seed=0)
