@@ -22,9 +22,7 @@ from .evaluation import (
     GridSearchResult,
     GridSpec,
     clustering_error,
-    gmc_default_grid,
     grid_search,
-    s0l0_default_grid,
 )
 from .exceptions import DegenerateAffinityError, NumericalError
 from .prox import (

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, spectral
-from .baselines import lrr_noiseless, lrr_noisy
-from .evaluation import clustering_error, gmc_default_grid, grid_search, s0l0_default_grid
+from .baselines import check_lrr_weight, lrr_noiseless, lrr_noisy
+from .evaluation import clustering_error, grid_search
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
 from .solvers import ALGORITHMS, SolverConfig, SolverTrace
@@ -88,19 +88,19 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args, algorithm: str) -> SolverConfig | None:
-    """Settings of a registered algorithm; None for one outside ALGORITHMS.
+    """Settings of a registered algorithm, checked by its settings rule;
+    None for one outside ALGORITHMS.
 
     The config file is parsed for every algorithm, so a malformed file is
     rejected the same way even where its settings go unused.  Closed-form
-    LRR's one setting, a --lam weight, must be finite and positive, and is
-    checked here so that a sweep fails before it makes any data or worker.
+    LRR's one setting, a --lam weight, goes through LRR's own weight rule.
+    Every check runs here, so that a sweep fails before it makes any data or
+    worker.
     """
     from_file = _parse_config_file(args.config) if args.config is not None else {}
     if algorithm not in ALGORITHMS:
-        if args.lam is not None and not np.isfinite(args.lam):
-            raise ValueError(f"lam must be finite, got {args.lam}")
-        if args.lam is not None and not args.lam > 0:
-            raise ValueError(f"lam must be positive, got {args.lam}")
+        if args.lam is not None:
+            check_lrr_weight(args.lam)
         return None
     merged = dict(ALGORITHMS[algorithm].defaults)
     merged.update(from_file)
@@ -108,7 +108,9 @@ def _solver_config(args, algorithm: str) -> SolverConfig | None:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    return SolverConfig(**merged)
+    cfg = SolverConfig(**merged)
+    ALGORITHMS[algorithm].check(cfg)
+    return cfg
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -132,16 +134,21 @@ def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.Synthetic
         points_per_subspace=per, noise_variance=var, union_rank=args.union_rank, seed=seed)
 
 
-def cmd_synth(args) -> int:
-    spec = _synthetic_spec(args, args.per, args.var, args.seed)
-    out_dir = args.out_dir
+def _check_out_dir(out_dir: Path) -> None:
+    """ValueError unless the directory an output goes to exists; each command
+    checks its outputs' directories before it reads, solves or forks."""
     if not out_dir.is_dir():
         raise ValueError(f"output directory {out_dir} does not exist")
+
+
+def cmd_synth(args) -> int:
+    spec = _synthetic_spec(args, args.per, args.var, args.seed)
+    _check_out_dir(args.out_dir)
     ds = datasets.generate_synthetic(spec)
-    datasets.save_matrix(out_dir / "X.csv", ds.X)
-    datasets.save_labels(out_dir / "labels.txt", ds.truth)
+    datasets.save_matrix(args.out_dir / "X.csv", ds.X)
+    datasets.save_labels(args.out_dir / "labels.txt", ds.truth)
     print(f"rank={lrr_noiseless(ds.X).active_set.size}")
-    print(f"wrote {out_dir / 'X.csv'} and {out_dir / 'labels.txt'}", file=sys.stderr)
+    print(f"wrote {args.out_dir / 'X.csv'} and {args.out_dir / 'labels.txt'}", file=sys.stderr)
     return 0
 
 
@@ -184,9 +191,11 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
 
 
 def cmd_cluster(args) -> int:
+    for out in filter(None, [args.labels_out, args.trace_out]):
+        _check_out_dir(out.parent)
+    cfg = _solver_config(args, args.algorithm)
     X = datasets.load_matrix(args.input)
     spectral.check_n_clusters(args.clusters, X.shape[1])
-    cfg = _solver_config(args, args.algorithm)
     try:
         labels, trace = _solve_and_label(args, args.algorithm, cfg, X, args.clusters, args.seed)
     except NumericalError as err:
@@ -259,6 +268,7 @@ def _comma_list(text: str, flag: str, kind: type = str, known: list | None = Non
 def cmd_sweep(args) -> int:
     """Write the grid's rows to --out, then print each algorithm's table of
     median clustering errors, a row per variance and a column per size."""
+    _check_out_dir(args.out.parent)
     algorithms = _comma_list(args.algorithms, "algorithms", known=_ALGORITHMS)
     pers = _comma_list(args.pers, "pers", int)
     variances = _comma_list(args.vars, "vars", float)
@@ -286,14 +296,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_tune(args) -> int:
     """Run grid_search once per algorithm from SolverConfig(mu2_init=5.0) on
-    the gmc or s0l0 lam grid, and print every scored cell and the winner."""
+    its record's grid, and print every scored cell and the winner."""
     spec = datasets.SyntheticSpec(points_per_subspace=args.per, noise_variance=args.var)
     for alg in _comma_list(args.algorithms, "algorithms", known=sorted(ALGORITHMS)):
         print(f"== {alg} (var={args.var}) ==")
-        # gmc tunes gamma over 0.1, 0.2, ..., 1.0; the others keep it at 0.6
-        grid = replace(s0l0_default_grid() if alg == "s0l0" else gmc_default_grid(),
-                       gammas=tuple(k / 10 for k in range(1, 11)) if alg == "gmc" else (0.6,))
-        result = grid_search(spec, alg, grid, trials=args.trials, seed=args.seed,
+        result = grid_search(spec, alg, ALGORITHMS[alg].grid, trials=args.trials, seed=args.seed,
                              base_config=SolverConfig(mu2_init=5.0), jobs=args.jobs)
         for p in result.table:
             print(f"  {alg}: lam={p.lam:.6f} gamma={p.gamma:.1f} mu={p.mu2_init:g}"

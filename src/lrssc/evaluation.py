@@ -19,7 +19,7 @@ import numpy as np
 from . import spectral
 from .datasets import SyntheticSpec, generate_synthetic
 from .parallel import map_tasks
-from .solvers import ALGORITHMS, SolverConfig
+from .solvers import ALGORITHMS, GridSpec, SolverConfig
 
 
 @dataclass
@@ -67,30 +67,6 @@ def clustering_error(pred, truth) -> EvalReport:
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Hyperparameter grid: lambdas (with taus = 1 - lam), initial mus, gammas.
-
-    An empty gamma tuple keeps the base config's gamma fixed.  The search
-    sweeps (lam, gamma) first at the base initial mu, then mu at the winner.
-    """
-
-    lambdas: tuple
-    mu_inits: tuple = (1.0, 3.0, 5.0, 10.0, 20.0)
-    gammas: tuple = ()
-
-
-def gmc_default_grid() -> GridSpec:
-    """lam = 1/(1+alpha) for alpha = 1e-3 ... 1e3 by decades; standard mu set."""
-    lambdas = tuple(1.0 / (1.0 + 10.0 ** k) for k in range(-3, 4))
-    return GridSpec(lambdas=lambdas)
-
-
-def s0l0_default_grid() -> GridSpec:
-    """lam = 0.1 ... 0.9 in steps of 0.1; standard mu set."""
-    return GridSpec(lambdas=tuple(round(0.1 * i, 1) for i in range(1, 10)))
-
-
 @dataclass
 class GridPoint:
     """One scored grid cell: its clustering error per trial and their median."""
@@ -109,14 +85,12 @@ class GridSearchResult:
     table: list
 
 
-def _trial_ce(algorithm: str, spec: SyntheticSpec, base: SolverConfig, seed: int,
-              task) -> float:
-    """Clustering error of one (lam, gamma, mu) cell on trial t's own dataset."""
-    (lam, gamma, mu), trial = task
+def _trial_ce(algorithm: str, spec: SyntheticSpec, seed: int, task) -> float:
+    """Clustering error of one cell's config on trial t's own dataset."""
+    cfg, trial = task
     data_seed, cluster_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence([seed, trial]).spawn(2))
     data = generate_synthetic(replace(spec, seed=data_seed))
-    cfg = replace(base, lam=lam, tau=1.0 - lam, gamma=gamma, mu2_init=mu)
     C, _ = ALGORITHMS[algorithm].solve(data.X, cfg)
     labels = spectral.spectral_cluster(spectral.build_affinity(C), spec.num_subspaces,
                                        cluster_seed)
@@ -132,11 +106,13 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
     every initial mu at phase one's winner.  Trial t draws a fresh dataset
     from ``spec`` and seeds k-means, both from
     ``np.random.SeedSequence([seed, t]).spawn(2)``; ``spec.seed`` is not used.
-    Each phase keeps its first minimum in grid order.  The (cell, trial)
-    runs of a phase go through :func:`lrssc.parallel.map_tasks` with
-    ``jobs`` workers.  Without ``base_config`` the search starts from the
-    algorithm's tuned defaults in ALGORITHMS.  ``grid.lambdas`` and
-    ``grid.mu_inits`` must not be empty.
+    Each phase keeps its first minimum in grid order.  A phase builds the
+    config of every cell and checks it by the algorithm's settings rule
+    before any data or worker exists; then its (cell, trial) runs go
+    through :func:`lrssc.parallel.map_tasks` with ``jobs`` workers.
+    Without ``base_config`` the search starts from the algorithm's tuned
+    defaults in ALGORITHMS; its ``grid`` there is the one ``lrssc tune``
+    passes.  ``grid.lambdas`` and ``grid.mu_inits`` must not be empty.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
@@ -149,20 +125,23 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
             raise ValueError(f"grid {name} must not be empty")
     base = (base_config if base_config is not None
             else SolverConfig(**ALGORITHMS[algorithm].defaults))
-    run_trial = partial(_trial_ce, algorithm, spec, base, seed)
+    run_trial = partial(_trial_ce, algorithm, spec, seed)
     table: list[GridPoint] = []
 
-    def best_of(cells) -> GridPoint:
-        ces = map_tasks(run_trial, [(cell, t) for cell in cells for t in range(trials)], jobs)
+    def best_of(cells) -> tuple[GridPoint, SolverConfig]:
+        """The first cell of least median error, with its config."""
+        cfgs = [replace(base, lam=lam, tau=1.0 - lam, gamma=gamma, mu2_init=mu)
+                for lam, gamma, mu in cells]
+        for cfg in cfgs:
+            ALGORITHMS[algorithm].check(cfg)
+        ces = map_tasks(run_trial, [(cfg, t) for cfg in cfgs for t in range(trials)], jobs)
         per_cell = [tuple(ces[i:i + trials]) for i in range(0, len(ces), trials)]
         points = [GridPoint(*cell, ces=c, median_ce=float(np.median(c)))
                   for cell, c in zip(cells, per_cell)]
         table.extend(points)
-        return min(points, key=lambda p: p.median_ce)
+        return min(zip(points, cfgs), key=lambda pc: pc[0].median_ce)
 
-    head = best_of([(lam, g, base.mu2_init)
-                    for lam in grid.lambdas for g in grid.gammas or (base.gamma,)])
-    winner = best_of([(head.lam, head.gamma, mu) for mu in grid.mu_inits])
-    best_cfg = replace(base, lam=winner.lam, tau=1.0 - winner.lam,
-                       gamma=winner.gamma, mu2_init=winner.mu2_init)
+    head, _ = best_of([(lam, g, base.mu2_init)
+                       for lam in grid.lambdas for g in grid.gammas or (base.gamma,)])
+    winner, best_cfg = best_of([(head.lam, head.gamma, mu) for mu in grid.mu_inits])
     return GridSearchResult(best_config=best_cfg, best_median_ce=winner.median_ce, table=table)

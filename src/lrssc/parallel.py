@@ -9,21 +9,27 @@ pinned to one thread use each core once instead.
 The workers fork from one server per process, which multiprocessing's
 ``forkserver`` start method keeps for the life of the process and stops
 when the process exits.  It starts at the first pool, with BLAS pinned, and
-imports ``lrssc.cli`` and ``scipy.optimize`` before it forks anyone, so each
-worker starts warm instead of paying those imports again.  The server runs
+imports ``lrssc`` and ``scipy.optimize`` before it forks anyone, so each
+worker starts warm instead of paying those imports again.  It leaves
+``lrssc.cli`` to each worker (about 5 ms): a server that had it would make
+every worker of ``python -m lrssc.cli`` warn, on re-running the caller's
+``__main__``, that the module was imported before it ran.  The server runs
 no threads, so forking it is safe where forking this process would not be.
 Which modules the server imports is multiprocessing's process-global
 setting, and each pool sets it to this list.  Where the platform has no
 ``forkserver``, each pool spawns fresh interpreters instead.
 
 Within one process, numpy and scipy may each load their own OpenBLAS, each
-with a thread pool as wide as the environment allows.  The solves, the LRR
-baseline and the spectral embedding hold numpy's at one thread while they
-run (:func:`numpy_blas_single_thread`) and run their dense kernels on
-scipy's at full width, so one pool at a time works on the cores and no idle
-one spins against it.  The one exception is the thin SVD of the data matrix
-X, which is numpy's and so runs on the one thread: on 2 cores, gesdd of the
-short, wide X is 2-3x faster there than on scipy's two threads.
+with a thread pool as wide as the environment allows.  The package runs its
+dense kernels on scipy's at full width, and holds numpy's at one thread
+(:func:`numpy_blas_single_thread`) exactly where numpy's BLAS works: in a
+solve, whose Frobenius norms are numpy's ``ddot``, and in the thin SVD of
+the data matrix X (:class:`lrssc.solvers.GramSolver`), which is numpy's and
+so runs on the one thread: on 2 cores, gesdd of the short, wide X is 2-3x
+faster there than on scipy's two threads.  Unpinned, a gmc solve at N = 600
+put 0.56-0.77 s of CPU on numpy's pool and took 1.1-1.3 s instead of
+0.5-0.6 s (2 vCPU).  The LRR product and the spectral embedding run no
+kernel on numpy's BLAS, so they leave it as it is.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ import threading
 # Read by OpenBLAS and OpenMP when a process loads them, so they must be in
 # the environment a worker starts with; setting them later has no effect.
 _PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-# What every worker imports anyway: the package through its CLI, and the
-# solver of the label matching that clustering_error imports lazily.
-_PRELOAD = ["lrssc.cli", "scipy.optimize"]
+# What every worker imports anyway: the package, and the solver of the label
+# matching that clustering_error imports lazily.  Not lrssc.cli (see the
+# module docstring).
+_PRELOAD = ["lrssc", "scipy.optimize"]
 
 
 def usable_cores() -> int:

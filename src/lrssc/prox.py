@@ -24,10 +24,11 @@ Every dense kernel here runs on scipy's BLAS and LAPACK: the Gram matrix's
 lower triangle comes from one ``dsyrk`` (half the flops of M^T M), which is
 all that ``dsytrd`` reads; the fallback SVD of M is scipy's; and the
 products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
-:mod:`lrssc.baselines` use too.  Their callers hold numpy's BLAS at one
-thread (:func:`lrssc.parallel.numpy_blas_single_thread`), so scipy's runs
-them at its full thread count.  (The thin SVD of the data matrix in those
-two modules is numpy's, on that one thread.)
+:mod:`lrssc.baselines` use too.  scipy's BLAS runs them at its full thread
+count; a solve holds numpy's at one thread meanwhile
+(:func:`lrssc.parallel.numpy_blas_single_thread`).  (The thin SVD of the
+data matrix is numpy's, taken once by :class:`lrssc.solvers.GramSolver` on
+numpy's BLAS held at one thread.)
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ ADMM loop over the splits J = C_k of one :class:`State`; they differ only in
 their C maps, their penalty and their number of splits.  :data:`ALGORITHMS`
 holds each of them once, under its command-line name: its solve function,
 the config field of each split's initial mu, C maps, Lagrangian penalty,
-settings rule and tuned defaults.
+settings rule, tuned defaults and the grid ``lrssc tune`` searches.
 
 The J, dual and mu steps, the augmented Lagrangian and the stationarity
 (KKT) residuals are exposed so the solvers can be probed piece by piece.
@@ -203,17 +203,21 @@ class GramSolver:
     With X = U diag(s) V^T (V is N x r, r = min(d, N)) and f = s^2/(s^2 + shift),
     ``solve(shift, R)`` returns (X^T X + shift*I)^-1 (X^T X + R), which is
     (R + V diag(f) V^T (shift*I - R)) / shift: two N x N x r products and no
-    N x N factorization.  The SVD is numpy's, so inside a solve it runs on
-    numpy's BLAS at one thread (see :mod:`lrssc.parallel`).
+    N x N factorization.  It keeps ``s``, ``s2`` = s^2 and ``Vt`` = V^T, and
+    is the one thin SVD of X in the package: the closed-form LRR baselines
+    take theirs from it too.  The SVD is numpy's and runs with numpy's BLAS
+    held at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`),
+    where gesdd of the short, wide X is fastest.
     """
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
         try:
-            _, s, self.Vt = np.linalg.svd(X, full_matrices=False)
+            with numpy_blas_single_thread():
+                _, self.s, self.Vt = np.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as err:  # pragma: no cover
             raise NumericalError(f"SVD of X failed: {err}") from err
-        self.s2 = s * s
+        self.s2 = self.s * self.s
 
     def solve(self, shift: float, rhs: np.ndarray) -> np.ndarray:
         W = prox._gemm(self.Vt, rhs)
@@ -508,8 +512,9 @@ def _check_data(X) -> np.ndarray:
 def _solve(X, cfg: SolverConfig | None, variant: str):
     """The ADMM loop of every variant; returns (C of the first split, trace).
 
-    Its dense kernels run on scipy's BLAS, with numpy's held at one thread;
-    the thin SVD of X is numpy's and runs on that one thread.
+    Its dense kernels run on scipy's BLAS, with numpy's held at one thread,
+    for the Frobenius norms of the loop and the exit KKT (numpy's ``ddot``)
+    and for the thin SVD of X, which is numpy's.
 
     Live set, in N x N arrays: between steps only the state, J and each
     split's C and Lambda (five arrays, three for s0l0), and Vt of X (r x N).
@@ -612,6 +617,26 @@ def s0l0_lrssc_solve(X, cfg: SolverConfig | None = None):
     return _solve(X, cfg, S0L0)
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    """Hyperparameter grid: lambdas (with taus = 1 - lam), initial mus, gammas.
+
+    An empty gamma tuple keeps the base config's gamma fixed.  The search
+    (:func:`lrssc.evaluation.grid_search`) sweeps (lam, gamma) first at the
+    base initial mu, then mu at the winner.  Each :data:`ALGORITHMS` record
+    holds the grid ``lrssc tune`` searches for it.
+    """
+
+    lambdas: tuple
+    mu_inits: tuple = (1.0, 3.0, 5.0, 10.0, 20.0)
+    gammas: tuple = ()
+
+
+# lam = 1/(1+alpha) for alpha = 1e-3 ... 1e3 by decades: the split between the
+# rank and sparsity weights of the three-block solvers.
+_DECADE_LAMBDAS = tuple(1.0 / (1.0 + 10.0 ** k) for k in range(-3, 4))
+
+
 class Algorithm(NamedTuple):
     """What one iterative algorithm adds to the shared ADMM loop.
 
@@ -628,24 +653,31 @@ class Algorithm(NamedTuple):
     Lagrangian, given the stats of every split in update order.
     ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
     overrides it was tuned with on the synthetic benchmark (see SolverConfig
-    on how far ``lrssc tune`` reproduces them).
+    on how far ``lrssc tune`` reproduces them), and ``grid`` the
+    :class:`GridSpec` that ``lrssc tune`` searches for it.
     """
     solve: Callable
     splits: tuple
     penalty: Callable
     check: Callable
     defaults: dict
+    grid: GridSpec
 
 
 # Each iterative algorithm, once, under its one name: the command-line name,
 # SolverTrace.variant and the variant argument of lagrangian_value and
-# kkt_residuals.
+# kkt_residuals.  gamma shapes only gmc's firm thresholds, so only gmc's grid
+# searches it.
 ALGORITHMS = {
     GMC: Algorithm(gmc_lrssc_solve, (("mu1_init", _gmc_low_rank), ("mu2_init", _gmc_sparse)),
-                   _gmc_penalty, _check_gmc, {}),
+                   _gmc_penalty, _check_gmc, {},
+                   GridSpec(_DECADE_LAMBDAS, gammas=tuple(k / 10 for k in range(1, 11)))),
     S0L0: Algorithm(s0l0_lrssc_solve, (("mu2_init", _s0l0_c_map),),
-                    _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0}),
+                    _count_penalty, _check_average_weights, {"lam": 0.5, "mu2_init": 5.0},
+                    # the proximal average's weights, lam = 0.1 ... 0.9
+                    GridSpec(tuple(round(0.1 * i, 1) for i in range(1, 10)), gammas=(0.6,))),
     CONVEX: Algorithm(convex_lrssc, (("mu1_init", _convex_low_rank), ("mu2_init", _convex_sparse)),
                       lambda state, cfg, stats: _mc_penalty(state, cfg, stats, 0.0, 0.0),
-                      _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0}),
+                      _check_positive_weights, {"lam": 1.0 / 1.1, "mu2_init": 1.0},
+                      GridSpec(_DECADE_LAMBDAS, gammas=(0.6,))),
 }

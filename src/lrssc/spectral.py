@@ -22,8 +22,10 @@ Otherwise, when ARPACK does not converge within its budget, or when
 n_clusters is N, the subset eigh runs as below the crossover.  At N=1500 on
 2 vCPUs the certified path takes 64-160 ms where the subset eigh takes
 240-290 ms; at N=450 it loses on some affinities, at N=150 on all.  Both
-paths read the lower triangle of W, run on scipy's BLAS, and hold numpy's
-at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`).
+paths read the lower triangle of W and run on scipy's BLAS.  numpy's BLAS
+is left as it is: no kernel of the embedding or of k-means runs on it
+(per-thread CPU of its pool read 0.00 s over unpinned calls at N = 450,
+540 and 1500), so pinning it would guard nothing.
 
 k-means is kept in-package so its constants (k-means++ seeding, 20
 replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
@@ -42,7 +44,6 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .exceptions import DegenerateAffinityError
-from .parallel import numpy_blas_single_thread
 
 _DEGREE_FLOOR = 1e-12
 _ROW_NORM_FLOOR = 1e-12
@@ -82,7 +83,6 @@ def check_n_clusters(n_clusters: int, n_points: int) -> None:
         raise ValueError(f"n_clusters must lie in [1, {n_points}], got {n_clusters}")
 
 
-@numpy_blas_single_thread()
 def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     """Cluster the graph with affinity W into n_clusters groups.
 

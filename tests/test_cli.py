@@ -403,6 +403,21 @@ class TestCluster:
         assert capsys.readouterr().err == "error: X contains non-finite entries\n"
         assert not labels_out.exists()
 
+    @pytest.mark.parametrize("flag", ["--labels-out", "--trace-out"])
+    def test_missing_output_dir_fails_before_loading(self, small_data_dir, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the input was loaded")
+        monkeypatch.setattr(datasets, "load_matrix", forbidden)
+        outputs = {"--labels-out": tmp_path / "pred.txt", "--trace-out": tmp_path / "trace.csv"}
+        outputs[flag] = tmp_path / "absent" / outputs[flag].name
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    *[a for pair in outputs.items() for a in pair]])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: output directory {tmp_path / 'absent'} does not exist\n")
+        assert sorted(tmp_path.iterdir()) == [small_data_dir]
+
     def test_missing_input_file_fails(self, tmp_path, capsys):
         code = run(["cluster", "--input", tmp_path / "absent.csv",
                     "--algorithm", "gmc", "--clusters", "3",
@@ -645,10 +660,15 @@ class TestSweep:
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
         assert os.environ.get("OMP_NUM_THREADS") == blas_threads
 
-    @pytest.mark.parametrize("algorithms, lam", [("lrr", "-1"), ("gmc,lrr", "0"),
-                                                 ("lrr", "inf")])
+    # gmc's own rule rejects lam 0 before LRR's is reached; s0l0's accepts it.
+    @pytest.mark.parametrize("algorithms, lam, message", [
+        ("lrr", "-1", "lam must be positive, got -1.0"),
+        ("gmc,lrr", "0", "needs lam > 0 and tau > 0, got lam=0.0, tau=1.0"),
+        ("lrr", "inf", "lam must be finite, got inf"),
+        ("s0l0,lrr", "0", "lam must be positive, got 0.0"),
+    ], ids=["lrr--1", "gmc,lrr-0", "lrr-inf", "s0l0,lrr-0"])
     def test_bad_lrr_weight_fails_before_data_or_workers(self, tmp_path, capsys, monkeypatch,
-                                                        algorithms, lam):
+                                                        algorithms, lam, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep went on past its settings")
         monkeypatch.setattr(cli, "map_tasks", forbidden)
@@ -656,9 +676,40 @@ class TestSweep:
         code = run(["sweep", "--pers", "10", "--algorithms", algorithms, "--lam", lam,
                     "--jobs", "2", "--out", tmp_path / "sweep.csv"])
         assert code == 1
-        problem = "finite" if lam == "inf" else "positive"
-        assert capsys.readouterr().err == f"error: lam must be {problem}, got {float(lam)}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--algorithms", "gmc,s0l0", "--lam", "0.2", "--tau", "0.5"],
+         "needs lam + tau = 1 with both nonnegative, got lam=0.2, tau=0.5"),
+        (["--algorithms", "s0l0,gmc", "--gamma", "0"],
+         "gamma must lie in (0, 1] for firm-threshold updates, got 0.0"),
+    ], ids=["s0l0-weights", "gmc-gamma"])
+    def test_settings_rule_fails_before_data_or_workers(self, tmp_path, capsys, monkeypatch,
+                                                        flags, message):
+        """Each algorithm's settings rule runs on its config before any cell,
+        not in the first cell of that algorithm."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its settings")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        code = run(["sweep", *flags, "--pers", "50", "--vars", "0,0.2", "--jobs", "2",
+                    "--out", tmp_path / "sweep.csv"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_missing_output_dir_fails_before_data_or_workers(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its settings")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        code = run(["sweep", "--jobs", "2", "--out", tmp_path / "absent" / "sweep.csv"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: output directory {tmp_path / 'absent'} does not exist\n")
+        assert list(tmp_path.iterdir()) == []
 
     # The values 0 and 0.0 name one variance, so the second is a repeat.
     @pytest.mark.parametrize("flags, message", [
@@ -814,9 +865,11 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
 def test_gmc_rejects_zero_gamma_before_the_data_svd(small_data_dir, tmp_path, capsys,
                                                     monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the data SVD ran")
+        raise AssertionError("the input was read or its SVD ran")
 
+    # the settings are checked before the input is even read
     monkeypatch.setattr(solvers, "GramSolver", forbidden)
+    monkeypatch.setattr(datasets, "load_matrix", forbidden)
     labels_out = tmp_path / "pred.txt"
     code = run(["cluster", "--input", small_data_dir / "X.csv", "--algorithm", "gmc",
                 "--clusters", "3", "--labels-out", labels_out, "--gamma", "0"])

@@ -1,5 +1,6 @@
 """Clustering-error scoring and the hyperparameter grid search."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,11 @@ from lrssc import (
     build_affinity,
     clustering_error,
     generate_synthetic,
-    gmc_default_grid,
     grid_search,
     parallel,
-    s0l0_default_grid,
     spectral_cluster,
 )
+from lrssc import evaluation, solvers
 from lrssc.solvers import ALGORITHMS
 from conftest import brute_force_ce
 
@@ -117,16 +117,30 @@ class TestClusteringError:
 
 
 class TestGridSpecs:
+    """The grid each ALGORITHMS record holds is the one ``lrssc tune`` searches."""
+
+    MU_INITS = (1.0, 3.0, 5.0, 10.0, 20.0)
+    DECADE_LAMBDAS = [1.0 / (1.0 + 10.0**k) for k in range(-3, 4)]
+
     def test_gmc_grid_lambda_values(self):
-        grid = gmc_default_grid()
-        expect = [1.0 / (1.0 + 10.0**k) for k in range(-3, 4)]
-        assert list(grid.lambdas) == pytest.approx(expect)
-        assert grid.mu_inits == (1.0, 3.0, 5.0, 10.0, 20.0)
+        grid = ALGORITHMS["gmc"].grid
+        assert list(grid.lambdas) == pytest.approx(self.DECADE_LAMBDAS)
+        assert list(grid.gammas) == pytest.approx([0.1 * k for k in range(1, 11)])
+        assert grid.mu_inits == self.MU_INITS
+
+    def test_convex_grid_values(self):
+        grid = ALGORITHMS["lrssc-convex"].grid
+        assert list(grid.lambdas) == pytest.approx(self.DECADE_LAMBDAS)
+        assert (grid.gammas, grid.mu_inits) == ((0.6,), self.MU_INITS)
 
     def test_s0l0_grid_lambda_values(self):
-        grid = s0l0_default_grid()
+        grid = ALGORITHMS["s0l0"].grid
         assert list(grid.lambdas) == pytest.approx(
             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+        assert (grid.gammas, grid.mu_inits) == ((0.6,), self.MU_INITS)
+
+    def test_one_grid_spec_under_every_public_name(self):
+        assert GridSpec is evaluation.GridSpec is solvers.GridSpec
 
 
 # independent subspaces: easy instances where good settings reach CE 0
@@ -155,7 +169,8 @@ class TestGridSearch:
         assert result.best_median_ce == 0.0
 
     def test_two_phase_evaluation_count(self):
-        result = grid_search(IDEAL_SPEC, "gmc", gmc_default_grid(),
+        grid = GridSpec(lambdas=ALGORITHMS["gmc"].grid.lambdas)
+        result = grid_search(IDEAL_SPEC, "gmc", grid,
                              base_config=SolverConfig(gamma=0.6, max_iters=10))
         # 7 lambdas at the base mu, then 5 mu values at the winning lambda
         assert len(result.table) == 12
@@ -238,6 +253,37 @@ class TestGridSearch:
         grid = GridSpec(lambdas=(0.5,), mu_inits=(5.0,))
         result = grid_search(IDEAL_SPEC, "s0l0", grid)
         assert [p.mu2_init for p in result.table] == [5.0, 5.0]
+
+    @pytest.mark.parametrize("algorithm, grid, message", [
+        # lam 1.0 leaves gmc no sparsity weight (tau = 0)
+        ("gmc", GridSpec(lambdas=(0.5, 1.0), mu_inits=(5.0,)),
+         "needs lam > 0 and tau > 0, got lam=1.0, tau=0.0"),
+        ("gmc", GridSpec(lambdas=(0.5,), mu_inits=(5.0,), gammas=(0.5, 0.0)),
+         "gamma must lie in (0, 1] for firm-threshold updates, got 0.0"),
+        ("lrssc-convex", GridSpec(lambdas=(0.0, 0.5), mu_inits=(5.0,)),
+         "needs lam > 0 and tau > 0, got lam=0.0, tau=1.0"),
+        ("gmc", GridSpec(lambdas=(0.5,), mu_inits=(5.0, -1.0)),
+         "mu1_init and mu2_init must be positive"),
+    ], ids=["gmc-lam", "gmc-gamma", "convex-lam", "mu"])
+    def test_bad_cell_fails_before_data_or_workers(self, monkeypatch, algorithm, grid,
+                                                   message):
+        """Every cell of a phase is checked before that phase starts any trial;
+        a bad phase-two mu fails after phase one, before phase two runs."""
+        calls = []
+
+        def counting_map(fn, tasks, jobs):
+            calls.append(len(tasks))
+            return [0.0] * len(tasks)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(evaluation, "map_tasks", counting_map)
+        monkeypatch.setattr(evaluation, "_trial_ce", forbidden)
+        monkeypatch.setattr(evaluation, "generate_synthetic", forbidden)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_search(IDEAL_SPEC, algorithm, grid, trials=2, jobs=2,
+                        base_config=SolverConfig(max_iters=10))
+        assert calls == ([2] if "mu" in grid.mu_inits or -1.0 in grid.mu_inits else [])
 
     def test_input_validation(self):
         grid = GridSpec(lambdas=(0.5,))

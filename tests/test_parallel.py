@@ -86,11 +86,32 @@ def test_server_preloads_lrssc_from_the_callers_import_path():
     code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
             "from lrssc import parallel\n"
             "parallel.usable_cores = lambda: 2\n"
-            "probe = \"__import__('sys').modules['lrssc.cli'].__file__\"\n"
+            "probe = \"__import__('sys').modules['lrssc'].__file__\"\n"
             "print(parallel.map_tasks(eval, [probe] * 2, jobs=2))\n")
     done = _run_python(code, env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{[str(src / 'lrssc' / 'cli.py')] * 2}\n"
+    assert done.stdout == f"{[str(src / 'lrssc' / '__init__.py')] * 2}\n"
+
+
+def test_cli_run_as_main_module_warns_in_no_worker(tmp_path):
+    """``python -m lrssc.cli sweep --jobs 2``: each worker re-runs the
+    caller's __main__ module, lrssc.cli, and runpy warns if the server had
+    already imported it.  The child runs the module as ``-m`` does, after
+    making two workers start on any machine."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["lrssc", "sweep", "--pers", "10", "--trials", "2", "--algorithms", "lrr",
+            "--jobs", "2", "--out", str(tmp_path / "sweep.csv")]
+    code = ("import runpy, sys\n"
+            "from lrssc import parallel\n"
+            "parallel.usable_cores = lambda: 2\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('lrssc.cli', run_name='__main__', alter_sys=True)\n")
+    done = _run_python(code, env)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
 
 def test_server_exits_with_its_process():
@@ -159,8 +180,9 @@ def test_solve_pins_numpy_blas_and_leaves_scipys(monkeypatch, small_dataset, bla
 
 @pytest.mark.parametrize("step", ["embedding", "lrr", "lrr_noiseless"])
 def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threads, step):
-    """The embedding's eigh runs on scipy's BLAS at full width, and LRR's thin
-    SVD of X on numpy's held at one thread; scipy's SVD never runs."""
+    """The embedding's eigh runs on scipy's BLAS at full width and leaves
+    numpy's count as it was; LRR's thin SVD of X runs on numpy's held at one
+    thread, and scipy's SVD never runs."""
     numpy_threads, scipy_threads = blas_threads
     scipy_count = scipy_threads()
     seen = []
@@ -169,6 +191,7 @@ def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threa
     if step == "embedding":
         _spy_on(monkeypatch, scipy.linalg, "eigh", record)
         spectral_cluster(build_affinity(C), 3, seed=0)
+        numpy_count = 2  # untouched
     else:
         _spy_on(monkeypatch, np.linalg, "svd", record)
         _spy_on(monkeypatch, scipy.linalg, "svd", lambda: seen.append("scipy svd"))
@@ -176,7 +199,8 @@ def test_embedding_and_lrr_pin_numpy_blas(monkeypatch, small_dataset, blas_threa
             lrr_noisy(small_dataset.X, 2.0)
         else:
             lrr_noiseless(small_dataset.X)
-    assert seen == [(1, scipy_count)]
+        numpy_count = 1
+    assert seen == [(numpy_count, scipy_count)]
     assert numpy_threads() == 2
 
 

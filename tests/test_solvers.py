@@ -7,9 +7,10 @@ packaged solvers bit for bit; that pins the update order (J, then the C
 blocks, then the multipliers, then mu) as part of the public contract.
 """
 
+import itertools
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ class TestConfigValidation:
     def test_rejects_non_finite_settings(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             SolverConfig(**{name: value})
+
+    def test_every_tune_cell_passes_its_settings_rule(self):
+        """Each record's grid, from the base config ``lrssc tune`` starts at,
+        gives only configs that record's own check accepts."""
+        base = SolverConfig(mu2_init=5.0)
+        cells = 0
+        for name, algorithm in ALGORITHMS.items():
+            grid = algorithm.grid
+            for lam, gamma, mu in itertools.product(grid.lambdas, grid.gammas or (base.gamma,),
+                                                    grid.mu_inits):
+                algorithm.check(replace(base, lam=lam, tau=1.0 - lam, gamma=gamma,
+                                        mu2_init=mu))
+                cells += 1
+        assert cells == 7 * 10 * 5 + 7 * 5 + 9 * 5  # gmc, lrssc-convex, s0l0
 
     def test_effective_weights_scaling(self):
         cfg = SolverConfig(lam=0.25, mu2_init=4.0)
