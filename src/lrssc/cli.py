@@ -186,8 +186,9 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
         C = lrr_noisy(X, lam).C
         trace = SolverTrace(variant=algorithm, r_jj=[None], lagrangian=[None],
                             termination="closed_form")
-    labels = spectral.spectral_cluster(spectral.build_affinity(C), n_clusters, seed)
-    return labels, trace
+    W = spectral.build_affinity(C)
+    del C  # the embedding holds W and one more N x N array, not C beside them
+    return spectral.spectral_cluster(W, n_clusters, seed), trace
 
 
 def cmd_cluster(args) -> int:

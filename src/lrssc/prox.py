@@ -216,17 +216,19 @@ def _tridiagonal_eigenpairs(G):
                                           n - hi + 1, n - lo)
             _lapack_ok(info or m - (hi - lo))
             Z = Z[:, :m]
-        # dstevd and dstemr both return an n x n Z: keep the asked columns, descending,
-        # and let Z die before the reflectors are copied.
+        # dstevd and dstemr both return an n x n Z: keep the asked columns,
+        # descending, and let Z die before Q multiplies them.
         top, rest = Z[0, ::-1].copy(), np.array(Z[1:, ::-1], order="F")
         del Z
-        # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal
-        below = np.asfortranarray(refl[1:, :-1])
+        # Q = diag(1, Q'), Q' made of the reflectors below the subdiagonal:
+        # refl[1:, :-1] read in place as an n x (n-1) Fortran array from
+        # refl[1, 0] with leading dimension n, of which dormqr reads the
+        # first n - 1 rows.
+        below = refl.ravel(order="F")[1:n * n - n + 1].reshape((n, n - 1), order="F")
         work, info = lapack.dormqr("L", "N", below, tau, rest, -1, overwrite_c=1)[1:]
         _lapack_ok(info)
         rest, _, info = lapack.dormqr("L", "N", below, tau, rest, int(work[0]), overwrite_c=1)
         _lapack_ok(info)
-        del below
         V = np.empty((n, rest.shape[1]))
         V[0] = top
         V[1:] = rest

@@ -27,6 +27,14 @@ is left as it is: no kernel of the embedding or of k-means runs on it
 (per-thread CPU of its pool read 0.00 s over unpinned calls at N = 450,
 540 and 1500), so pinning it would guard nothing.
 
+From C to labels the stage holds at most two N x N arrays at once.
+``build_affinity`` writes |C| into W and symmetrizes W in place, one block
+pair at a time, so it holds C and W.  ``spectral_cluster`` holds W and one
+more: the Laplacian, built in Fortran order so that the subset eigh
+overwrites it instead of a copy and dropped before k-means, or the Lanczos
+certificate.  A caller that drops C once W exists (the CLI and the tuner
+do) never holds three.
+
 k-means is kept in-package so its constants (k-means++ seeding, 20
 replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
 lowest replicate index) are pinned for reproducibility.  The replicates run
@@ -45,6 +53,9 @@ from scipy.linalg import blas, lapack
 
 from .exceptions import DegenerateAffinityError
 
+# Side of the square blocks build_affinity symmetrizes: a block pair (144 KB)
+# stays in cache, and the temporaries of one pair are 0.07 array at N=600.
+_AFFINITY_BLOCK = 96
 _DEGREE_FLOOR = 1e-12
 _ROW_NORM_FLOOR = 1e-12
 # The smallest N at which the certified Lanczos embedding beat the subset
@@ -69,12 +80,24 @@ _KMEANS_REL_TOL = 1e-9
 
 
 def build_affinity(C) -> np.ndarray:
-    """Symmetric nonnegative affinity |C| + |C|^T."""
+    """Symmetric nonnegative affinity |C| + |C|^T, C-ordered; C is not changed.
+
+    |C| goes into one new array, which is then symmetrized in place one block
+    pair at a time: s = W_ij + W_ji^T is written to both blocks.  Addition
+    commutes, so the result has the bits of ``A + A.T`` with A = |C|.  The
+    call holds two N x N arrays, C and W, where ``A + A.T`` held three.
+    """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"representation matrix must be square, got shape {C.shape}")
-    A = np.abs(C)
-    return A + A.T
+    n, step = C.shape[0], _AFFINITY_BLOCK
+    W = np.abs(C, out=np.empty((n, n)))
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            upper, lower = W[i:i + step, j:j + step], W[j:j + step, i:i + step]
+            upper += lower.T
+            lower[...] = upper.T
+    return W
 
 
 def check_n_clusters(n_clusters: int, n_points: int) -> None:
@@ -119,12 +142,14 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
         emb = _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed)
     if emb is None:
         # I - D^{-1/2} W D^{-1/2} in one array: 0 - x off the diagonal, then
-        # 1 + (0 - x) = 1 - x on it, so the signs of zeros stay those of I - x
-        lap = inv_sqrt_deg[:, None] * W
+        # 1 + (0 - x) = 1 - x on it, so the signs of zeros stay those of I - x.
+        # Fortran order, so that eigh overwrites it instead of a copy.
+        lap = np.multiply(inv_sqrt_deg[:, None], W, out=np.empty((n, n), order="F"))
         lap *= inv_sqrt_deg[None, :]
         np.subtract(0.0, lap, out=lap)
         lap[np.diag_indices(n)] += 1.0
         _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
+        del lap  # k-means runs beside W alone
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR
     labels = np.zeros(n, dtype=int)

@@ -16,6 +16,7 @@ from lrssc import (
     SyntheticSpec,
     cli,
     datasets,
+    generate_synthetic,
     load_labels,
     load_matrix,
     parallel,
@@ -25,7 +26,7 @@ from lrssc import (
 )
 from lrssc.cli import SWEEP_HEADER, TRACE_HEADER, build_parser, main
 
-from conftest import eigh_gram_j_update
+from conftest import eigh_gram_j_update, peak_arrays
 
 SMALL_SYNTH = ["synth", "--n", "30", "--d", "3", "--L", "3", "--per", "10",
                "--union-rank", "6", "--seed", "5"]
@@ -441,6 +442,20 @@ class TestCluster:
             labels = load_labels(labels_out)
             assert labels.shape == (30,)
             assert set(labels) <= {0, 1, 2}
+
+    def test_closed_form_path_holds_two_arrays(self):
+        """Closed-form LRR at N=600 holds C and W, then W and the embedding's
+        one array: C dies once the affinity exists (tracemalloc peak in units
+        of 8 N^2 bytes; a warm-up call imports scipy.sparse.linalg)."""
+        X = generate_synthetic(SyntheticSpec(points_per_subspace=200, noise_variance=0.01,
+                                             seed=7)).X
+        args = build_parser().parse_args(["cluster", "--input", "X.csv", "--clusters", "3"])
+
+        def call():
+            return cli._solve_and_label(args, "lrr", None, X, 3, 0)
+
+        call()
+        assert peak_arrays(call, X.shape[1]) <= 2.2
 
     @pytest.mark.xfail(reason="this run reads 4.7% error: shared pool directions "
                               "leave some points ambiguous to the affinity, though "

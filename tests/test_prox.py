@@ -522,6 +522,39 @@ class TestGramKernel:
         for t in (sv[0] * 2, sv[0] / 2, sv[-1] / 4, (sv[0] + sv[-1]) / 2):
             self.check(monkeypatch, kind, M, t, fallback=False)
 
+    @pytest.mark.parametrize("n, lo, hi", [(2, 0, 1), (3, 1, 3), (40, 0, 4), (40, 5, 40)])
+    def test_reflectors_reach_dormqr_in_place(self, monkeypatch, n, lo, hi):
+        """dormqr reads the reflectors inside dsytrd's output, as an n x (n-1)
+        Fortran view from refl[1, 0]; it reads only the first n - 1 rows, so
+        Q comes out bit-equal to the one from the copy refl[1:, :-1]."""
+        reflectors, checked = [], []
+        real_dsytrd, real_dormqr = lapack.dsytrd, lapack.dormqr
+
+        def dsytrd(*args, **kw):
+            out = real_dsytrd(*args, **kw)
+            reflectors.append(out[0])
+            return out
+
+        def dormqr(side, trans, a, tau, c, lwork, **kw):
+            copied = real_dormqr(side, trans, np.asfortranarray(reflectors[0][1:, :-1]), tau,
+                                 np.array(c, order="F"), lwork, **kw)
+            out = real_dormqr(side, trans, a, tau, c, lwork, **kw)
+            assert a.shape == (n, n - 1) and a.flags.f_contiguous
+            assert np.shares_memory(a, reflectors[0])
+            np.testing.assert_array_equal(out[0].view(np.int64), copied[0].view(np.int64))
+            checked.append(lwork)
+            return out
+
+        monkeypatch.setattr(lapack, "dsytrd", dsytrd)
+        monkeypatch.setattr(lapack, "dormqr", dormqr)
+        A = _rng_matrix((n + 5, n), seed=n)
+        s, vectors = prox._tridiagonal_eigenpairs(prox._gram(A))
+        V = vectors(lo, hi)
+        assert len(checked) == 2  # the workspace query, then the product
+        np.testing.assert_allclose(np.abs(V.T @ V), np.eye(hi - lo), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(A.T @ A @ V, V * s[lo:hi] ** 2, rtol=0,
+                                   atol=1e-12 * s[0] ** 2)
+
     @pytest.mark.parametrize("kind", ["knee", "hard", "firm", "soft"])
     @pytest.mark.parametrize("shape", [(12, 10), (10, 10), (10, 12)])
     def test_exact_zero_singular_value(self, monkeypatch, kind, shape):

@@ -14,7 +14,7 @@ from lrssc import (
     lrr_noisy,
     spectral_cluster,
 )
-from conftest import block_affinity, full_eigh_spectral_labels
+from conftest import block_affinity, full_eigh_spectral_labels, peak_arrays
 
 
 class TestBuildAffinity:
@@ -33,6 +33,27 @@ class TestBuildAffinity:
         W = build_affinity(C)
         np.testing.assert_array_equal(W, W.T)
         assert W.min() >= 0.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, spectral_module._AFFINITY_BLOCK - 1,
+                                   spectral_module._AFFINITY_BLOCK,
+                                   spectral_module._AFFINITY_BLOCK + 1, 600])
+    def test_bits_of_the_sum_of_abs_and_its_transpose(self, n, order):
+        """Symmetrized in place one block pair at a time, W has the bits of
+        |C| + |C|^T for a non-symmetric C with +0.0 and -0.0 entries, in either
+        order; it is C-ordered, so the Lanczos path reads it without a copy,
+        and C is left as it was."""
+        rng = np.random.default_rng(n)
+        C = rng.standard_normal((n, n))
+        C[rng.random((n, n)) < 0.2] = 0.0
+        C[rng.random((n, n)) < 0.2] = -0.0
+        C = np.asarray(C, order=order)
+        before = C.copy(order="K")
+        W = build_affinity(C)
+        expected = np.abs(C) + np.abs(C).T
+        np.testing.assert_array_equal(W.view(np.int64), expected.view(np.int64))
+        assert W.flags.c_contiguous and np.shares_memory(np.ascontiguousarray(W), W)
+        np.testing.assert_array_equal(C.view(np.int64), before.view(np.int64))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -206,6 +227,39 @@ def subset_eigh_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting)
     return calls
+
+
+@pytest.fixture(scope="module")
+def lrr_affinities():
+    """LRR affinities of noisy three-subspace data at N=450, below the
+    Lanczos crossover, and N=600, at it."""
+    return {n: build_affinity(lrr_noisy(generate_synthetic(SyntheticSpec(
+        points_per_subspace=n // 3, noise_variance=0.01, seed=7)).X, 2.0).C) for n in (450, 600)}
+
+
+class TestWorkingSet:
+    """The affinity and the embedding each hold one N x N array beyond their
+    input (tracemalloc peaks in units of 8 N^2 bytes)."""
+
+    def test_affinity(self):
+        C = np.random.default_rng(3).standard_normal((600, 600))
+        assert peak_arrays(lambda: build_affinity(C), 600) <= 1.1
+
+    @pytest.mark.parametrize("n, budget, subset_eighs", [
+        pytest.param(450, 1.2, 1, id="subset-eigh"), pytest.param(600, 1.1, 0, id="lanczos")])
+    def test_embedding_leaves_w_unchanged(self, monkeypatch, lrr_affinities, n, budget,
+                                          subset_eighs):
+        """The subset eigh overwrites a Fortran-ordered Laplacian in place and
+        drops it before k-means; the Lanczos certificate is the one array of
+        its path.  The first call, which on the Lanczos path imports
+        scipy.sparse.linalg, warms up."""
+        W = lrr_affinities[n]
+        before = W.copy()
+        spectral_cluster(W, 3, 0)
+        calls = subset_eigh_calls(monkeypatch)
+        assert peak_arrays(lambda: spectral_cluster(W, 3, 0), n) <= budget
+        assert len(calls) == subset_eighs
+        np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
 
 
 def kmeans_inputs(monkeypatch):
