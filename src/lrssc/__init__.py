@@ -1,7 +1,10 @@
 """Low-rank sparse subspace clustering solvers and benchmark tooling.
 
 The public names are the ones imported below; ``__all__`` is derived from
-them, so a name is made public by importing it here and nowhere else.
+them, so a name is made public by importing it here and nowhere else.  They
+are the pipeline: data, solvers, thresholds, spectral clustering and
+scoring.  The ADMM step API (the iterate types, the J, dual and mu steps,
+the Lagrangian and KKT probes) stays in :mod:`lrssc.solvers`.
 """
 
 import types as _types
@@ -27,8 +30,6 @@ from .evaluation import (
 from .exceptions import DegenerateAffinityError, NumericalError
 from .prox import (
     ThresholdParams,
-    entrywise_firm,
-    entrywise_hard,
     firm_threshold,
     gmc_penalty_separable,
     hard_threshold,
@@ -39,22 +40,11 @@ from .prox import (
     svt_soft,
 )
 from .solvers import (
-    KktResiduals,
     SolverConfig,
     SolverTrace,
-    Split,
-    State,
     convex_lrssc,
-    dual_update,
-    effective_weights,
     gmc_lrssc_solve,
-    j_update,
-    kkt_residuals,
-    lagrangian_value,
-    mu_update,
-    normalize_columns,
     s0l0_lrssc_solve,
-    stopping_check,
 )
 from .spectral import build_affinity, spectral_cluster
 

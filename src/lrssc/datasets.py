@@ -18,7 +18,14 @@ import numpy as np
 
 @dataclass
 class SyntheticSpec:
-    """Shape and noise of a synthetic clustering problem."""
+    """Shape and noise of a synthetic clustering problem.
+
+    At the defaults the subspaces are dependent.  The three 5-dim windows of
+    the 10-column pool are ``pool[0:5]``, ``pool[2:7]`` and ``pool[5:10]``,
+    so S2 lies in S1 + S3, and rank X is the rank of S1 and S3 alone, 10.
+    ``union_rank = subspace_dim * num_subspaces`` (15) gives independent
+    subspaces.
+    """
 
     ambient_dim: int = 100
     subspace_dim: int = 5

@@ -14,10 +14,14 @@ the config field of each split's initial mu, C maps, Lagrangian penalty,
 settings rule, tuned defaults and the grid ``lrssc tune`` searches.
 
 The J, dual and mu steps, the augmented Lagrangian and the stationarity
-(KKT) residuals are exposed so the solvers can be probed piece by piece.
-Each algorithm's C step exists once, as the per-split maps of its record:
-``c_map(J, split, cfg)`` for each ``(mu_init, c_map)`` in
-``ALGORITHMS[name].splits``.
+(KKT) residuals live here, outside the package's top-level names, so that
+the solvers can be probed piece by piece; they are internals, not a stable
+interface.  Each algorithm's C step exists once, as the per-split maps of
+its record: ``c_map(J, split, cfg)`` for each ``(mu_init, c_map)`` in
+``ALGORITHMS[name].splits``.  Each settings rule is written once, as its
+record's ``check``: :func:`_solve` runs it before the loop, and the probes
+:func:`lagrangian_value` and :func:`kkt_residuals` run it at their one gate,
+:func:`_algorithm`; the maps and penalties behind them check nothing.
 """
 
 from __future__ import annotations
@@ -263,10 +267,10 @@ def _mc_shape(weight: float, mu: float, gamma: float) -> tuple[prox.ThresholdPar
     subproblem convex; so knee * b^2 = 1, except at gamma = 1, where the knee
     is nudged off the threshold by a factor 1 + _GAMMA_KNEE_NUDGE.  This is
     the only place the gmc steps and the gmc penalty get their shape from.
+    It checks nothing: every caller is reached through gmc's settings rule
+    and a positive mu (:func:`_solve`, or the gate :func:`_algorithm`), which
+    give weight > 0, mu > 0 and gamma in (0, 1].
     """
-    if not (weight > 0 and mu > 0 and 0.0 < gamma <= 1.0):
-        raise ValueError(f"the MC shape needs weight > 0, mu > 0 and gamma in (0, 1], "
-                         f"got weight={weight}, mu={mu}, gamma={gamma}")
     thr = weight / mu
     knee = weight / (gamma * mu)
     if not knee > thr:
@@ -326,13 +330,13 @@ def _s0l0_c_map(J, split, cfg):
     counts its penalty takes: (C, (rank, nnz)).
 
     C is lam * svt_hard(V) + tau * entrywise_hard(V) at V = J + Lambda/mu,
-    with the diagonal of the sparsity component zeroed.  Requires
-    lam + tau = 1; the pure-rank (tau = 0) and pure-sparsity (lam = 0) cases
-    degenerate to the single prox map.  rank is the number of singular
+    with the diagonal of the sparsity component zeroed.  Assumes
+    lam + tau = 1, s0l0's settings rule, which its callers have run; the
+    pure-rank (tau = 0) and pure-sparsity (lam = 0) cases degenerate to the
+    single prox map.  rank is the number of singular
     values the rank map keeps and nnz the number of nonzero entries of the
     sparsity map's output; a map the weights leave out counts 0.
     """
-    _check_average_weights(cfg)
     lam_eff, tau_eff = effective_weights(cfg)
     V = _prox_point(J, split)
     if cfg.tau == 0.0:
@@ -431,21 +435,34 @@ def _count_penalty(state, cfg, c_stats) -> float:
     return lam_eff * rank + tau_eff * nnz
 
 
-def _algorithm(state, variant: str) -> Algorithm:
-    """The record of a variant; ValueError unless the state has its number of splits."""
+def _algorithm(state, variant: str, cfg: SolverConfig) -> Algorithm:
+    """The record of a variant, once the state and the config may enter its
+    steps: the one entry check of :func:`lagrangian_value` and
+    :func:`kkt_residuals`.
+
+    ValueError, in this order, for an unknown variant, a state whose number
+    of splits is not the variant's, a config the record's ``check`` rejects,
+    and a split whose mu is not positive.  Past it, the C maps and the
+    penalty check nothing themselves.
+    """
     if variant not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
     algorithm = ALGORITHMS[variant]
     if len(state.splits) != len(algorithm.splits):
         raise ValueError(f"variant {variant!r} needs a state with {len(algorithm.splits)} "
                          f"split(s), got {len(state.splits)}")
+    algorithm.check(cfg)
+    if not all(split.mu > 0 for split in state.splits):
+        raise ValueError("every mu must be positive")
     return algorithm
 
 
 def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None) -> float:
     """Full augmented Lagrangian (fidelity, penalties, quadratic and dual terms).
 
-    The penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
+    The state and config pass :func:`_algorithm` first: a variant, split
+    count, config or mu the record rejects raises ValueError there.  The
+    penalty is the ``penalty`` of the variant's :data:`ALGORITHMS`
     record.  gmc takes the scaled MC penalty on the singular values of C1
     and on the entries of C2, with each block's b from :func:`_mc_shape`,
     the one home of the "b tracks mu" rule; lrssc-convex is its b = 0
@@ -459,7 +476,7 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
     is required: C alone does not give the counts.  The residual J - C_k of
     one split at a time is the only N x N temporary.
     """
-    algorithm = _algorithm(state, variant)
+    algorithm = _algorithm(state, variant, cfg)
     X = np.asarray(X, dtype=float)
     fid = 0.5 * np.linalg.norm(X - prox._gemm(X, state.J), "fro") ** 2
     pen = algorithm.penalty(state, cfg, c_stats)
@@ -482,12 +499,14 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
 def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     """Stationarity residuals (Frobenius norms) at a state.
 
-    The fixed-point residuals reuse the variant's own C maps, evaluated with
-    the state's current multipliers and mu values, one split at a time: a
-    map's output dies with its norm, before the next map runs, and before
-    the gradient, which takes each multiplier in place, is formed.
+    The state and config pass :func:`_algorithm` first, as in
+    :func:`lagrangian_value`.  The fixed-point residuals reuse the variant's
+    own C maps, evaluated with the state's current multipliers and mu
+    values, one split at a time: a map's output dies with its norm, before
+    the next map runs, and before the gradient, which takes each multiplier
+    in place, is formed.
     """
-    algorithm = _algorithm(state, variant)
+    algorithm = _algorithm(state, variant, cfg)
     X = np.asarray(X, dtype=float)
     gaps, fixed = [], []
     for split, (_, c_map) in zip(state.splits, algorithm.splits):
@@ -651,10 +670,12 @@ class Algorithm(NamedTuple):
     exit KKT and direct callers all take C from it.
     ``penalty(state, cfg, c_stats)`` is the penalty term of its augmented
     Lagrangian, given the stats of every split in update order.
-    ``check(cfg)`` raises ValueError on a config it rejects.  ``defaults`` are the SolverConfig
-    overrides it was tuned with on the synthetic benchmark (see SolverConfig
-    on how far ``lrssc tune`` reproduces them), and ``grid`` the
-    :class:`GridSpec` that ``lrssc tune`` searches for it.
+    ``check(cfg)`` raises ValueError on a config it rejects; it is the one
+    home of the algorithm's settings rule, which its maps and penalty assume
+    and do not check again.  ``defaults`` are the SolverConfig overrides it
+    was tuned with on the synthetic benchmark (see SolverConfig on how far
+    ``lrssc tune`` reproduces them), and ``grid`` the :class:`GridSpec` that
+    ``lrssc tune`` searches for it.
     """
     solve: Callable
     splits: tuple

@@ -121,8 +121,9 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     its certificate (see the module docstring).  The seed also draws the
     Lanczos start vector, so repeated calls give identical labels.
     Returns integer labels in [0, n_clusters).  Raises ValueError for a
-    non-square or non-finite affinity, an out-of-range n_clusters or a
-    negative seed, and DegenerateAffinityError for an all-zero affinity.
+    non-square, non-finite or signed affinity (any negative entry), an
+    out-of-range n_clusters or a negative seed, before any eigensolver runs,
+    and DegenerateAffinityError for an all-zero affinity.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -133,6 +134,8 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not np.isfinite(W).all():
         raise ValueError("affinity has non-finite entries (NaN or inf)")
+    if W.min() < 0:
+        raise ValueError("affinity has negative entries")
     if not np.any(W):
         raise DegenerateAffinityError("affinity matrix is identically zero")
 
@@ -148,7 +151,9 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
         lap *= inv_sqrt_deg[None, :]
         np.subtract(0.0, lap, out=lap)
         lap[np.diag_indices(n)] += 1.0
-        _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True)
+        # finite, as W is: W_ij / sqrt(deg_i deg_j) <= sqrt(W_ij) / sqrt(_DEGREE_FLOOR)
+        _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True,
+                                   check_finite=False)
         del lap  # k-means runs beside W alone
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR

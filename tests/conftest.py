@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrssc import SolverConfig, State, SyntheticSpec, generate_synthetic, parallel, spectral
+from lrssc import SolverConfig, SyntheticSpec, generate_synthetic, parallel, spectral
+from lrssc.solvers import State
 
 
 def brute_force_prox_objective(y, penalty, candidates):

@@ -29,7 +29,6 @@ from conftest import (
 )
 from lrssc import (
     SolverConfig,
-    State,
     SyntheticSpec,
     build_affinity,
     clustering_error,
@@ -47,6 +46,7 @@ from lrssc.solvers import (
     ALGORITHMS,
     GMC,
     GramSolver,
+    State,
     dual_update,
     j_update,
     lagrangian_value,

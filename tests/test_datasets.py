@@ -93,6 +93,19 @@ class TestGenerator:
         assert s[8] > 1e-6 * s[0]
         assert s[9] < 1e-10 * s[0]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_default_subspaces_are_dependent(self, seed):
+        """At the defaults the windows are pool[0:5], pool[2:7] and pool[5:10]:
+        S2 lies in S1 + S3, so X has the rank of S1 and S3 alone, 10.  At
+        union_rank = d*L = 15 the three subspaces are independent."""
+        def ranks(union_rank):
+            ds = generate_synthetic(SyntheticSpec(union_rank=union_rank, seed=seed))
+            block = [ds.X[:, ds.truth == label] for label in range(3)]
+            pairs = [np.hstack([block[i], block[j]]) for i, j in ((0, 1), (1, 2), (0, 2))]
+            return [np.linalg.matrix_rank(M) for M in [ds.X, *pairs]]
+        assert ranks(10) == [10, 7, 8, 10]
+        assert ranks(15) == [15, 10, 10, 10]
+
     def test_single_subspace(self):
         spec = SyntheticSpec(ambient_dim=10, subspace_dim=4, num_subspaces=1,
                              points_per_subspace=6, union_rank=4, seed=3)

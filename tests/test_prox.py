@@ -13,8 +13,6 @@ from lrssc import prox
 from lrssc import (
     NumericalError,
     ThresholdParams,
-    entrywise_firm,
-    entrywise_hard,
     firm_threshold,
     gmc_penalty_separable,
     hard_threshold,
@@ -24,6 +22,7 @@ from lrssc import (
     svt_hard,
     svt_soft,
 )
+from lrssc.prox import entrywise_firm, entrywise_hard
 from conftest import (
     brute_force_prox_objective,
     firm_penalty,

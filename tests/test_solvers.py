@@ -1,10 +1,10 @@
 """ADMM solver pieces and full runs: update steps, traces, and diagnostics.
 
-Several tests re-drive the iteration loop out of the exported J, dual and
-mu steps and each algorithm's one C step, the per-split ``c_map`` of each
-of its ``ALGORITHMS`` record's ``splits``, and check the result against the
-packaged solvers bit for bit; that pins the update order (J, then the C
-blocks, then the multipliers, then mu) as part of the public contract.
+Several tests re-drive the iteration loop out of the J, dual and mu steps
+of ``lrssc.solvers`` and each algorithm's one C step, the per-split
+``c_map`` of each of its ``ALGORITHMS`` record's ``splits``, and check the
+result against the packaged solvers bit for bit; that pins the update order
+(J, then the C blocks, then the multipliers, then mu).
 """
 
 import itertools
@@ -20,29 +20,35 @@ from scipy.linalg import blas, lapack
 from lrssc import (
     NumericalError,
     SolverConfig,
-    Split,
-    State,
     SyntheticSpec,
     build_affinity,
     convex_lrssc,
-    dual_update,
-    effective_weights,
-    entrywise_hard,
     generate_synthetic,
     gmc_lrssc_solve,
+    prox,
+    s0l0_lrssc_solve,
+    solvers,
+    spectral_cluster,
+    svt_hard,
+)
+from lrssc.prox import entrywise_hard
+from lrssc.solvers import (
+    ALGORITHMS,
+    CONVEX,
+    GMC,
+    S0L0,
+    GramSolver,
+    Split,
+    State,
+    dual_update,
+    effective_weights,
     j_update,
     kkt_residuals,
     lagrangian_value,
     mu_update,
     normalize_columns,
-    prox,
-    s0l0_lrssc_solve,
-    solvers,
-    spectral_cluster,
     stopping_check,
-    svt_hard,
 )
-from lrssc.solvers import ALGORITHMS, CONVEX, GMC, S0L0, GramSolver
 
 from conftest import eigh_gram_j_update, peak_arrays, replaced_state
 
@@ -306,11 +312,12 @@ class TestCUpdates:
         np.testing.assert_array_equal(np.diag(c_blocks(GMC, state, cfg)[1]), 0.0)
 
     def test_gmc_updates_reject_zero_gamma(self):
-        # gamma = 0 is a legal setting (lrssc-convex ignores gamma) but not a firm prox
+        # gamma = 0 is a legal setting (lrssc-convex ignores gamma) but not a
+        # firm prox: gmc's settings rule rejects it before any C map runs
         bad = SolverConfig(gamma=0.0)
         state = zero_state(GMC, 3, bad)
-        with pytest.raises(ValueError):
-            c_blocks(GMC, state, bad)
+        with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\] for firm-threshold"):
+            kkt_residuals(np.zeros((2, 3)), state, bad, GMC)
 
 
 def make_two_block_state(V, cfg):
@@ -351,10 +358,11 @@ class TestS0L0Update:
                                    atol=1e-14)
 
     def test_rejects_unbalanced_weights(self):
+        # the proximal average's rule, lam + tau = 1, is checked before its C map runs
         cfg = SolverConfig(lam=0.5, tau=0.6)
         state = zero_state(S0L0, 3, cfg)
-        with pytest.raises(ValueError):
-            c_blocks(S0L0, state, cfg)
+        with pytest.raises(ValueError, match=r"^needs lam \+ tau = 1"):
+            kkt_residuals(np.zeros((2, 3)), state, cfg, S0L0)
 
 
 class TestDualAndSchedule:
@@ -443,6 +451,31 @@ class TestLagrangianValue:
             lagrangian_value(np.zeros((2, 3)), state, cfg, S0L0, c_stats=np.zeros(3))
 
 
+# A config each record's settings rule rejects.
+REJECTED = {GMC: dict(gamma=0.0), S0L0: dict(lam=0.3, tau=0.3), CONVEX: dict(lam=0.0)}
+
+
+class TestGate:
+    """lagrangian_value and kkt_residuals enter a record's steps through one
+    gate, which applies that record's own settings rule and a positive mu."""
+
+    @pytest.mark.parametrize("probe", [lagrangian_value, kkt_residuals],
+                             ids=["lagrangian_value", "kkt_residuals"])
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_probes_apply_the_record_rule_and_a_positive_mu(self, probe, name):
+        bad = SolverConfig(**REJECTED[name])
+        with pytest.raises(ValueError) as rule:
+            ALGORITHMS[name].check(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rule.value))}$"):
+            probe(np.zeros((2, 8)), zero_state(name, 8, bad), bad, name)
+        cfg = registry_config(name)
+        for k in range(len(ALGORITHMS[name].splits)):
+            state = zero_state(name, 3, cfg)
+            state.splits[k].mu = 0.0
+            with pytest.raises(ValueError, match="^every mu must be positive$"):
+                probe(np.zeros((2, 3)), state, cfg, name)
+
+
 def _record_prox_calls(monkeypatch, name, pick, log):
     """Wrap prox.<name> so that each call appends pick(*args) to log."""
     real = getattr(prox, name)
@@ -474,12 +507,20 @@ class TestMcShape:
 
     @pytest.mark.parametrize("kwargs", [dict(lam=1.0), dict(lam=0.0), dict(gamma=0.0)])
     def test_gmc_penalty_rejects_zero_weight_or_gamma(self, kwargs):
+        """gmc's b needs both weights positive and gamma in (0, 1]: its settings
+        rule rejects the rest at the gate.  lrssc-convex's rule needs the
+        weights positive too, but its b = 0 penalty takes any gamma."""
         cfg = SolverConfig(**kwargs)
-        state = zero_state(GMC, 3, cfg)
-        with pytest.raises(ValueError, match="the MC shape needs weight > 0"):
-            lagrangian_value(np.zeros((2, 3)), state, cfg, GMC)
-        # the convex penalty takes b = 0 by itself, at any weights
-        assert lagrangian_value(np.zeros((2, 3)), state, cfg, CONVEX) == 0.0
+        X = np.zeros((2, 3))
+        weights = r"^needs lam > 0 and tau > 0"
+        with pytest.raises(ValueError,
+                           match=r"^gamma must lie in \(0, 1\]" if "gamma" in kwargs else weights):
+            lagrangian_value(X, zero_state(GMC, 3, cfg), cfg, GMC)
+        if "gamma" in kwargs:
+            assert lagrangian_value(X, zero_state(CONVEX, 3, cfg), cfg, CONVEX) == 0.0
+        else:
+            with pytest.raises(ValueError, match=weights):
+                lagrangian_value(X, zero_state(CONVEX, 3, cfg), cfg, CONVEX)
 
 
 class TestKktResiduals:
@@ -827,3 +868,31 @@ class TestDescentChain:
             assert L_c2 <= L_c1 + 1e-8 * scale
 
             step_duals(state, cfg)
+
+
+# The top-level names are the pipeline; the ADMM step API stays in its modules.
+PUBLIC = [
+    "DegenerateAffinityError", "EvalReport", "GridPoint", "GridSearchResult", "GridSpec",
+    "LabeledDataset", "LrrSolution", "NumericalError", "SolverConfig", "SolverTrace",
+    "SyntheticSpec", "ThresholdParams", "build_affinity", "clustering_error", "convex_lrssc",
+    "firm_threshold", "generate_synthetic", "gmc_lrssc_solve", "gmc_penalty_separable",
+    "grid_search", "hard_threshold", "load_labels", "load_matrix", "lrr_noiseless", "lrr_noisy",
+    "s0l0_lrssc_solve", "save_labels", "save_matrix", "scaled_mc_penalty", "soft_threshold",
+    "spectral_cluster", "svt_firm", "svt_hard", "svt_soft",
+]
+INTERNAL = {
+    solvers: ["State", "Split", "KktResiduals", "j_update", "dual_update", "mu_update",
+              "stopping_check", "normalize_columns", "effective_weights", "lagrangian_value",
+              "kkt_residuals"],
+    prox: ["entrywise_firm", "entrywise_hard"],
+}
+
+
+def test_public_surface():
+    import lrssc
+
+    assert sorted(lrssc.__all__) == PUBLIC
+    for module, names in INTERNAL.items():
+        for name in names:
+            assert not hasattr(lrssc, name)
+            assert callable(getattr(module, name))

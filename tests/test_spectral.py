@@ -1,5 +1,7 @@
 """Affinity construction and the Laplacian-embedding clustering pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -131,6 +133,28 @@ class TestSpectralCluster:
         with pytest.raises(ValueError, match="affinity has non-finite entries"):
             spectral_cluster(W, 2, seed=0)
 
+    @pytest.mark.parametrize("n", [60, 600], ids=["subset-eigh", "lanczos"])
+    def test_rejects_signed_affinity_before_the_embedding(self, monkeypatch, n):
+        """A symmetric Gaussian W is finite but signed: no normalized Laplacian
+        of it is the one the embedding assumes, so it is rejected by name."""
+        forbid_embedding(monkeypatch)
+        G = np.random.default_rng(12).standard_normal((n, n))
+        W = G + G.T
+        assert W.min() < 0
+        with pytest.raises(ValueError, match="^affinity has negative entries$"):
+            spectral_cluster(W, 3, seed=0)
+
+    def test_rejects_huge_negative_entry_without_overflow(self, monkeypatch):
+        """-1.7e308 is finite; it is rejected before the Laplacian is formed,
+        where it overflowed."""
+        forbid_embedding(monkeypatch)
+        W, _ = block_affinity([4, 4], seed=11)
+        W[0, 5] = W[5, 0] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^affinity has negative entries$"):
+                spectral_cluster(W, 2, seed=0)
+
     def test_rejects_negative_seed_before_the_embedding(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the embedding ran")
@@ -214,6 +238,14 @@ class TestLanczosEmbeddingMatchesFullEigh(TestSubsetEmbeddingMatchesFullEigh):
         yield
         # empty when n_clusters is the number of points, which ARPACK cannot take
         assert all(emb is not None for emb in results)
+
+
+def forbid_embedding(monkeypatch):
+    """Make both eigensolver paths of spectral_cluster fail the test if they run."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the embedding ran")
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    monkeypatch.setattr(spectral_module, "_lanczos_embedding", forbidden)
 
 
 def subset_eigh_calls(monkeypatch):
