@@ -2,7 +2,10 @@
 
 Both take the thin SVD of X from :class:`lrssc.solvers.GramSolver`, the one
 thin SVD of X in the package, which runs it on numpy's BLAS held at one
-thread.  Their product runs on scipy's BLAS at full width.
+thread.  GramSolver is also where X is checked (a finite 2-d matrix); LRR
+adds only its own rule, that X has a nonzero entry.  Both build C as one
+symmetric product V1 diag(shrink) V1^T over the kept singular directions
+(:func:`_projector`), on scipy's BLAS at full width.
 """
 
 from __future__ import annotations
@@ -29,24 +32,29 @@ class LrrSolution:
 
 
 def _checked_svd(X) -> GramSolver:
-    """The thin SVD of X (``s``, ``s2``, ``Vt``) of a finite, nonzero 2-d matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite entries")
+    """The thin SVD of X (``s``, ``s2``, ``Vt``), once GramSolver has checked X
+    and X has a nonzero entry."""
+    svd = GramSolver(X)
     if not np.any(X):
         raise ValueError("X must contain at least one nonzero entry")
-    return GramSolver(X)
+    return svd
+
+
+def _projector(svd: GramSolver, keep, shrink=1.0) -> LrrSolution:
+    """C = V1 diag(shrink) V1^T over the kept right singular vectors V1.
+
+    An empty ``keep`` gives the C-ordered N x N zero matrix: the product's
+    inner dimension is then 0, and dgemm writes +0.0 everywhere.
+    """
+    V1 = svd.Vt[keep].T
+    return LrrSolution(C=_gemm(V1 * shrink, V1.T), active_set=keep)
 
 
 def lrr_noiseless(X) -> LrrSolution:
     """Minimum-nuclear-norm solution of X = XC: the row-space projector V V^T."""
     svd = _checked_svd(X)
-    tol = max(np.asarray(X).shape) * svd.s[0] * _RANK_TOL_FACTOR
-    keep = np.flatnonzero(svd.s > tol)
-    V1 = svd.Vt[keep].T
-    return LrrSolution(C=_gemm(V1, V1.T), active_set=keep)
+    tol = max(np.shape(X)) * svd.s[0] * _RANK_TOL_FACTOR
+    return _projector(svd, np.flatnonzero(svd.s > tol))
 
 
 def check_lrr_weight(lam) -> None:
@@ -66,9 +74,4 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
     check_lrr_weight(lam)
     svd = _checked_svd(X)
     keep = np.flatnonzero(svd.s > 1.0 / np.sqrt(lam))
-    if keep.size == 0:
-        n_points = svd.Vt.shape[1]
-        return LrrSolution(C=np.zeros((n_points, n_points)), active_set=keep)
-    V1 = svd.Vt[keep].T
-    shrink = 1.0 - 1.0 / (lam * svd.s2[keep])
-    return LrrSolution(C=_gemm(V1 * shrink, V1.T), active_set=keep)
+    return _projector(svd, keep, 1.0 - 1.0 / (lam * svd.s2[keep]))

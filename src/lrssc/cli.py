@@ -24,7 +24,7 @@ from .baselines import check_lrr_weight, lrr_noiseless, lrr_noisy
 from .evaluation import clustering_error, grid_search
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
-from .solvers import ALGORITHMS, SolverConfig, SolverTrace
+from .solvers import _KINDS, ALGORITHMS, SolverConfig, SolverTrace
 
 TRACE_HEADER = "iter,r_jc1,r_jc2,r_jj,lagrangian,mu1,mu2"
 SWEEP_HEADER = "algorithm,per,var,trial,ce,iters,seconds"
@@ -43,14 +43,14 @@ EXIT_BROKEN_PIPE = 141
 _SETTING_TYPES = {name: type(value) for name, value in asdict(SolverConfig()).items()}
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
-_TYPE_WORDS = {bool: "a boolean", int: "an integer", float: "a number"}
 # The data flags of synth, sweep and tune take their defaults from SyntheticSpec.
 _SPEC = datasets.SyntheticSpec()
 
 
 def _parse_config_file(path: Path) -> dict:
-    """Flat key = value file; '#' starts a comment; keys match SolverConfig fields."""
-    out = {}
+    """Flat key = value file; '#' starts a comment; keys match SolverConfig
+    fields, each at most once."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,11 +61,14 @@ def _parse_config_file(path: Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SETTING_TYPES:
             raise ValueError(f"{path}: line {lineno}: unknown setting {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}: line {lineno}: {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
         kind = _SETTING_TYPES[key]
         try:
             out[key] = _BOOL_WORDS[value.lower()] if kind is bool else kind(value)
         except (KeyError, ValueError):
-            raise ValueError(f"{path}: line {lineno}: {key} wants {_TYPE_WORDS[kind]}, "
+            raise ValueError(f"{path}: line {lineno}: {key} wants {_KINDS[kind][1]}, "
                              f"got {value!r}") from None
     return out
 
@@ -219,6 +222,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.csv_out is not None:
+        _check_out_dir(args.csv_out.parent)
     pred = datasets.load_labels(args.pred)
     truth = datasets.load_labels(args.truth)
     report = clustering_error(pred, truth)
@@ -256,7 +261,7 @@ def _comma_list(text: str, flag: str, kind: type = str, known: list | None = Non
         try:
             value = kind(item)
         except ValueError:
-            raise ValueError(f"--{flag} wants {_TYPE_WORDS[kind]}, got {item!r}") from None
+            raise ValueError(f"--{flag} wants {_KINDS[kind][1]}, got {item!r}") from None
         if value in values:
             raise ValueError(f"--{flag} repeats {item!r}")
         values.append(value)

@@ -45,8 +45,9 @@ CONVEX = "lrssc-convex"
 # gamma = 1 collapses the firm knee onto the threshold; nudge it apart.
 _GAMMA_KNEE_NUDGE = 1e-9
 # What a SolverConfig field holds, by the type of its default, and its name in
-# errors; every other field (a float, or tau with its None) holds a number.
-_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer")}
+# errors (the CLI's too); tau, whose default is None, holds a number.
+_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number")}
 
 
 @dataclass
@@ -88,7 +89,7 @@ class SolverConfig:
                 continue  # 1 - lam, set once lam is checked
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            kind, words = _KINDS.get(type(getattr(SolverConfig, name)), (numbers.Real, "a number"))
+            kind, words = _KINDS.get(type(getattr(SolverConfig, name)), _KINDS[float])
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {words}, got {value!r}")
         if self.tau is None:
@@ -212,10 +213,19 @@ class GramSolver:
     take theirs from it too.  The SVD is numpy's and runs with numpy's BLAS
     held at one thread (:func:`lrssc.parallel.numpy_blas_single_thread`),
     where gesdd of the short, wide X is fastest.
+
+    It is also the one check of X for every solve, the J step and both LRRs:
+    before its SVD it raises ValueError on an X that is not a 2-d matrix
+    or has a non-finite entry.  Rules on X's size or content that only some
+    callers have (a solver's two columns, LRR's nonzero entry) stay with them.
     """
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X contains non-finite entries")
         try:
             with numpy_blas_single_thread():
                 _, self.s, self.Vt = np.linalg.svd(X, full_matrices=False)
@@ -233,16 +243,21 @@ class GramSolver:
         return out
 
 
+def _check_mus(state) -> None:
+    """The mu rule of the J step and the gate :func:`_algorithm`."""
+    if not all(split.mu > 0 for split in state.splits):
+        raise ValueError("every mu must be positive")
+
+
 def j_update(X, state, gram: GramSolver | None = None) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian over J (ridge-type solve).
 
     J = (X^T X + sum_k mu_k I)^-1 (X^T X + sum_k mu_k C_k - sum_k Lambda_k),
-    solved by :class:`GramSolver`.
+    solved by :class:`GramSolver`; without ``gram`` it builds one from X,
+    which checks X, and X is not read otherwise.
     """
-    if gram is None:
-        gram = GramSolver(X)
-    if not all(split.mu > 0 for split in state.splits):
-        raise ValueError("every mu must be positive")
+    gram = GramSolver(X) if gram is None else gram
+    _check_mus(state)
     rhs = np.zeros_like(state.J)
     for split in state.splits:
         rhs += split.mu * split.C
@@ -452,8 +467,7 @@ def _algorithm(state, variant: str, cfg: SolverConfig) -> Algorithm:
         raise ValueError(f"variant {variant!r} needs a state with {len(algorithm.splits)} "
                          f"split(s), got {len(state.splits)}")
     algorithm.check(cfg)
-    if not all(split.mu > 0 for split in state.splits):
-        raise ValueError("every mu must be positive")
+    _check_mus(state)
     return algorithm
 
 
@@ -518,18 +532,13 @@ def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
     return KktResiduals(gaps=gaps, grad=float(np.linalg.norm(grad, "fro")), fixed=fixed)
 
 
-def _check_data(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError(f"X must be a 2-d matrix with at least 2 columns, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite entries")
-    return X
-
-
 @numpy_blas_single_thread()
 def _solve(X, cfg: SolverConfig | None, variant: str):
     """The ADMM loop of every variant; returns (C of the first split, trace).
+
+    Checks run before the loop, in this order: the record's settings rule,
+    then X at the one door of the data matrix, :class:`GramSolver` (a
+    finite 2-d matrix), then the loop's own rule of at least 2 columns.
 
     Its dense kernels run on scipy's BLAS, with numpy's held at one thread,
     for the Frobenius norms of the loop and the exit KKT (numpy's ``ddot``)
@@ -557,8 +566,10 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
     algorithm = ALGORITHMS[variant]
     cfg = cfg or SolverConfig(**algorithm.defaults)
     algorithm.check(cfg)
-    X = _check_data(X)
+    X = np.asarray(X, dtype=float)
     gram = GramSolver(X)
+    if X.shape[1] < 2:
+        raise ValueError(f"X must have at least 2 columns, got shape {X.shape}")
     state = State.zeros(X.shape[1], [getattr(cfg, name) for name, _ in algorithm.splits])
     trace = SolverTrace(variant=variant, r_jc=[[] for _ in state.splits],
                         mu=[[] for _ in state.splits])

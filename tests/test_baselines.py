@@ -1,10 +1,19 @@
 """Closed-form low-rank representations and the soft-threshold solver baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
-from lrssc import SolverConfig, convex_lrssc, lrr_noiseless, lrr_noisy
-from lrssc.solvers import ALGORITHMS, CONVEX
+from lrssc import (
+    SolverConfig,
+    convex_lrssc,
+    gmc_lrssc_solve,
+    lrr_noiseless,
+    lrr_noisy,
+    s0l0_lrssc_solve,
+)
+from lrssc.solvers import ALGORITHMS, CONVEX, GramSolver, State, j_update
 from conftest import ista_low_rank
 
 
@@ -13,17 +22,27 @@ def low_rank_matrix(rows, cols, rank, seed=0):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
-@pytest.mark.parametrize("entry", [np.inf, np.nan])
-@pytest.mark.parametrize("solve", [lrr_noiseless, lambda X: lrr_noisy(X, 2.0)],
-                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("entry", [np.inf, np.nan, None], ids=["inf", "nan", "1-d"])
+@pytest.mark.parametrize("solve", [
+    lrr_noiseless, lambda X: lrr_noisy(X, 2.0), GramSolver,
+    lambda X: j_update(X, State.zeros(10, [1.0, 1.0])),
+    gmc_lrssc_solve, s0l0_lrssc_solve, convex_lrssc,
+], ids=["noiseless", "noisy", "GramSolver", "j_update", "gmc", "s0l0", "lrssc-convex"])
 def test_rejects_non_finite_input_before_the_svd(monkeypatch, solve, entry):
+    """X enters every solve, the J step without a prebuilt GramSolver and
+    both LRRs through one door, GramSolver, which rejects a non-finite or
+    non-2-d X by one message before its SVD."""
     def unreachable(*args, **kw):
-        raise AssertionError("SVD reached with a non-finite input")
+        raise AssertionError("SVD reached with a rejected input")
 
     X = low_rank_matrix(6, 10, 3)
-    X[2, 4] = entry
+    if entry is None:
+        X, message = X[0], "X must be a 2-d matrix, got shape (10,)"
+    else:
+        X[2, 4] = entry
+        message = "X contains non-finite entries"
     monkeypatch.setattr(np.linalg, "svd", unreachable)
-    with pytest.raises(ValueError, match="^X contains non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve(X)
 
 
@@ -50,8 +69,10 @@ class TestNoiseless:
         assert lrr_noiseless(X).active_set.size == 5
 
     def test_rejects_zero_matrix(self):
-        with pytest.raises(ValueError):
-            lrr_noiseless(np.zeros((4, 6)))
+        """LRR's own rule on X, checked after GramSolver's, in both closed forms."""
+        for solve in (lrr_noiseless, lambda X: lrr_noisy(X, 2.0)):
+            with pytest.raises(ValueError, match="^X must contain at least one nonzero entry$"):
+                solve(np.zeros((4, 6)))
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
@@ -60,10 +81,15 @@ class TestNoiseless:
 
 class TestNoisy:
     def test_small_spectrum_gives_zero(self):
-        X = 0.1 * np.eye(3)  # all singular values 0.1 <= 1/sqrt(lam) for lam=1
-        sol = lrr_noisy(X, 1.0)
-        np.testing.assert_array_equal(sol.C, np.zeros((3, 3)))
-        assert sol.active_set.size == 0
+        """No singular value above 1/sqrt(lam) (0.1 <= 1 in the first case):
+        C is the C-ordered N x N product over an empty inner dimension, +0.0
+        in every entry."""
+        for X, lam in ((0.1 * np.eye(3), 1.0), (low_rank_matrix(6, 10, 3), 1e-9)):
+            sol = lrr_noisy(X, lam)
+            n_points = X.shape[1]
+            np.testing.assert_array_equal(sol.C, np.zeros((n_points, n_points)))
+            assert sol.C.flags.c_contiguous and not np.any(np.signbit(sol.C))
+            assert sol.active_set.size == 0
 
     def test_single_direction_shrinkage(self):
         X = np.zeros((2, 2))

@@ -300,6 +300,18 @@ class TestCluster:
         assert run(base + ["--labels-out", tmp_path / "good.txt", "--config", good]) == 0
         assert (tmp_path / "good.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
 
+    def test_repeated_config_key_fails_naming_both_lines(self, small_data_dir, tmp_path,
+                                                         capsys):
+        """A key set twice is rejected, not last-wins."""
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("lam = 0.5\n# a comment\nlam = 0.2\n")
+        labels_out = tmp_path / "pred.txt"
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    "--labels-out", labels_out, "--config", cfg])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: line 3: lam repeats line 1\n"
+        assert not labels_out.exists()
+
     def test_bad_boolean_in_config_fails(self, small_data_dir, tmp_path, capsys):
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("normalize_j = maybe\n")
@@ -510,6 +522,16 @@ class TestEval:
         assert lines[0] == "pred,truth,n_points,ce"
         assert len(lines) == 3
         assert lines[1].endswith(",4,0.000000")
+
+    def test_missing_csv_out_dir_fails_before_scoring(self, tmp_path, capsys):
+        path = tmp_path / "labels.txt"
+        save_labels(path, [0, 1, 0, 1])
+        missing = tmp_path / "missing"
+        code = run(["eval", "--pred", path, "--truth", path, "--csv-out", missing / "x.csv"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {missing} does not exist\n"
 
     def test_csv_row_quotes_a_path_with_a_comma_or_quote(self, tmp_path, capsys):
         """A file name holding a comma or a double quote stays one field."""

@@ -772,10 +772,12 @@ class TestSolverRuns:
         assert trace.n_iters >= 1
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            gmc_lrssc_solve(np.ones((3, 1)), SolverConfig())  # one column
-        with pytest.raises(ValueError):
-            gmc_lrssc_solve(np.ones(5), SolverConfig())  # not a matrix
+        with pytest.raises(ValueError, match=re.escape(
+                "X must have at least 2 columns, got shape (3, 1)")):
+            gmc_lrssc_solve(np.ones((3, 1)), SolverConfig())
+        with pytest.raises(ValueError, match=re.escape(
+                "X must be a 2-d matrix, got shape (5,)")):
+            gmc_lrssc_solve(np.ones(5), SolverConfig())
         bad = np.ones((3, 4))
         bad[1, 2] = np.inf
         with pytest.raises(ValueError):
