@@ -2,8 +2,8 @@
 
 Both take the thin SVD of X from :class:`lrssc.solvers.GramSolver`, the one
 thin SVD of X in the package, which runs it on numpy's BLAS held at one
-thread.  GramSolver is also where X is checked (a finite 2-d matrix); LRR
-adds only its own rule, that X has a nonzero entry.  Both build C as one
+thread.  GramSolver is also where X is checked (a finite 2-d matrix with a
+nonzero entry); LRR adds no rule of its own on X.  Both build C as one
 symmetric product V1 diag(shrink) V1^T over the kept singular directions
 (:func:`_projector`), on scipy's BLAS at full width.
 """
@@ -31,15 +31,6 @@ class LrrSolution:
     active_set: np.ndarray
 
 
-def _checked_svd(X) -> GramSolver:
-    """The thin SVD of X (``s``, ``s2``, ``Vt``), once GramSolver has checked X
-    and X has a nonzero entry."""
-    svd = GramSolver(X)
-    if not np.any(X):
-        raise ValueError("X must contain at least one nonzero entry")
-    return svd
-
-
 def _projector(svd: GramSolver, keep, shrink=1.0) -> LrrSolution:
     """C = V1 diag(shrink) V1^T over the kept right singular vectors V1.
 
@@ -52,7 +43,7 @@ def _projector(svd: GramSolver, keep, shrink=1.0) -> LrrSolution:
 
 def lrr_noiseless(X) -> LrrSolution:
     """Minimum-nuclear-norm solution of X = XC: the row-space projector V V^T."""
-    svd = _checked_svd(X)
+    svd = GramSolver(X)
     tol = max(np.shape(X)) * svd.s[0] * _RANK_TOL_FACTOR
     return _projector(svd, np.flatnonzero(svd.s > tol))
 
@@ -72,6 +63,6 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
     eigenvalues to 1 - 1/(lam * s_i^2); an empty active set gives C = 0.
     """
     check_lrr_weight(lam)
-    svd = _checked_svd(X)
+    svd = GramSolver(X)
     keep = np.flatnonzero(svd.s > 1.0 / np.sqrt(lam))
     return _projector(svd, keep, 1.0 - 1.0 / (lam * svd.s2[keep]))

@@ -137,21 +137,26 @@ def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.Synthetic
         points_per_subspace=per, noise_variance=var, union_rank=args.union_rank, seed=seed)
 
 
-def _check_out_dir(out_dir: Path) -> None:
-    """ValueError unless the directory an output goes to exists; each command
-    checks its outputs' directories before it reads, solves or forks."""
-    if not out_dir.is_dir():
-        raise ValueError(f"output directory {out_dir} does not exist")
+def _check_output(path: Path) -> None:
+    """ValueError unless a command can write the file ``path``: its directory
+    exists and it is not a directory.  Each command checks every file it
+    writes before it reads, solves or forks."""
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ValueError(f"output {path} is a directory")
 
 
 def cmd_synth(args) -> int:
     spec = _synthetic_spec(args, args.per, args.var, args.seed)
-    _check_out_dir(args.out_dir)
+    x_path, labels_path = args.out_dir / "X.csv", args.out_dir / "labels.txt"
+    for path in (x_path, labels_path):
+        _check_output(path)
     ds = datasets.generate_synthetic(spec)
-    datasets.save_matrix(args.out_dir / "X.csv", ds.X)
-    datasets.save_labels(args.out_dir / "labels.txt", ds.truth)
+    datasets.save_matrix(x_path, ds.X)
+    datasets.save_labels(labels_path, ds.truth)
     print(f"rank={lrr_noiseless(ds.X).active_set.size}")
-    print(f"wrote {args.out_dir / 'X.csv'} and {args.out_dir / 'labels.txt'}", file=sys.stderr)
+    print(f"wrote {x_path} and {labels_path}", file=sys.stderr)
     return 0
 
 
@@ -196,7 +201,7 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
 
 def cmd_cluster(args) -> int:
     for out in filter(None, [args.labels_out, args.trace_out]):
-        _check_out_dir(out.parent)
+        _check_output(out)
     cfg = _solver_config(args, args.algorithm)
     X = datasets.load_matrix(args.input)
     spectral.check_n_clusters(args.clusters, X.shape[1])
@@ -223,7 +228,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.csv_out is not None:
-        _check_out_dir(args.csv_out.parent)
+        _check_output(args.csv_out)
     pred = datasets.load_labels(args.pred)
     truth = datasets.load_labels(args.truth)
     report = clustering_error(pred, truth)
@@ -274,12 +279,13 @@ def _comma_list(text: str, flag: str, kind: type = str, known: list | None = Non
 def cmd_sweep(args) -> int:
     """Write the grid's rows to --out, then print each algorithm's table of
     median clustering errors, a row per variance and a column per size."""
-    _check_out_dir(args.out.parent)
+    _check_output(args.out)
     algorithms = _comma_list(args.algorithms, "algorithms", known=_ALGORITHMS)
     pers = _comma_list(args.pers, "pers", int)
     variances = _comma_list(args.vars, "vars", float)
     cfgs = {alg: _solver_config(args, alg) for alg in algorithms}
-    # Every spec of the grid is built, and so checked, before the first solve.
+    # Every spec of the grid is built, and so checked, before the first solve:
+    # a built spec can be drawn, so no cell fails on its data's shape.
     specs = [[_synthetic_spec(args, per, var, seed=0) for var in variances] for per in pers]
     tasks = [(alg, spec, pi, vi, t)
              for alg in algorithms

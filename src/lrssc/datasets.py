@@ -20,6 +20,14 @@ import numpy as np
 class SyntheticSpec:
     """Shape and noise of a synthetic clustering problem.
 
+    Construction is the one check of a shape: a spec that is built can be
+    drawn.  ``union_rank`` must lie in ``[d + L - 1, d * L]`` (d the subspace
+    dimension, L the number of subspaces), which at L = 1 is ``d`` alone.
+    These are the ranks at which the L windows of the pool that
+    :func:`generate_synthetic` hands out start at L distinct columns; windows
+    of an orthonormal pool that start at the same column span one subspace,
+    and windows that start apart never contain one another.
+
     At the defaults the subspaces are dependent.  The three 5-dim windows of
     the 10-column pool are ``pool[0:5]``, ``pool[2:7]`` and ``pool[5:10]``,
     so S2 lies in S1 + S3, and rank X is the rank of S1 and S3 alone, 10.
@@ -45,13 +53,11 @@ class SyntheticSpec:
             raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
-        if not self.subspace_dim <= self.union_rank <= self.subspace_dim * self.num_subspaces:
-            raise ValueError(
-                f"union_rank must lie in [{self.subspace_dim}, "
-                f"{self.subspace_dim * self.num_subspaces}], got {self.union_rank}")
-        if self.ambient_dim < self.union_rank:
-            raise ValueError(
-                f"ambient_dim {self.ambient_dim} cannot host union rank {self.union_rank}")
+        d, L, r = self.subspace_dim, self.num_subspaces, self.union_rank
+        if not d + L - 1 <= r <= d * L:
+            raise ValueError(f"union_rank must lie in [{d + L - 1}, {d * L}], got {r}")
+        if self.ambient_dim < r:
+            raise ValueError(f"ambient_dim {self.ambient_dim} cannot host union rank {r}")
 
 
 @dataclass
@@ -75,18 +81,17 @@ def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
-    """Sample a union-of-subspaces dataset; deterministic in ``spec.seed``."""
+    """Sample a union-of-subspaces dataset; deterministic in ``spec.seed``.
+
+    Every spec that constructs can be drawn: subspace i spans the window of
+    the pool that starts at the i-th of L distinct columns, and the windows
+    together cover the pool's ``union_rank`` columns.
+    """
     rng = np.random.default_rng(spec.seed)
     d, L, r = spec.subspace_dim, spec.num_subspaces, spec.union_rank
-    starts = _window_starts(r, d, L)
-    # Windows of an orthonormal pool span the same subspace when they start
-    # at the same column and never contain one another otherwise.
-    if len(set(starts)) < L:
-        raise ValueError(
-            f"could not draw {L} mutually non-contained {d}-dim subspaces "
-            f"with union rank {r}")
     pool = _random_orthonormal(rng, spec.ambient_dim, r)
-    bases = [pool[:, start:start + d] @ _random_orthonormal(rng, d, d) for start in starts]
+    bases = [pool[:, start:start + d] @ _random_orthonormal(rng, d, d)
+             for start in _window_starts(r, d, L)]
 
     blocks = [basis @ rng.standard_normal((d, spec.points_per_subspace))
               for basis in bases]

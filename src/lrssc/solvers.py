@@ -215,9 +215,10 @@ class GramSolver:
     where gesdd of the short, wide X is fastest.
 
     It is also the one check of X for every solve, the J step and both LRRs:
-    before its SVD it raises ValueError on an X that is not a 2-d matrix
-    or has a non-finite entry.  Rules on X's size or content that only some
-    callers have (a solver's two columns, LRR's nonzero entry) stay with them.
+    before its SVD it raises ValueError on an X that is not a 2-d matrix,
+    has a non-finite entry or has no nonzero entry (an all-zero X, or one
+    with no rows).  A rule that only some callers have, a solver's two
+    columns, stays with them.
     """
 
     def __init__(self, X):
@@ -226,6 +227,8 @@ class GramSolver:
             raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
+        if not np.any(X):
+            raise ValueError("X must contain at least one nonzero entry")
         try:
             with numpy_blas_single_thread():
                 _, self.s, self.Vt = np.linalg.svd(X, full_matrices=False)
@@ -538,7 +541,8 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
 
     Checks run before the loop, in this order: the record's settings rule,
     then X at the one door of the data matrix, :class:`GramSolver` (a
-    finite 2-d matrix), then the loop's own rule of at least 2 columns.
+    finite 2-d matrix with a nonzero entry), then the loop's own rule of at
+    least 2 columns.
 
     Its dense kernels run on scipy's BLAS, with numpy's held at one thread,
     for the Frobenius norms of the loop and the exit KKT (numpy's ``ddot``)

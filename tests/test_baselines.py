@@ -22,25 +22,29 @@ def low_rank_matrix(rows, cols, rank, seed=0):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
-@pytest.mark.parametrize("entry", [np.inf, np.nan, None], ids=["inf", "nan", "1-d"])
+@pytest.mark.parametrize("case", ["inf", "nan", "1-d", "zero", "no-rows"])
 @pytest.mark.parametrize("solve", [
     lrr_noiseless, lambda X: lrr_noisy(X, 2.0), GramSolver,
     lambda X: j_update(X, State.zeros(10, [1.0, 1.0])),
     gmc_lrssc_solve, s0l0_lrssc_solve, convex_lrssc,
 ], ids=["noiseless", "noisy", "GramSolver", "j_update", "gmc", "s0l0", "lrssc-convex"])
-def test_rejects_non_finite_input_before_the_svd(monkeypatch, solve, entry):
+def test_rejects_non_finite_input_before_the_svd(monkeypatch, solve, case):
     """X enters every solve, the J step without a prebuilt GramSolver and
     both LRRs through one door, GramSolver, which rejects a non-finite or
-    non-2-d X by one message before its SVD."""
+    non-2-d X, or one with no nonzero entry (all zeros, or no rows), by one
+    message before its SVD."""
     def unreachable(*args, **kw):
         raise AssertionError("SVD reached with a rejected input")
 
     X = low_rank_matrix(6, 10, 3)
-    if entry is None:
-        X, message = X[0], "X must be a 2-d matrix, got shape (10,)"
-    else:
-        X[2, 4] = entry
-        message = "X contains non-finite entries"
+    if case in ("inf", "nan"):
+        X[2, 4] = float(case)
+    nonzero = "X must contain at least one nonzero entry"
+    X, message = {
+        "1-d": (X[0], "X must be a 2-d matrix, got shape (10,)"),
+        "zero": (np.zeros((6, 10)), nonzero),
+        "no-rows": (np.zeros((0, 10)), nonzero),
+    }.get(case, (X, "X contains non-finite entries"))
     monkeypatch.setattr(np.linalg, "svd", unreachable)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve(X)
@@ -69,7 +73,8 @@ class TestNoiseless:
         assert lrr_noiseless(X).active_set.size == 5
 
     def test_rejects_zero_matrix(self):
-        """LRR's own rule on X, checked after GramSolver's, in both closed forms."""
+        """The door's nonzero rule, checked after the shape and finiteness
+        rules, reaches both closed forms."""
         for solve in (lrr_noiseless, lambda X: lrr_noisy(X, 2.0)):
             with pytest.raises(ValueError, match="^X must contain at least one nonzero entry$"):
                 solve(np.zeros((4, 6)))

@@ -97,6 +97,17 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["X.csv", "labels.txt"])
+    def test_output_that_is_a_directory_fails_before_drawing(self, tmp_path, capsys,
+                                                              monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data was drawn")
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        (tmp_path / name).mkdir()
+        assert run(SMALL_SYNTH + ["--out-dir", tmp_path]) == 1
+        assert capsys.readouterr() == ("", f"error: output {tmp_path / name} is a directory\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / name]
+
     @pytest.mark.parametrize("var", ["nan", "inf"])
     def test_non_finite_noise_variance_fails_before_writing(self, tmp_path, capsys, var):
         assert run(["synth", "--var", var, "--out-dir", tmp_path]) == 1
@@ -431,6 +442,20 @@ class TestCluster:
             "", f"error: output directory {tmp_path / 'absent'} does not exist\n")
         assert sorted(tmp_path.iterdir()) == [small_data_dir]
 
+    @pytest.mark.parametrize("flag", ["--labels-out", "--trace-out"])
+    def test_output_that_is_a_directory_fails_before_loading(self, small_data_dir, tmp_path,
+                                                             capsys, monkeypatch, flag):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the input was loaded")
+        monkeypatch.setattr(datasets, "load_matrix", forbidden)
+        outputs = {"--labels-out": tmp_path / "pred.txt", "--trace-out": tmp_path / "trace.csv"}
+        outputs[flag].mkdir()
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    *[a for pair in outputs.items() for a in pair]])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: output {outputs[flag]} is a directory\n")
+        assert sorted(tmp_path.iterdir()) == sorted([small_data_dir, outputs[flag]])
+
     def test_missing_input_file_fails(self, tmp_path, capsys):
         code = run(["cluster", "--input", tmp_path / "absent.csv",
                     "--algorithm", "gmc", "--clusters", "3",
@@ -532,6 +557,13 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: output directory {missing} does not exist\n"
+
+    def test_csv_out_that_is_a_directory_fails_before_scoring(self, tmp_path, capsys):
+        path = tmp_path / "labels.txt"
+        save_labels(path, [0, 1, 0, 1])
+        code = run(["eval", "--pred", path, "--truth", path, "--csv-out", tmp_path])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: output {tmp_path} is a directory\n")
 
     def test_csv_row_quotes_a_path_with_a_comma_or_quote(self, tmp_path, capsys):
         """A file name holding a comma or a double quote stays one field."""
@@ -747,6 +779,29 @@ class TestSweep:
         assert capsys.readouterr() == (
             "", f"error: output directory {tmp_path / 'absent'} does not exist\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_is_a_directory_fails_before_data_or_workers(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its output check")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        out = tmp_path / "sweep.csv"
+        out.mkdir()
+        assert run(["sweep", "--jobs", "2", "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: output {out} is a directory\n")
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_undrawable_union_rank_fails_before_workers(self, tmp_path, capsys, monkeypatch):
+        """At d = 5 and L = 3 two of the pool windows of union rank 6 would
+        start at one column; the spec rule rejects it before any pool exists."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its specs")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--union-rank", "6", "--jobs", "2", "--out", out]) == 1
+        assert capsys.readouterr() == ("", "error: union_rank must lie in [7, 15], got 6\n")
+        assert not out.exists()
 
     # The values 0 and 0.0 name one variance, so the second is a repeat.
     @pytest.mark.parametrize("flags, message", [

@@ -4,10 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrssc import (
     SyntheticSpec,
-    datasets,
     generate_synthetic,
     load_labels,
     load_matrix,
@@ -31,7 +32,7 @@ class TestSpecValidation:
         dict(noise_variance=float("nan")),
         dict(noise_variance=float("inf")),
         dict(noise_variance=float("-inf")),
-        dict(union_rank=4),    # below subspace_dim
+        dict(union_rank=4),    # below subspace_dim + num_subspaces - 1
         dict(union_rank=16),   # above subspace_dim * num_subspaces
         dict(ambient_dim=8),   # cannot host union rank 10
         dict(seed=-1),
@@ -41,8 +42,26 @@ class TestSpecValidation:
             SyntheticSpec(**kwargs)
 
     def test_rank_bounds_inclusive(self):
-        SyntheticSpec(union_rank=5)    # = subspace_dim
+        SyntheticSpec(union_rank=7)    # = subspace_dim + num_subspaces - 1
         SyntheticSpec(union_rank=15)   # = subspace_dim * num_subspaces
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), L=st.integers(1, 4), r=st.integers(0, 21),
+           extra_points=st.integers(0, 2), seed=st.integers(0, 100))
+    def test_constructs_exactly_on_drawable_ranks(self, d, L, r, extra_points, seed):
+        """A spec constructs exactly when d + L - 1 <= r <= d * L (ambient
+        room aside), and every spec that constructs draws a noiseless X of
+        rank exactly r."""
+        drawable = d + L - 1 <= r <= d * L
+        try:
+            spec = SyntheticSpec(ambient_dim=max(r, 1) + 1, subspace_dim=d, num_subspaces=L,
+                                 points_per_subspace=d + extra_points, union_rank=r, seed=seed)
+        except ValueError as err:
+            assert not drawable
+            assert str(err) == f"union_rank must lie in [{d + L - 1}, {d * L}], got {r}"
+            return
+        assert drawable
+        assert np.linalg.matrix_rank(generate_synthetic(spec).X) == r
 
 
 class TestGenerator:
@@ -114,19 +133,13 @@ class TestGenerator:
         np.testing.assert_array_equal(ds.truth, np.zeros(6, dtype=int))
 
     @pytest.mark.parametrize("union_rank, subspaces", [(5, 3), (6, 3), (5, 2)])
-    def test_coinciding_windows_rejected_before_drawing(self, monkeypatch, union_rank,
-                                                        subspaces):
-        """Two subspaces whose windows of the pool start at the same column
-        are one subspace; such a spec fails before anything is drawn."""
-        def never(*args):
-            raise AssertionError("drew a pool for a spec that cannot succeed")
-
-        monkeypatch.setattr(datasets, "_random_orthonormal", never)
-        spec = SyntheticSpec(union_rank=union_rank, num_subspaces=subspaces)
-        message = (f"could not draw {subspaces} mutually non-contained 5-dim subspaces "
-                   f"with union rank {union_rank}")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            generate_synthetic(spec)
+    def test_coinciding_windows_rejected_before_drawing(self, union_rank, subspaces):
+        """Two subspaces whose windows of the pool would start at the same
+        column would be one subspace; such a spec fails at construction, so
+        there is nothing to draw."""
+        message = f"union_rank must lie in [{4 + subspaces}, {5 * subspaces}], got {union_rank}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(union_rank=union_rank, num_subspaces=subspaces)
 
     def test_orthonormal_helper(self):
         rng = np.random.default_rng(4)

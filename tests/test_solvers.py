@@ -171,12 +171,17 @@ class TestConfigValidation:
 
 class TestJUpdate:
     def test_zero_data_returns_average_of_blocks(self):
+        """Zero data as the solve sees it: GramSolver rejects an all-zero X,
+        so X is 1e-200 everywhere, whose squared singular values and X^T X
+        underflow to 0.0."""
         cfg = SolverConfig(mu1_init=2.0, mu2_init=3.0)
         state = zero_state(GMC, 4, cfg)
         A = np.arange(16.0).reshape(4, 4)
         for split in state.splits:
             split.C = A.copy()
-        J = j_update(np.zeros((3, 4)), state)
+        X = 1e-200 * np.ones((3, 4))
+        assert not np.any(GramSolver(X).s2)
+        J = j_update(X, state)
         np.testing.assert_allclose(J, A, atol=1e-12)
 
     def test_normal_equation_residual(self):
@@ -233,15 +238,18 @@ class TestJUpdate:
     @pytest.mark.parametrize("case", ["wide", "square", "tall", "rank_deficient", "zero"])
     def test_matches_eigh_of_gram_oracle(self, bench_dataset, mus, case):
         """The thin-SVD solve agrees with the solve through eigh(X^T X) on every
-        shape of X, including a noiseless rank-10 X and an all-zero X."""
+        shape of X, including a noiseless rank-10 X and a rank-1 X of 1e-200
+        entries, whose X^T X underflows to zero (GramSolver rejects an
+        all-zero X)."""
         rng = np.random.default_rng(5)
         X = {"wide": lambda: rng.standard_normal((20, 50)),
              "square": lambda: rng.standard_normal((50, 50)),
              "tall": lambda: rng.standard_normal((80, 50)),
              "rank_deficient": lambda: bench_dataset.X[:, ::3],
-             "zero": lambda: np.zeros((20, 50))}[case]()
-        rank = {"rank_deficient": 10, "zero": 0}.get(case, min(X.shape))
+             "zero": lambda: 1e-200 * np.ones((20, 50))}[case]()
+        rank = {"rank_deficient": 10, "zero": 1}.get(case, min(X.shape))
         assert np.linalg.matrix_rank(X) == rank
+        assert np.any(X.T @ X) == (case != "zero")
         for seed in range(3):
             state = random_state(mus, 50, seed)
             J = j_update(X, state)
