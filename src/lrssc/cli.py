@@ -90,30 +90,29 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--config", type=Path, help="key = value file with solver settings")
 
 
-def _solver_config(args, algorithm: str) -> SolverConfig | None:
-    """Settings of a registered algorithm, checked by its settings rule;
-    None for one outside ALGORITHMS.
+def _solver_configs(args, algorithms) -> dict:
+    """What each algorithm's solve takes, keyed by name: a SolverConfig for an
+    ALGORITHMS record, LRR's weight for closed-form LRR.
 
-    The config file is parsed for every algorithm, so a malformed file is
-    rejected the same way even where its settings go unused.  Closed-form
-    LRR's one setting, a --lam weight, goes through LRR's own weight rule.
-    Every check runs here, so that a sweep fails before it makes any data or
-    worker.
+    The config file is read once, also when only LRR runs, so a malformed
+    file is rejected the same way for every algorithm.  A record's config is
+    built from its defaults, then the file, then the flags, and checked by
+    SolverConfig and the record's settings rule; LRR's weight is --lam or
+    _LRR_DEFAULT_LAM, checked by LRR's own weight rule.  Every check runs
+    here, so that a sweep fails before it makes any data or worker.
     """
     from_file = _parse_config_file(args.config) if args.config is not None else {}
-    if algorithm not in ALGORITHMS:
-        if args.lam is not None:
-            check_lrr_weight(args.lam)
-        return None
-    merged = dict(ALGORITHMS[algorithm].defaults)
-    merged.update(from_file)
-    for name in _SETTING_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    cfg = SolverConfig(**merged)
-    ALGORITHMS[algorithm].check(cfg)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in _SETTING_TYPES and v is not None}
+    settings = {}
+    for algorithm in algorithms:
+        if algorithm in ALGORITHMS:
+            settings[algorithm] = SolverConfig(
+                **{**ALGORITHMS[algorithm].defaults, **from_file, **flags})
+            ALGORITHMS[algorithm].check(settings[algorithm])
+        else:
+            settings[algorithm] = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
+            check_lrr_weight(settings[algorithm])
+    return settings
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -137,21 +136,27 @@ def _synthetic_spec(args, per: int, var: float, seed: int) -> datasets.Synthetic
         points_per_subspace=per, noise_variance=var, union_rank=args.union_rank, seed=seed)
 
 
-def _check_output(path: Path) -> None:
-    """ValueError unless a command can write the file ``path``: its directory
-    exists and it is not a directory.  Each command checks every file it
-    writes before it reads, solves or forks."""
-    if not path.parent.is_dir():
-        raise ValueError(f"output directory {path.parent} does not exist")
-    if path.is_dir():
-        raise ValueError(f"output {path} is a directory")
+def _check_files(reads, writes) -> None:
+    """ValueError unless a command can write each file of ``writes``: its
+    directory exists, it is not a directory, and it is no other file the
+    command reads or writes (paths compared once resolved; None entries are
+    skipped).  Each command checks its files once, before it reads, solves
+    or forks."""
+    others = [path.resolve() for path in filter(None, reads)]
+    for path in filter(None, writes):
+        if not path.parent.is_dir():
+            raise ValueError(f"output directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ValueError(f"output {path} is a directory")
+        if path.resolve() in others:
+            raise ValueError(f"output {path} is also read or written by this command")
+        others.append(path.resolve())
 
 
 def cmd_synth(args) -> int:
     spec = _synthetic_spec(args, args.per, args.var, args.seed)
     x_path, labels_path = args.out_dir / "X.csv", args.out_dir / "labels.txt"
-    for path in (x_path, labels_path):
-        _check_output(path)
+    _check_files([], [x_path, labels_path])
     ds = datasets.generate_synthetic(spec)
     datasets.save_matrix(x_path, ds.X)
     datasets.save_labels(labels_path, ds.truth)
@@ -180,18 +185,17 @@ def _write_trace(path, trace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
+def _solve_and_label(algorithm, settings, X, n_clusters, seed):
     """Cluster the columns of X with one algorithm: (labels, SolverTrace).
 
-    ``cfg`` is the algorithm's ``_solver_config``.  Closed-form LRR takes its
-    weight from --lam (_LRR_DEFAULT_LAM without it), runs once and returns a
-    one-row trace with every column empty and no exit KKT.
+    ``settings`` is the algorithm's entry of ``_solver_configs``.  Closed-form
+    LRR runs once at that weight and returns a one-row trace with every
+    column empty and no exit KKT.
     """
     if algorithm in _ITERATIVE:
-        C, trace = _ITERATIVE[algorithm](X, cfg)
+        C, trace = _ITERATIVE[algorithm](X, settings)
     else:
-        lam = args.lam if args.lam is not None else _LRR_DEFAULT_LAM
-        C = lrr_noisy(X, lam).C
+        C = lrr_noisy(X, settings).C
         trace = SolverTrace(variant=algorithm, r_jj=[None], lagrangian=[None],
                             termination="closed_form")
     W = spectral.build_affinity(C)
@@ -200,13 +204,12 @@ def _solve_and_label(args, algorithm, cfg, X, n_clusters, seed):
 
 
 def cmd_cluster(args) -> int:
-    for out in filter(None, [args.labels_out, args.trace_out]):
-        _check_output(out)
-    cfg = _solver_config(args, args.algorithm)
+    _check_files([args.input, args.config], [args.labels_out, args.trace_out])
+    settings = _solver_configs(args, [args.algorithm])[args.algorithm]
     X = datasets.load_matrix(args.input)
     spectral.check_n_clusters(args.clusters, X.shape[1])
     try:
-        labels, trace = _solve_and_label(args, args.algorithm, cfg, X, args.clusters, args.seed)
+        labels, trace = _solve_and_label(args.algorithm, settings, X, args.clusters, args.seed)
     except NumericalError as err:
         if err.trace is not None and args.trace_out is not None:
             _write_trace(args.trace_out, err.trace)
@@ -227,8 +230,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.csv_out is not None:
-        _check_output(args.csv_out)
+    _check_files([args.pred, args.truth], [args.csv_out])
     pred = datasets.load_labels(args.pred)
     truth = datasets.load_labels(args.truth)
     report = clustering_error(pred, truth)
@@ -243,7 +245,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell(args, cfgs, task):
+def _sweep_cell(args, settings, task):
     algorithm, spec, per_idx, var_idx, trial = task
     data_seed = int(np.random.SeedSequence([args.seed, per_idx, var_idx, trial, 0])
                     .generate_state(1)[0])
@@ -251,7 +253,7 @@ def _sweep_cell(args, cfgs, task):
                       .generate_state(1)[0])
     ds = datasets.generate_synthetic(replace(spec, seed=data_seed))
     start = time.perf_counter()
-    labels, trace = _solve_and_label(args, algorithm, cfgs[algorithm], ds.X, args.L, cluster_seed)
+    labels, trace = _solve_and_label(algorithm, settings[algorithm], ds.X, args.L, cluster_seed)
     seconds = time.perf_counter() - start
     ce = clustering_error(labels, ds.truth).ce
     return (f"{algorithm},{spec.points_per_subspace},{spec.noise_variance:g},{trial},"
@@ -279,11 +281,11 @@ def _comma_list(text: str, flag: str, kind: type = str, known: list | None = Non
 def cmd_sweep(args) -> int:
     """Write the grid's rows to --out, then print each algorithm's table of
     median clustering errors, a row per variance and a column per size."""
-    _check_output(args.out)
+    _check_files([args.config], [args.out])
     algorithms = _comma_list(args.algorithms, "algorithms", known=_ALGORITHMS)
     pers = _comma_list(args.pers, "pers", int)
     variances = _comma_list(args.vars, "vars", float)
-    cfgs = {alg: _solver_config(args, alg) for alg in algorithms}
+    settings = _solver_configs(args, algorithms)
     # Every spec of the grid is built, and so checked, before the first solve:
     # a built spec can be drawn, so no cell fails on its data's shape.
     specs = [[_synthetic_spec(args, per, var, seed=0) for var in variances] for per in pers]
@@ -292,7 +294,7 @@ def cmd_sweep(args) -> int:
              for pi, row in enumerate(specs)
              for vi, spec in enumerate(row)
              for t in range(args.trials)]
-    rows = map_tasks(partial(_sweep_cell, args, cfgs), tasks, args.jobs)
+    rows = map_tasks(partial(_sweep_cell, args, settings), tasks, args.jobs)
     args.out.write_text("\n".join([SWEEP_HEADER] + rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     # The ce column as written; a cell's trials are consecutive rows.

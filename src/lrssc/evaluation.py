@@ -105,10 +105,11 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
     every initial mu at phase one's winner.  Trial t draws a fresh dataset
     from ``spec`` and seeds k-means, both from
     ``np.random.SeedSequence([seed, t]).spawn(2)``; ``spec.seed`` is not used.
-    Each phase keeps its first minimum in grid order.  A phase builds the
-    config of every cell and checks it by the algorithm's settings rule
-    before any data or worker exists; then its (cell, trial) runs go
-    through :func:`lrssc.parallel.map_tasks` with ``jobs`` workers.
+    Each phase keeps its first minimum in grid order.  Every initial mu of
+    phase two is checked by SolverConfig before phase one starts, and a
+    phase builds the config of every cell and checks it by the algorithm's
+    settings rule before any data or worker exists; then its (cell, trial)
+    runs go through :func:`lrssc.parallel.map_tasks` with ``jobs`` workers.
     Without ``base_config`` the search starts from the algorithm's tuned
     defaults in ALGORITHMS; its ``grid`` there is the one ``lrssc tune``
     passes.  ``grid.lambdas`` and ``grid.mu_inits`` must not be empty.
@@ -124,6 +125,8 @@ def grid_search(spec: SyntheticSpec, algorithm: str, grid: GridSpec, trials: int
             raise ValueError(f"grid {name} must not be empty")
     base = (base_config if base_config is not None
             else SolverConfig(**ALGORITHMS[algorithm].defaults))
+    for mu in grid.mu_inits:  # SolverConfig checks phase two's mu values before phase one
+        replace(base, mu2_init=mu)
     run_trial = partial(_trial_ce, algorithm, spec, seed)
     table: list[GridPoint] = []
 

@@ -259,8 +259,9 @@ class TestCluster:
         cfg.write_text(f"{name} = {value}\n")
         base = ["cluster", "--input", "X.csv", "--clusters", "3"]
         parser = build_parser()
-        from_file = cli._solver_config(parser.parse_args(base + ["--config", str(cfg)]), "gmc")
-        from_flag = cli._solver_config(parser.parse_args(base + flags), "gmc")
+        from_file = cli._solver_configs(parser.parse_args(base + ["--config", str(cfg)]),
+                                        ["gmc"])["gmc"]
+        from_flag = cli._solver_configs(parser.parse_args(base + flags), ["gmc"])["gmc"]
         assert from_file == from_flag
         assert from_file != SolverConfig()
         # 7 == 7.0 and True == 1, so equality alone would miss a wrong type
@@ -456,6 +457,38 @@ class TestCluster:
         assert capsys.readouterr() == ("", f"error: output {outputs[flag]} is a directory\n")
         assert sorted(tmp_path.iterdir()) == sorted([small_data_dir, outputs[flag]])
 
+    def test_one_path_for_both_outputs_fails_before_loading(self, small_data_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the input was loaded")
+        monkeypatch.setattr(datasets, "load_matrix", forbidden)
+        X_bytes = (small_data_dir / "X.csv").read_bytes()
+        out = tmp_path / "out.txt"
+        code = run(["cluster", "--input", small_data_dir / "X.csv", "--clusters", "3",
+                    "--labels-out", out, "--trace-out", small_data_dir / ".." / "out.txt"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: output {small_data_dir / '..' / 'out.txt'} is also read or written "
+                "by this command\n")
+        assert sorted(tmp_path.iterdir()) == [small_data_dir]
+        assert (small_data_dir / "X.csv").read_bytes() == X_bytes
+
+    def test_labels_out_over_the_input_fails_before_loading(self, small_data_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the input was loaded")
+        monkeypatch.setattr(datasets, "load_matrix", forbidden)
+        X = small_data_dir / "X.csv"
+        X_bytes = X.read_bytes()
+        files = sorted(small_data_dir.iterdir())
+        labels_out = small_data_dir / ".." / small_data_dir.name / "X.csv"
+        code = run(["cluster", "--input", X, "--clusters", "3", "--labels-out", labels_out])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: output {labels_out} is also read or written by this command\n")
+        assert sorted(small_data_dir.iterdir()) == files
+        assert X.read_bytes() == X_bytes
+
     def test_missing_input_file_fails(self, tmp_path, capsys):
         code = run(["cluster", "--input", tmp_path / "absent.csv",
                     "--algorithm", "gmc", "--clusters", "3",
@@ -486,10 +519,9 @@ class TestCluster:
         of 8 N^2 bytes; a warm-up call imports scipy.sparse.linalg)."""
         X = generate_synthetic(SyntheticSpec(points_per_subspace=200, noise_variance=0.01,
                                              seed=7)).X
-        args = build_parser().parse_args(["cluster", "--input", "X.csv", "--clusters", "3"])
 
         def call():
-            return cli._solve_and_label(args, "lrr", None, X, 3, 0)
+            return cli._solve_and_label("lrr", cli._LRR_DEFAULT_LAM, X, 3, 0)
 
         call()
         assert peak_arrays(call, X.shape[1]) <= 2.2
@@ -564,6 +596,18 @@ class TestEval:
         code = run(["eval", "--pred", path, "--truth", path, "--csv-out", tmp_path])
         assert code == 1
         assert capsys.readouterr() == ("", f"error: output {tmp_path} is a directory\n")
+
+    def test_csv_out_over_an_input_fails_before_scoring(self, tmp_path, capsys):
+        pred, truth = tmp_path / "labels.txt", tmp_path / "truth.txt"
+        save_labels(pred, [0, 1, 0, 1])
+        save_labels(truth, [0, 1, 1, 1])
+        pred_bytes = pred.read_bytes()
+        code = run(["eval", "--pred", pred, "--truth", truth, "--csv-out", pred])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: output {pred} is also read or written by this command\n")
+        assert pred.read_bytes() == pred_bytes
+        assert sorted(tmp_path.iterdir()) == [pred, truth]
 
     def test_csv_row_quotes_a_path_with_a_comma_or_quote(self, tmp_path, capsys):
         """A file name holding a comma or a double quote stays one field."""
@@ -851,6 +895,41 @@ class TestSweep:
         assert code == 1
         assert "expected key = value" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_over_the_config_fails_before_data_or_workers(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep went on past its output check")
+        monkeypatch.setattr(cli, "map_tasks", forbidden)
+        monkeypatch.setattr(datasets, "generate_synthetic", forbidden)
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("max_iters = 5\n")
+        assert run(["sweep", "--jobs", "2", "--config", cfg, "--out", cfg]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: output {cfg} is also read or written by this command\n")
+        assert cfg.read_text() == "max_iters = 5\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_file_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        calls, parse = [], cli._parse_config_file
+
+        def counting_parse(path):
+            calls.append(path)
+            return parse(path)
+        monkeypatch.setattr(cli, "_parse_config_file", counting_parse)
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("max_iters = 5\n")
+        code = run(["sweep", "--pers", "10", "--vars", "0.0", "--trials", "1",
+                    "--algorithms", "gmc,s0l0,lrssc-convex,lrr", "--config", cfg,
+                    "--out", tmp_path / "sweep.csv"] + self.SMALL)
+        assert code == 0
+        assert calls == [cfg]
+
+    @pytest.mark.parametrize("flags, weight", [([], 2.0), (["--lam", "0.5"], 0.5)],
+                             ids=["default", "flag"])
+    def test_lrr_settings_are_its_weight(self, flags, weight):
+        args = build_parser().parse_args(["sweep", "--out", "sweep.csv", *flags])
+        assert cli._solver_configs(args, ["gmc", "lrr"])["lrr"] == weight
 
     # The first grid's tables are, byte for byte, what the deleted
     # scripts/benchmark_sweep.py printed at the same flags; the second's

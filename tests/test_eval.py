@@ -264,11 +264,13 @@ class TestGridSearch:
          "needs lam > 0 and tau > 0, got lam=0.0, tau=1.0"),
         ("gmc", GridSpec(lambdas=(0.5,), mu_inits=(5.0, -1.0)),
          "mu1_init and mu2_init must be positive"),
-    ], ids=["gmc-lam", "gmc-gamma", "convex-lam", "mu"])
+        ("gmc", GridSpec(lambdas=(0.5,), mu_inits=(3.0, 2e6), gammas=(0.5,)),
+         "mu_max must be at least the initial mu values"),
+    ], ids=["gmc-lam", "gmc-gamma", "convex-lam", "mu", "mu-max"])
     def test_bad_cell_fails_before_data_or_workers(self, monkeypatch, algorithm, grid,
                                                    message):
-        """Every cell of a phase is checked before that phase starts any trial;
-        a bad phase-two mu fails after phase one, before phase two runs."""
+        """Every cell of both phases is checked before any trial runs: a bad
+        phase-two mu fails before phase one starts."""
         calls = []
 
         def counting_map(fn, tasks, jobs):
@@ -283,7 +285,7 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid_search(IDEAL_SPEC, algorithm, grid, trials=2, jobs=2,
                         base_config=SolverConfig(max_iters=10))
-        assert calls == ([2] if "mu" in grid.mu_inits or -1.0 in grid.mu_inits else [])
+        assert calls == []
 
     def test_input_validation(self):
         grid = GridSpec(lambdas=(0.5,))
