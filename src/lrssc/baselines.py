@@ -5,7 +5,7 @@ thin SVD of X in the package, which runs it on numpy's BLAS held at one
 thread.  GramSolver is also where X is checked (a finite 2-d matrix with a
 nonzero entry); LRR adds no rule of its own on X.  Both build C as one
 symmetric product V1 diag(shrink) V1^T over the kept singular directions
-(:func:`_projector`), on scipy's BLAS at full width.
+(:func:`_projector`), one ``dsyrk`` on scipy's BLAS at full width.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
-from .prox import _gemm
+from .spectral import _mirror_lower
 # Bound here at import, so that perfbench's wrapper of solvers.GramSolver,
 # the J step's span, does not count LRR's SVD.
 from .solvers import GramSolver
@@ -31,21 +32,30 @@ class LrrSolution:
     active_set: np.ndarray
 
 
-def _projector(svd: GramSolver, keep, shrink=1.0) -> LrrSolution:
-    """C = V1 diag(shrink) V1^T over the kept right singular vectors V1.
+def _projector(rows, keep) -> LrrSolution:
+    """C = rows^T rows, for ``rows`` = diag(sqrt(shrink)) V1^T, one row per kept
+    right singular vector: C = V1 diag(shrink) V1^T.
 
-    An empty ``keep`` gives the C-ordered N x N zero matrix: the product's
-    inner dimension is then 0, and dgemm writes +0.0 everywhere.
+    One ``dsyrk``, half the flops of a general product, forms one triangle of
+    C, which is then mirrored into the other one block pair at a time: C is
+    C-ordered and bit-symmetric.  An empty ``keep`` gives the zero matrix:
+    the inner dimension is then 0, and dsyrk writes +0.0 everywhere.
     """
-    V1 = svd.Vt[keep].T
-    return LrrSolution(C=_gemm(V1 * shrink, V1.T), active_set=keep)
+    # dsyrk's upper triangle, in Fortran order, is the lower one of the
+    # C-ordered transpose
+    C = blas.dsyrk(1.0, rows.T, lower=0).T
+    _mirror_lower(C)
+    return LrrSolution(C=C, active_set=keep)
 
 
 def lrr_noiseless(X) -> LrrSolution:
     """Minimum-nuclear-norm solution of X = XC: the row-space projector V V^T."""
     svd = GramSolver(X)
     tol = max(np.shape(X)) * svd.s[0] * _RANK_TOL_FACTOR
-    return _projector(svd, np.flatnonzero(svd.s > tol))
+    keep = np.flatnonzero(svd.s > tol)
+    rows = svd.Vt[keep]
+    del svd  # V^T dies before the N x N product
+    return _projector(rows, keep)
 
 
 def check_lrr_weight(lam) -> None:
@@ -65,4 +75,7 @@ def lrr_noisy(X, lam: float) -> LrrSolution:
     check_lrr_weight(lam)
     svd = GramSolver(X)
     keep = np.flatnonzero(svd.s > 1.0 / np.sqrt(lam))
-    return _projector(svd, keep, 1.0 - 1.0 / (lam * svd.s2[keep]))
+    rows = svd.Vt[keep]
+    rows *= np.sqrt(1.0 - 1.0 / (lam * svd.s2[keep]))[:, None]
+    del svd  # V^T dies before the N x N product
+    return _projector(rows, keep)

@@ -198,8 +198,8 @@ def _solve_and_label(algorithm, settings, X, n_clusters, seed):
         C = lrr_noisy(X, settings).C
         trace = SolverTrace(variant=algorithm, r_jj=[None], lagrangian=[None],
                             termination="closed_form")
-    W = spectral.build_affinity(C)
-    del C  # the embedding holds W and one more N x N array, not C beside them
+    W = spectral.build_affinity(C, out=C)
+    del C  # W has taken C's buffer, and the embedding builds its second matrix in W
     return spectral.spectral_cluster(W, n_clusters, seed), trace
 
 
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="cluster a data matrix from file")
-    p.add_argument("--input", type=Path, required=True, help="matrix CSV (rows = features)")
+    p.add_argument("--input", type=Path, required=True, help="matrix, CSV or .npy (rows = features)")
     p.add_argument("--algorithm", choices=_ALGORITHMS, default="gmc")
     p.add_argument("--clusters", type=int, required=True, help="number of clusters")
     p.add_argument("--seed", type=int, default=0)

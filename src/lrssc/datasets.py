@@ -4,14 +4,15 @@ The generator draws a pool of orthonormal directions, hands each subspace a
 window of the pool (consecutive windows overlap so the union hits a target
 rank below d*L), rotates each basis randomly within its span, and fills the
 subspaces with Gaussian coefficients.  File formats are deliberately dumb:
-comma-separated feature rows with 17 significant digits for matrices, one
-base-10 integer per line for labels.
+comma-separated feature rows with 17 significant digits for matrices (a
+``.npy`` file is read too), one base-10 integer per line for labels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -110,13 +111,19 @@ def save_matrix(path, X) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix; errors name the offending line/column.
+    """Read a 2-d float matrix: a ``.npy`` file, or CSV as save_matrix writes it.
 
-    Every entry gets the value Python's float() gives it.  numpy's cast from
-    strings, which parses as float() does, fills each row at once; a row it
-    rejects is parsed again entry by entry with float(), which either gives
-    the values or names the first column it cannot parse.
+    A ``.npy`` file is read with ``np.load`` without pickles and must hold a
+    non-empty 2-d array of real numbers, given back as C-ordered float64;
+    errors name the file.  Any other path is CSV, whose errors name the
+    offending line/column.  Every CSV entry gets the value Python's float()
+    gives it.  numpy's cast from strings, which parses as float() does, fills
+    each row at once; a row it rejects is parsed again entry by entry with
+    float(), which either gives the values or names the first column it
+    cannot parse.
     """
+    if Path(path).suffix == ".npy":
+        return _load_npy(path)
     with open(path) as fh:
         lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)
                  if not line.isspace()]
@@ -134,6 +141,19 @@ def load_matrix(path) -> np.ndarray:
         except ValueError:
             out[row] = [_parse_entry(path, lineno, col, p) for col, p in enumerate(parts, start=1)]
     return out
+
+
+def _load_npy(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        try:
+            X = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as err:
+            raise ValueError(f"{path}: cannot read it as a .npy array: {err}") from None
+    if not isinstance(X, np.ndarray) or X.ndim != 2 or X.dtype.kind not in "fiu":
+        raise ValueError(f"{path}: expected a 2-d array of real numbers")
+    if X.size == 0:
+        raise ValueError(f"{path}: empty matrix file")
+    return np.ascontiguousarray(X, dtype=float)
 
 
 def _parse_entry(path, lineno, col, text) -> float:

@@ -91,7 +91,8 @@ def _trial_ce(algorithm: str, spec: SyntheticSpec, seed: int, task) -> float:
     data_seed, cluster_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence([seed, trial]).spawn(2))
     data = generate_synthetic(replace(spec, seed=data_seed))
-    W = spectral.build_affinity(ALGORITHMS[algorithm].solve(data.X, cfg)[0])
+    C = ALGORITHMS[algorithm].solve(data.X, cfg)[0]
+    W = spectral.build_affinity(C, out=C)
     labels = spectral.spectral_cluster(W, spec.num_subspaces, cluster_seed)
     return clustering_error(labels, data.truth).ce
 

@@ -27,13 +27,15 @@ is left as it is: no kernel of the embedding or of k-means runs on it
 (per-thread CPU of its pool read 0.00 s over unpinned calls at N = 450,
 540 and 1500), so pinning it would guard nothing.
 
-From C to labels the stage holds at most two N x N arrays at once.
-``build_affinity`` writes |C| into W and symmetrizes W in place, one block
-pair at a time, so it holds C and W.  ``spectral_cluster`` holds W and one
-more: the Laplacian, built in Fortran order so that the subset eigh
-overwrites it instead of a copy and dropped before k-means, or the Lanczos
-certificate.  A caller that drops C once W exists (the CLI and the tuner
-do) never holds three.
+From C to labels the stage holds one N x N array.  ``build_affinity(C,
+out=C)`` writes |C| into C's own buffer and symmetrizes it in place, one
+block pair at a time; the CLI and the tuner pass it so, since they drop C.
+``spectral_cluster`` reads only W's lower triangle, its diagonal and its row
+sums, and builds its second matrix, the Laplacian or the Lanczos
+certificate, in W's upper triangle and diagonal: the lower triangle of the
+Fortran view W^T, the triangle LAPACK reads.  It keeps W's diagonal as an
+N-vector and puts the mirror of the lower triangle and the diagonal back
+before it returns.
 
 k-means is kept in-package so its constants (k-means++ seeding, 20
 replicates, 300 iterations, relative inertia tolerance 1e-9, ties to the
@@ -53,9 +55,11 @@ from scipy.linalg import blas, lapack
 
 from .exceptions import DegenerateAffinityError
 
-# Side of the square blocks build_affinity symmetrizes: a block pair (144 KB)
-# stays in cache, and the temporaries of one pair are 0.07 array at N=600.
+# Side of the square blocks the in-place passes over an N x N array take: a
+# block pair (144 KB) stays in cache.
 _AFFINITY_BLOCK = 96
+# Where a diagonal block holds the strict upper triangle.
+_STRICT_UPPER = np.triu(np.ones((_AFFINITY_BLOCK, _AFFINITY_BLOCK), dtype=bool), 1)
 _DEGREE_FLOOR = 1e-12
 _ROW_NORM_FLOOR = 1e-12
 # The smallest N at which the certified Lanczos embedding beat the subset
@@ -79,25 +83,92 @@ _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-9
 
 
-def build_affinity(C) -> np.ndarray:
-    """Symmetric nonnegative affinity |C| + |C|^T, C-ordered; C is not changed.
+def build_affinity(C, out=None) -> np.ndarray:
+    """Symmetric nonnegative affinity |C| + |C|^T, C-ordered, in ``out``.
 
-    |C| goes into one new array, which is then symmetrized in place one block
-    pair at a time: s = W_ij + W_ji^T is written to both blocks.  Addition
-    commutes, so the result has the bits of ``A + A.T`` with A = |C|.  The
-    call holds two N x N arrays, C and W, where ``A + A.T`` held three.
+    |C| goes into ``out``, by default one new array, which is then
+    symmetrized in place one block pair at a time: s = W_ij + W_ji^T is
+    written to both blocks.  Addition commutes, so the result has the bits
+    of ``A + A.T`` with A = |C|.  By default C is not changed and the call
+    holds two N x N arrays, C and W; with ``out=C`` the affinity takes C's
+    buffer and the call holds C alone.  ``out`` must be a writeable
+    C-contiguous float64 array of C's shape, or ValueError is raised before
+    anything is written.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"representation matrix must be square, got shape {C.shape}")
-    n, step = C.shape[0], _AFFINITY_BLOCK
-    W = np.abs(C, out=np.empty((n, n)))
+    n = C.shape[0]
+    if out is None:
+        out = np.empty((n, n))
+    elif not (isinstance(out, np.ndarray) and out.shape == C.shape and out.dtype == float
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape "
+                         f"{C.shape}")
+    W = np.abs(C, out=out)
+    for rows, cols, scratch in _block_pairs(n):
+        upper, lower = W[rows, cols], W[cols, rows]
+        scratch[...] = lower.T
+        scratch += upper
+        upper[...] = scratch
+        lower[...] = scratch.T
+    return W
+
+
+def _block_pairs(n):
+    """Slices (rows, cols) of the _AFFINITY_BLOCK square blocks on and above
+    the diagonal of an N x N array, each with a C-ordered scratch array of its
+    shape, one buffer for all.
+
+    Passes over a block pair go through the scratch array: an assignment
+    between blocks allocates nothing, where a ufunc on a strided block or on
+    the transpose of one that overlaps its output allocates a copy or
+    numpy's iteration buffers.  The scratch and one buffer are 0.05 array at
+    N=600.
+    """
+    step = _AFFINITY_BLOCK
+    buffer = np.empty(min(n, step) ** 2)
     for i in range(0, n, step):
         for j in range(i, n, step):
-            upper, lower = W[i:i + step, j:j + step], W[j:j + step, i:i + step]
-            upper += lower.T
-            lower[...] = upper.T
-    return W
+            rows, cols = slice(i, min(i + step, n)), slice(j, min(j + step, n))
+            shape = (rows.stop - i, cols.stop - j)
+            yield rows, cols, buffer[:shape[0] * shape[1]].reshape(shape)
+
+
+def _mirror_lower(W, scale=None) -> None:
+    """Write W's strict lower triangle, transposed, into its strict upper one.
+
+    With ``scale`` (a vector d), W_ba gets 0 - (d_a W_ab) d_b for a > b
+    instead of W_ab: the off-diagonal entries of -D W D.  One block pair at
+    a time; the lower triangle and the diagonal are not written.
+    """
+    for rows, cols, scratch in _block_pairs(W.shape[0]):
+        mirror = W[cols, rows].T
+        if scale is not None or rows == cols:
+            # a diagonal block overlaps its mirror, which numpy would copy
+            scratch[...] = mirror
+            mirror = scratch
+        if scale is not None:
+            mirror *= scale[None, cols]
+            mirror *= scale[rows, None]
+            np.subtract(0.0, mirror, out=mirror)
+        if rows == cols:
+            m = mirror.shape[0]
+            np.copyto(W[rows, cols], mirror, where=_STRICT_UPPER[:m, :m])
+        else:
+            W[rows, cols] = mirror
+
+
+def _minus_m(W, diag, inv_sqrt_deg) -> np.ndarray:
+    """-M = -D^{-1/2} W D^{-1/2} in W's upper triangle and diagonal, the lower
+    triangle of the Fortran view W^T, which is returned.
+
+    Read from W's lower triangle and from ``diag``, W's diagonal; each entry
+    is 0 - (d_a W_ab) d_b, so the signs of zeros are those of 0 - x.
+    """
+    _mirror_lower(W, inv_sqrt_deg)
+    np.fill_diagonal(W, 0.0 - (inv_sqrt_deg * diag) * inv_sqrt_deg)
+    return W.T
 
 
 def check_n_clusters(n_clusters: int, n_points: int) -> None:
@@ -120,63 +191,77 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
     the subset eigh when it does not converge within N/2 matvecs or fails
     its certificate (see the module docstring).  The seed also draws the
     Lanczos start vector, so repeated calls give identical labels.
+    The embedding reads only W's lower triangle and diagonal (and the
+    degrees, W's row sums) and builds its second N x N matrix in W's upper
+    triangle and diagonal.  W comes back with its diagonal as it was and its
+    upper triangle the mirror of its lower one, which changes only a W that
+    is not bit-symmetric; W may not be read by another thread meanwhile.  A
+    W that is not a writeable C-contiguous float64 array is copied first.
     Returns integer labels in [0, n_clusters).  Raises ValueError for a
     non-square, non-finite or signed affinity (any negative entry), an
     out-of-range n_clusters or a negative seed, before any eigensolver runs,
     and DegenerateAffinityError for an all-zero affinity.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.require(W, dtype=float, requirements=["C", "W"])
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got shape {W.shape}")
     n = W.shape[0]
     check_n_clusters(n_clusters, n)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if not np.isfinite(W).all():
+    deg = W.sum(axis=1)
+    # a non-finite entry makes its row sum non-finite; a finite W whose row
+    # sum overflows passes
+    if not np.isfinite(deg).all() and not np.isfinite(W).all():
         raise ValueError("affinity has non-finite entries (NaN or inf)")
     if W.min() < 0:
         raise ValueError("affinity has negative entries")
-    if not np.any(W):
+    if not deg.max() > 0:
         raise DegenerateAffinityError("affinity matrix is identically zero")
 
-    inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), _DEGREE_FLOOR))
-    emb = None
-    if n >= _LANCZOS_MIN_N and n_clusters < n:
-        emb = _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed)
-    if emb is None:
-        # I - D^{-1/2} W D^{-1/2} in one array: 0 - x off the diagonal, then
-        # 1 + (0 - x) = 1 - x on it, so the signs of zeros stay those of I - x.
-        # Fortran order, so that eigh overwrites it instead of a copy.
-        lap = np.multiply(inv_sqrt_deg[:, None], W, out=np.empty((n, n), order="F"))
-        lap *= inv_sqrt_deg[None, :]
-        np.subtract(0.0, lap, out=lap)
-        lap[np.diag_indices(n)] += 1.0
-        # finite, as W is: W_ij / sqrt(deg_i deg_j) <= sqrt(W_ij) / sqrt(_DEGREE_FLOOR)
-        _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1], overwrite_a=True,
-                                   check_finite=False)
-        del lap  # k-means runs beside W alone
+    inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(deg, _DEGREE_FLOOR))
+    diag = W.diagonal().copy()
+    try:
+        emb = None
+        if n >= _LANCZOS_MIN_N and n_clusters < n:
+            emb = _lanczos_embedding(W, diag, inv_sqrt_deg, n_clusters, seed)
+        if emb is None:
+            # I - D^{-1/2} W D^{-1/2}: 0 - x off the diagonal, then 1 + (0 - x)
+            # on it, so the signs of zeros stay those of I - x; eigh overwrites
+            # the triangle it reads instead of a copy.
+            lap = _minus_m(W, diag, inv_sqrt_deg)
+            np.fill_diagonal(lap, lap.diagonal() + 1.0)
+            # finite, as W is: W_ij / sqrt(deg_i deg_j) <= sqrt(W_ij) / sqrt(_DEGREE_FLOOR)
+            _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1],
+                                       overwrite_a=True, check_finite=False)
+    finally:
+        _mirror_lower(W)
+        np.fill_diagonal(W, diag)
     norms = np.linalg.norm(emb, axis=1)
     rows = norms > _ROW_NORM_FLOOR
     labels = np.zeros(n, dtype=int)
     # Fortran order, as the eigensolvers return it: see _lloyd on summation order
-    labels[rows] = _kmeans(np.asfortranarray(emb[rows] / norms[rows, None]), n_clusters, seed)
+    points = np.asfortranarray(emb[rows] / norms[rows, None])
+    del emb
+    labels[rows] = _kmeans(points, n_clusters, seed)
     return labels
 
 
-def _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed):
+def _lanczos_embedding(W, diag, inv_sqrt_deg, n_clusters, seed):
     """The n_clusters leading eigenvectors of M = D^{-1/2} W D^{-1/2}, or None.
 
-    Columns come in descending eigenvalue order, the order of the Laplacian's
-    ascending one.  Returns None, having changed nothing, unless ARPACK
-    converges within its matvec budget and its result passes the certificate
-    of the module docstring.
+    W is C-ordered with its diagonal in ``diag``.  Columns come in
+    descending eigenvalue order, the order of the Laplacian's ascending one.
+    Returns None unless ARPACK converges within its matvec budget and its
+    result passes the certificate of the module docstring.  The certificate,
+    once built, is left in W's upper triangle and diagonal.
     """
     from scipy.sparse import linalg as sparse_linalg
 
     n = W.shape[0]
     # Fortran order, so that dsymv reads W in place; its upper triangle is
-    # W's lower one, the triangle eigh reads of the Laplacian.
-    w_t = np.ascontiguousarray(W).T
+    # W's lower one, the triangle every path reads.
+    w_t = W.T
     budget = max(n // 2, _LANCZOS_MIN_MATVECS)
     calls = 0
 
@@ -202,15 +287,14 @@ def _lanczos_embedding(W, inv_sqrt_deg, n_clusters, seed):
     residuals = np.column_stack([apply(v) for v in vecs.T]) - vecs * vals
     if not np.linalg.norm(residuals, axis=0).max() <= _RITZ_RESIDUAL_TOL:
         return None
-    # theta I - M + V (Lambda + I) V^T, in M's transpose (Fortran order, lower
-    # triangle of M in its upper one): the Ritz pairs deflated to -1 leave the
-    # rest of the spectrum, whose top the factorization bounds by theta.
-    cert = inv_sqrt_deg[:, None] * W
-    cert *= inv_sqrt_deg[None, :]
-    cert = blas.dgemm(1.0, vecs * (vals + 1.0), vecs, beta=-1.0, c=cert.T,
-                      trans_b=1, overwrite_c=1)
-    cert[np.diag_indices(n)] += vals[0] - _CERTIFIED_GAP
-    if lapack.dpotrf(cert, lower=0, overwrite_a=1, clean=0)[1] != 0:
+    # theta I - M + V (Lambda + I) V^T in the lower triangle of W^T: the Ritz
+    # pairs deflated to -1 leave the rest of the spectrum, whose top the
+    # factorization bounds by theta.  A Ritz value below -1 puts theta + 1
+    # below 0, which fails the factorization with or without its term.
+    cert = blas.dsyrk(1.0, vecs * np.sqrt(np.maximum(vals + 1.0, 0.0)), beta=1.0,
+                      c=_minus_m(W, diag, inv_sqrt_deg), lower=1, overwrite_c=1)
+    np.fill_diagonal(cert, cert.diagonal() + (vals[0] - _CERTIFIED_GAP))
+    if lapack.dpotrf(cert, lower=1, overwrite_a=1, clean=0)[1] != 0:
         return None
     # the Fortran order eigh returns, in which k-means runs twice as fast as
     # on the reversed view
@@ -246,7 +330,7 @@ def _kmeans(points, k, seed):
     rng = np.random.default_rng(seed)
     centers = np.stack([_kmeanspp_init(points, k, rng) for _ in range(_KMEANS_REPLICATES)])
     labels, inertia = _lloyd(points, centers)
-    return labels[np.argmin(inertia)]
+    return labels[np.argmin(inertia)].astype(int)
 
 
 def _lloyd(points, centers):
@@ -266,27 +350,41 @@ def _lloyd(points, centers):
     n, dim = points.shape
     reps, k = centers.shape[:2]
     coords = np.ascontiguousarray(points.T)  # one row per dimension
-    labels = np.empty((reps, n), dtype=int)
+    # int32 holds every label and bin index below 2^31 / _KMEANS_REPLICATES
+    # points, in half the memory
+    labels = np.empty((reps, n), dtype=np.int32)
     inertia = np.full(reps, np.inf)
     live = np.arange(reps)  # the replicates still iterating
 
     def distances(center):
         # ||p - c||^2 of each (replicate, point) for one center per replicate,
-        # shape (r, n), summed over the dimensions in index order
-        total = np.square(coords[0] - center[:, 0, None])
+        # shape (r, n), summed over the dimensions in index order, beside one
+        # more (r, n) array; p - c is formed in place from a copy of p, which
+        # leaves numpy one iteration buffer, not two
+        total = np.empty((center.shape[0], n))
+        total[...] = coords[0]
+        total -= center[:, 0, None]
+        np.square(total, out=total)
+        term = np.empty_like(total)
         for i in range(1, dim):
-            total += np.square(coords[i] - center[:, i, None])
+            term[...] = coords[i]
+            term -= center[:, i, None]
+            total += np.square(term, out=term)
         return total
 
+    # Each (r, n) array of a step dies before the next one of its kind is
+    # formed: the Lloyd loop holds at most five (labels, the assignment, its
+    # distances, one center's distances and their term).
     for step in range(_KMEANS_MAX_ITER):
         # one center at a time; a strict < keeps a tie at the lowest center,
         # as argmin does
         assigned = distances(centers[:, 0])
-        step_labels = np.zeros(assigned.shape, dtype=int)
+        step_labels = np.zeros(assigned.shape, dtype=np.int32)
         for j in range(1, k):
             d2 = distances(centers[:, j])
             step_labels[d2 < assigned] = j
             np.minimum(assigned, d2, out=assigned)
+            del d2
         step_inertia = assigned.sum(axis=1)
         previous = inertia[live]
         labels[live], inertia[live] = step_labels, step_inertia
@@ -294,13 +392,15 @@ def _lloyd(points, centers):
             going = ~(previous - step_inertia <= _KMEANS_REL_TOL * previous)
             if not going.any():
                 break
-            live, step_labels, assigned, centers = (
-                live[going], step_labels[going], assigned[going], centers[going])
+            live, centers = live[going], centers[going]
+            step_labels = step_labels[going]
+            assigned = assigned[going]
         r = live.size
-        # cluster j of replicate i is bin j + k*i; bincount adds a bin's points
-        # in point order, the order points[mask].mean(axis=0) of one cluster
-        # adds them in whenever dim > 1
-        bins = (step_labels + k * np.arange(r)[:, None]).ravel()
+        # cluster j of replicate i is bin j + k*i, formed in step_labels' own
+        # buffer; bincount adds a bin's points in point order, the order
+        # points[mask].mean(axis=0) of one cluster adds them in whenever dim > 1
+        step_labels += np.arange(0, k * r, k, dtype=np.int32)[:, None]
+        bins = step_labels.ravel()
         counts = np.bincount(bins, minlength=r * k).reshape(r, k)
         sums = np.stack([np.bincount(bins, weights=np.tile(row, r), minlength=r * k)
                          for row in coords], axis=1).reshape(r, k, dim)
@@ -309,4 +409,5 @@ def _lloyd(points, centers):
         # re-seat an emptied cluster at its replicate's worst-fit point
         emptied, cluster = np.nonzero(~filled)
         centers[emptied, cluster] = points[assigned[emptied].argmax(axis=1)]
+        del assigned, step_labels, bins
     return labels, inertia

@@ -120,6 +120,21 @@ class TestNoisy:
         C = lrr_noisy(X, 5.0).C
         np.testing.assert_allclose(C, C.T, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [5.0, None], ids=["noisy", "noiseless"])
+    def test_bit_symmetric_c_ordered_product_across_blocks(self, lam):
+        """One triangle from dsyrk, mirrored block pair by block pair over
+        three blocks: C is C-ordered, bit-symmetric and the product
+        V1 diag(shrink) V1^T."""
+        X = low_rank_matrix(30, 250, 12, seed=9) + 0.01 * low_rank_matrix(30, 250, 30, seed=10)
+        sol = lrr_noiseless(X) if lam is None else lrr_noisy(X, lam)
+        svd = GramSolver(X)
+        V1 = svd.Vt[sol.active_set].T
+        shrink = 1.0 if lam is None else 1.0 - 1.0 / (lam * svd.s2[sol.active_set])
+        assert sol.active_set.size > 0
+        assert sol.C.flags.c_contiguous
+        np.testing.assert_array_equal(sol.C.view(np.int64), sol.C.T.view(np.int64))
+        np.testing.assert_allclose(sol.C, (V1 * shrink) @ V1.T, rtol=0, atol=1e-14)
+
     def test_eigenvalues_in_unit_interval(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((10, 25))

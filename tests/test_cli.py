@@ -513,10 +513,11 @@ class TestCluster:
             assert labels.shape == (30,)
             assert set(labels) <= {0, 1, 2}
 
-    def test_closed_form_path_holds_two_arrays(self):
-        """Closed-form LRR at N=600 holds C and W, then W and the embedding's
-        one array: C dies once the affinity exists (tracemalloc peak in units
-        of 8 N^2 bytes; a warm-up call imports scipy.sparse.linalg)."""
+    def test_closed_form_path_holds_one_array(self):
+        """Closed-form LRR at N=600 holds one N x N array beyond X: the
+        affinity takes C's buffer and the embedding builds its second matrix
+        in W (tracemalloc peak in units of 8 N^2 bytes; a warm-up call
+        imports scipy.sparse.linalg)."""
         X = generate_synthetic(SyntheticSpec(points_per_subspace=200, noise_variance=0.01,
                                              seed=7)).X
 
@@ -524,7 +525,19 @@ class TestCluster:
             return cli._solve_and_label("lrr", cli._LRR_DEFAULT_LAM, X, 3, 0)
 
         call()
-        assert peak_arrays(call, X.shape[1]) <= 2.2
+        assert peak_arrays(call, X.shape[1]) <= 1.2
+
+    @pytest.mark.parametrize("algorithm", ["gmc", "lrr"])
+    def test_npy_input_gives_the_csv_labels(self, small_data_dir, tmp_path, algorithm):
+        X = load_matrix(small_data_dir / "X.csv")
+        np.save(tmp_path / "X.npy", X)
+        labels = {}
+        for name in ("X.csv", "X.npy"):
+            source = small_data_dir / name if name.endswith(".csv") else tmp_path / name
+            labels[name] = tmp_path / f"{name}.labels"
+            assert run(["cluster", "--input", source, "--algorithm", algorithm,
+                        "--clusters", "3", "--labels-out", labels[name]]) == 0
+        assert labels["X.npy"].read_bytes() == labels["X.csv"].read_bytes()
 
     @pytest.mark.xfail(reason="this run reads 4.7% error: shared pool directions "
                               "leave some points ambiguous to the affinity, though "

@@ -214,6 +214,40 @@ class TestMatrixFiles:
         with pytest.raises(OSError):
             load_matrix(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("X", [
+        pytest.param(np.random.default_rng(6).standard_normal((4, 7)), id="float64"),
+        pytest.param(np.asfortranarray(np.random.default_rng(6).standard_normal((4, 7))),
+                     id="fortran-order"),
+        pytest.param(np.arange(12, dtype=np.int32).reshape(3, 4), id="int32"),
+        pytest.param(np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3), id="float32"),
+    ])
+    def test_npy_reads_as_c_ordered_float64(self, tmp_path, X):
+        path = tmp_path / "m.npy"
+        np.save(path, X)
+        got = load_matrix(path)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, X.astype(float))
+
+    @pytest.mark.parametrize("X, message", [
+        pytest.param(np.ones(3), "expected a 2-d array of real numbers", id="1-d"),
+        pytest.param(np.ones((2, 2, 2)), "expected a 2-d array of real numbers", id="3-d"),
+        pytest.param(np.ones((2, 2), complex), "expected a 2-d array of real numbers",
+                     id="complex"),
+        pytest.param(np.ones((2, 2), bool), "expected a 2-d array of real numbers", id="bool"),
+        pytest.param(np.ones((0, 3)), "empty matrix file", id="empty"),
+        pytest.param(np.array([[1.0, None]], dtype=object), "cannot read it as a .npy array",
+                     id="pickled"),
+        pytest.param(b"1,2\n3,4\n", "cannot read it as a .npy array", id="not-npy"),
+    ])
+    def test_npy_errors_name_the_file(self, tmp_path, X, message):
+        path = tmp_path / "bad.npy"
+        if isinstance(X, bytes):
+            path.write_bytes(X)
+        else:
+            np.save(path, X, allow_pickle=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_matrix(path)
+
 
 class TestLabelFiles:
     def test_round_trip(self, tmp_path):

@@ -63,6 +63,38 @@ class TestBuildAffinity:
         with pytest.raises(ValueError):
             build_affinity(np.zeros(5))
 
+    @pytest.mark.parametrize("n", [1, spectral_module._AFFINITY_BLOCK - 1,
+                                   spectral_module._AFFINITY_BLOCK + 1, 600])
+    def test_out_c_gives_the_same_bits_in_cs_buffer(self, n):
+        """With out=C the affinity is C's own array, with the bits of
+        |C| + |C|^T, +0.0 and -0.0 entries included."""
+        rng = np.random.default_rng(n)
+        C = rng.standard_normal((n, n))
+        C[rng.random((n, n)) < 0.2] = 0.0
+        C[rng.random((n, n)) < 0.2] = -0.0
+        expected = np.abs(C) + np.abs(C).T
+        assert build_affinity(C, out=C) is C
+        np.testing.assert_array_equal(C.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("make_out", [
+        pytest.param(lambda C: np.empty((5, 5)), id="wrong-shape"),
+        pytest.param(lambda C: np.empty((6, 6), dtype=np.float32), id="wrong-dtype"),
+        pytest.param(lambda C: np.asfortranarray(C), id="fortran-order"),
+        pytest.param(lambda C: np.empty((6, 12))[:, ::2], id="strided"),
+        pytest.param(lambda C: C.copy().tolist(), id="not-an-array"),
+        pytest.param(lambda C: C, id="read-only"),
+    ])
+    def test_rejects_bad_out_before_writing(self, make_out):
+        C = np.random.default_rng(1).standard_normal((6, 6))
+        out = make_out(C)
+        if out is C:
+            C.flags.writeable = False
+        before, out_before = C.copy(), np.array(out, copy=True)
+        with pytest.raises(ValueError, match="^out must be a writeable C-contiguous float64"):
+            build_affinity(C, out=out)
+        np.testing.assert_array_equal(C.view(np.int64), before.view(np.int64))
+        np.testing.assert_array_equal(np.asarray(out), out_before)
+
 
 class TestSpectralCluster:
     def test_two_ideal_blocks_recovered(self):
@@ -167,6 +199,16 @@ class TestSpectralCluster:
         with pytest.raises(ValueError):
             spectral_cluster(np.zeros((3, 5)), 2, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_row_sum_of_a_finite_affinity_is_accepted(self):
+        """The exact finiteness check runs only on a non-finite row sum; a
+        finite W whose row sums overflow to inf passes it and is clustered."""
+        W, _ = block_affinity([4, 4], off_block=0.5, seed=11)
+        W *= 1e308 / W.max()
+        assert np.isfinite(W).all() and not np.isfinite(W.sum(axis=1)).any()
+        labels = spectral_cluster(W, 2, seed=0)
+        assert labels.shape == (8,) and set(labels) <= {0, 1}
+
     def test_embedding_rows_unit_norm(self, monkeypatch):
         """The k-means stage receives row-normalized eigenvector embeddings."""
         captured = {}
@@ -263,28 +305,36 @@ def subset_eigh_calls(monkeypatch):
 
 @pytest.fixture(scope="module")
 def lrr_affinities():
-    """LRR affinities of noisy three-subspace data at N=450, below the
-    Lanczos crossover, and N=600, at it."""
+    """LRR affinities of noisy three-subspace data at N=150 and 450, below
+    the Lanczos crossover, and N=600, at it."""
     return {n: build_affinity(lrr_noisy(generate_synthetic(SyntheticSpec(
-        points_per_subspace=n // 3, noise_variance=0.01, seed=7)).X, 2.0).C) for n in (450, 600)}
+        points_per_subspace=n // 3, noise_variance=0.01, seed=7)).X, 2.0).C)
+        for n in (150, 450, 600)}
 
 
 class TestWorkingSet:
-    """The affinity and the embedding each hold one N x N array beyond their
-    input (tracemalloc peaks in units of 8 N^2 bytes)."""
+    """From C to labels the stage holds one N x N array (tracemalloc peaks
+    in units of 8 N^2 bytes): the affinity takes C's buffer, and the
+    embedding builds its second matrix in W's upper triangle.  What is left
+    are block scratch arrays, numpy's iteration buffers and k-means's
+    (replicates x N) arrays, which weigh more at a smaller N."""
 
     def test_affinity(self):
         C = np.random.default_rng(3).standard_normal((600, 600))
-        assert peak_arrays(lambda: build_affinity(C), 600) <= 1.1
+        assert peak_arrays(lambda: build_affinity(C), 600) <= 1.05
+
+    def test_affinity_in_cs_buffer(self):
+        C = np.random.default_rng(3).standard_normal((600, 600))
+        assert peak_arrays(lambda: build_affinity(C, out=C), 600) <= 0.05
 
     @pytest.mark.parametrize("n, budget, subset_eighs", [
-        pytest.param(450, 1.2, 1, id="subset-eigh"), pytest.param(600, 1.1, 0, id="lanczos")])
+        pytest.param(450, 0.25, 1, id="subset-eigh"), pytest.param(600, 0.18, 0, id="lanczos")])
     def test_embedding_leaves_w_unchanged(self, monkeypatch, lrr_affinities, n, budget,
                                           subset_eighs):
-        """The subset eigh overwrites a Fortran-ordered Laplacian in place and
-        drops it before k-means; the Lanczos certificate is the one array of
-        its path.  The first call, which on the Lanczos path imports
-        scipy.sparse.linalg, warms up."""
+        """The subset eigh overwrites the Laplacian, and Cholesky the Lanczos
+        certificate, in the lower triangle of W's Fortran view, W's upper
+        one, which is then mirrored back from the lower.  The first call,
+        which on the Lanczos path imports scipy.sparse.linalg, warms up."""
         W = lrr_affinities[n]
         before = W.copy()
         spectral_cluster(W, 3, 0)
@@ -292,6 +342,16 @@ class TestWorkingSet:
         assert peak_arrays(lambda: spectral_cluster(W, 3, 0), n) <= budget
         assert len(calls) == subset_eighs
         np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("n", [450, 600], ids=["subset-eigh", "lanczos"])
+    def test_upper_triangle_comes_back_as_the_mirror_of_the_lower(self, lrr_affinities, n):
+        """A W that is not bit-symmetric keeps its lower triangle and its
+        diagonal; its upper triangle is replaced by the mirror of the lower."""
+        W = lrr_affinities[n].copy()
+        W[np.triu_indices(n, 1)] *= 1.0 + 1e-9
+        lower = np.tril(W)
+        spectral_cluster(W, 3, 0)
+        np.testing.assert_array_equal(W, lower + np.tril(lower, -1).T)
 
 
 def kmeans_inputs(monkeypatch):
@@ -305,6 +365,55 @@ def kmeans_inputs(monkeypatch):
 
     monkeypatch.setattr(spectral_module, "_kmeans", capture)
     return points
+
+
+def separate_laplacian(W):
+    """The Laplacian in an array of its own, in Fortran order, as
+    spectral_cluster built it before it took W's upper triangle."""
+    n = W.shape[0]
+    inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), spectral_module._DEGREE_FLOOR))
+    lap = np.multiply(inv_sqrt_deg[:, None], W, out=np.empty((n, n), order="F"))
+    lap *= inv_sqrt_deg[None, :]
+    np.subtract(0.0, lap, out=lap)
+    lap[np.diag_indices(n)] += 1.0
+    return lap
+
+
+def separate_laplacian_points(W, n_clusters):
+    """The k-means input of the subset eigh path on :func:`separate_laplacian`."""
+    _, emb = scipy.linalg.eigh(separate_laplacian(W), subset_by_index=[0, n_clusters - 1],
+                               overwrite_a=True, check_finite=False)
+    norms = np.linalg.norm(emb, axis=1)
+    rows = norms > spectral_module._ROW_NORM_FLOOR
+    return np.asfortranarray(emb[rows] / norms[rows, None])
+
+
+@pytest.mark.parametrize("case", ["lrr-150", "lrr-450", "lrr-600", "zero-blocks"])
+def test_laplacian_in_ws_upper_triangle_gives_the_same_bits(monkeypatch, lrr_affinities, case):
+    """The Laplacian built in W's upper triangle holds, in the triangle eigh
+    reads, the bits of the one built in a separate array, the signs of zeros
+    included, and the subset eigh gives the same embedding."""
+    if case == "zero-blocks":
+        W = block_affinity([30, 40, 50], seed=3)[0]
+    else:
+        W = lrr_affinities[int(case.split("-")[1])]
+    n = W.shape[0]
+    monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", n + 1)
+    triangles = []
+    real_eigh = scipy.linalg.eigh
+
+    def recording_eigh(a, **kwargs):
+        triangles.append(np.tril(a))
+        return real_eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    points = kmeans_inputs(monkeypatch)
+    spectral_cluster(W, 3, 0)
+    np.testing.assert_array_equal(triangles.pop().view(np.int64),
+                                  np.tril(separate_laplacian(W)).view(np.int64))
+    monkeypatch.setattr(scipy.linalg, "eigh", real_eigh)
+    np.testing.assert_array_equal(points.pop().view(np.int64),
+                                  separate_laplacian_points(W, 3).view(np.int64))
 
 
 def subset_eigh_labels(monkeypatch, W, n_clusters, seed):
@@ -344,6 +453,30 @@ class TestLanczosFallsBackToSubsetEigh:
             np.testing.assert_array_equal(fallback, points.pop())
         assert len(factorizations) == 3 and all(info > 0 for info in factorizations)
         assert calls == [[0, 2]] * 6
+
+    def test_failed_factorization_leaves_w_unchanged(self, monkeypatch, lrr_affinities):
+        """A certificate that dpotrf rejects (info = 1) after writing its
+        triangle: W is put back bit for bit before the subset eigh builds
+        the Laplacian in the same triangle, which gives the labels of the
+        subset eigh path."""
+        W = lrr_affinities[600]
+        before = W.copy()
+        expected = subset_eigh_labels(monkeypatch, W, 3, 0)
+        real_potrf = scipy.linalg.lapack.dpotrf
+        factorizations = []
+
+        def failing_potrf(*args, **kwargs):
+            factorizations.append(kwargs.get("lower"))
+            return real_potrf(*args, **kwargs)[0], 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_potrf)
+        calls = subset_eigh_calls(monkeypatch)
+        points = kmeans_inputs(monkeypatch)
+        np.testing.assert_array_equal(spectral_cluster(W, 3, 0), expected)
+        assert factorizations == [1] and calls == [[0, 2]]
+        np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
+        # the embedding is the subset eigh's of a Laplacian in its own array
+        np.testing.assert_array_equal(points.pop(), separate_laplacian_points(W, 3))
 
     def test_no_convergence_falls_back(self, monkeypatch):
         from scipy.sparse import linalg as sparse_linalg
