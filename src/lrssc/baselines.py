@@ -5,7 +5,8 @@ thin SVD of X in the package, which runs it on numpy's BLAS held at one
 thread.  GramSolver is also where X is checked (a finite 2-d matrix with a
 nonzero entry); LRR adds no rule of its own on X.  Both build C as one
 symmetric product V1 diag(shrink) V1^T over the kept singular directions
-(:func:`_projector`), one ``dsyrk`` on scipy's BLAS at full width.
+(:func:`_projector`), one ``dsyrk`` on scipy's BLAS at full width, which
+:func:`_projector` imports at its call (see :mod:`lrssc.parallel`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .spectral import _mirror_lower
 # Bound here at import, so that perfbench's wrapper of solvers.GramSolver,
@@ -41,6 +41,8 @@ def _projector(rows, keep) -> LrrSolution:
     C-ordered and bit-symmetric.  An empty ``keep`` gives the zero matrix:
     the inner dimension is then 0, and dsyrk writes +0.0 everywhere.
     """
+    from scipy.linalg import blas
+
     # dsyrk's upper triangle, in Fortran order, is the lower one of the
     # C-ordered transpose
     C = blas.dsyrk(1.0, rows.T, lower=0).T
@@ -48,11 +50,21 @@ def _projector(rows, keep) -> LrrSolution:
     return LrrSolution(C=C, active_set=keep)
 
 
+def _rank_keep(s, shape) -> np.ndarray:
+    """Indices of the singular values ``s``, descending, of a matrix of this
+    shape that count as nonzero."""
+    return np.flatnonzero(s > max(shape) * s[0] * _RANK_TOL_FACTOR)
+
+
+def numerical_rank(X) -> int:
+    """The rank of X that :func:`lrr_noiseless` keeps, without its N x N C."""
+    return _rank_keep(GramSolver(X).s, np.shape(X)).size
+
+
 def lrr_noiseless(X) -> LrrSolution:
     """Minimum-nuclear-norm solution of X = XC: the row-space projector V V^T."""
     svd = GramSolver(X)
-    tol = max(np.shape(X)) * svd.s[0] * _RANK_TOL_FACTOR
-    keep = np.flatnonzero(svd.s > tol)
+    keep = _rank_keep(svd.s, np.shape(X))
     rows = svd.Vt[keep]
     del svd  # V^T dies before the N x N product
     return _projector(rows, keep)

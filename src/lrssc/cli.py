@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, spectral
-from .baselines import check_lrr_weight, lrr_noiseless, lrr_noisy
+from .baselines import check_lrr_weight, lrr_noisy, numerical_rank
 from .evaluation import clustering_error, grid_search
 from .exceptions import DegenerateAffinityError, NumericalError
 from .parallel import map_tasks
@@ -160,7 +160,7 @@ def cmd_synth(args) -> int:
     ds = datasets.generate_synthetic(spec)
     datasets.save_matrix(x_path, ds.X)
     datasets.save_labels(labels_path, ds.truth)
-    print(f"rank={lrr_noiseless(ds.X).active_set.size}")
+    print(f"rank={numerical_rank(ds.X)}")
     print(f"wrote {x_path} and {labels_path}", file=sys.stderr)
     return 0
 

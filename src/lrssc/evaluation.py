@@ -26,9 +26,9 @@ from .solvers import ALGORITHMS, GridSpec, SolverConfig
 class EvalReport:
     """Clustering error with the label matching that realizes it.
 
-    ``matching`` maps predicted label -> matched truth label;
-    ``missing_clusters`` lists labels in [0, L) that the prediction never
-    used (degenerate clusterings).
+    ``matching`` maps predicted label -> matched truth label, over the labels
+    that occur in either vector; ``missing_clusters`` lists those the
+    prediction never used (degenerate clusterings).
     """
 
     ce: float
@@ -51,18 +51,19 @@ def clustering_error(pred, truth) -> EvalReport:
         raise ValueError("label vectors are empty")
     if pred.min() < 0 or truth.min() < 0:
         raise ValueError("labels must be nonnegative integers")
-    n_labels = int(max(pred.max(), truth.max())) + 1
-    confusion = np.zeros((n_labels, n_labels), dtype=int)
-    np.add.at(confusion, (pred, truth), 1)
+    # The confusion matrix is indexed by the distinct labels of both vectors,
+    # so its side is at most 2N whatever the label values are.
+    labels, index = np.unique(np.concatenate([pred, truth]), return_inverse=True)
+    confusion = np.zeros((labels.size, labels.size), dtype=int)
+    np.add.at(confusion, (index[:pred.size], index[pred.size:]), 1)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     matched = int(confusion[rows, cols].sum())
-    missing = tuple(sorted(set(range(n_labels)) - set(np.unique(pred).tolist())))
     return EvalReport(
         # divide the integer miss count directly so the value is bit-identical
         # to errors/n computed elsewhere (1 - matched/n rounds differently)
         ce=float((pred.size - matched) / pred.size),
-        matching=tuple(zip(rows.tolist(), cols.tolist())),
-        missing_clusters=missing,
+        matching=tuple(zip(labels[rows].tolist(), labels[cols].tolist())),
+        missing_clusters=tuple(np.setdiff1d(labels, pred).tolist()),
         n_points=int(pred.size),
     )
 

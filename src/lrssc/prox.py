@@ -28,7 +28,8 @@ products go through :func:`_gemm`, which :mod:`lrssc.solvers` and
 count; a solve holds numpy's at one thread meanwhile
 (:func:`lrssc.parallel.numpy_blas_single_thread`).  (The thin SVD of the
 data matrix is numpy's, taken once by :class:`lrssc.solvers.GramSolver` on
-numpy's BLAS held at one thread.)
+numpy's BLAS held at one thread.)  scipy is imported by each kernel at its
+call, not by this module (see :mod:`lrssc.parallel`).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .exceptions import NumericalError
 
@@ -147,17 +146,23 @@ def _gemm(a, b):
     operand in Fortran order goes in as itself with a transpose flag, one in
     C order as its transpose, so a contiguous operand is never copied.
     """
+    from scipy.linalg import blas
+
     bt, trans_b = (b, 1) if b.flags.f_contiguous else (b.T, 0)
     at, trans_a = (a, 1) if a.flags.f_contiguous else (a.T, 0)
     return blas.dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
 
 def _gram(A):
     """The lower triangle of A^T A in Fortran order (dsyrk); the upper one is zero."""
+    from scipy.linalg import blas
+
     if A.flags.f_contiguous:
         return blas.dsyrk(1.0, A, trans=1, lower=1)
     return blas.dsyrk(1.0, A.T, lower=1)
 
 def _svd(M):
+    import scipy.linalg
+
     M = _finite(M)
     try:
         return scipy.linalg.svd(M, full_matrices=False, check_finite=False)
@@ -193,6 +198,8 @@ def _tridiagonal_eigenpairs(G):
     times those (dormqr).  Only the lower triangle of G is read, and G is
     overwritten.  A nonzero ``info`` from any stage raises ``LinAlgError``.
     """
+    from scipy.linalg import lapack
+
     n = G.shape[0]
     if n < 2:  # nothing to reduce, and dsterf takes no empty off-diagonal
         return np.sqrt(np.maximum(G.diagonal(), 0.0)), lambda lo, hi: np.eye(n)[:, lo:hi]

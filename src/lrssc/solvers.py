@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import prox
 from .exceptions import NumericalError
@@ -430,6 +429,8 @@ def _mc_penalty(state, cfg, c_stats, b1: float, b2: float) -> float:
     ``c_stats`` is the stats of each split's C map, the first being the
     singular values of C1; without it they come from an SVD of C1.
     """
+    import scipy.linalg
+
     lam_eff, tau_eff = effective_weights(cfg)
     low_rank, sparse = state.splits
     sv = scipy.linalg.svd(low_rank.C, compute_uv=False) if c_stats is None else c_stats[0]

@@ -25,7 +25,8 @@ n_clusters is N, the subset eigh runs as below the crossover.  At N=1500 on
 paths read the lower triangle of W and run on scipy's BLAS.  numpy's BLAS
 is left as it is: no kernel of the embedding or of k-means runs on it
 (per-thread CPU of its pool read 0.00 s over unpinned calls at N = 450,
-540 and 1500), so pinning it would guard nothing.
+540 and 1500), so pinning it would guard nothing.  scipy is imported by the
+eigensolver paths at their call, not by this module (see :mod:`lrssc.parallel`).
 
 From C to labels the stage holds one N x N array.  ``build_affinity(C,
 out=C)`` writes |C| into C's own buffer and symmetrizes it in place, one
@@ -50,8 +51,6 @@ sums come from one ``bincount`` per dimension.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .exceptions import DegenerateAffinityError
 
@@ -231,6 +230,8 @@ def spectral_cluster(W, n_clusters: int, seed: int) -> np.ndarray:
             # the triangle it reads instead of a copy.
             lap = _minus_m(W, diag, inv_sqrt_deg)
             np.fill_diagonal(lap, lap.diagonal() + 1.0)
+            import scipy.linalg
+
             # finite, as W is: W_ij / sqrt(deg_i deg_j) <= sqrt(W_ij) / sqrt(_DEGREE_FLOOR)
             _, emb = scipy.linalg.eigh(lap, subset_by_index=[0, n_clusters - 1],
                                        overwrite_a=True, check_finite=False)
@@ -256,6 +257,7 @@ def _lanczos_embedding(W, diag, inv_sqrt_deg, n_clusters, seed):
     result passes the certificate of the module docstring.  The certificate,
     once built, is left in W's upper triangle and diagonal.
     """
+    from scipy.linalg import blas, lapack
     from scipy.sparse import linalg as sparse_linalg
 
     n = W.shape[0]

@@ -581,6 +581,15 @@ class TestEval:
         assert run(["eval", "--pred", pred, "--truth", truth]) == 0
         assert capsys.readouterr().out.strip() == "0.250000"
 
+    def test_large_label_value_scored(self, tmp_path, capsys):
+        """A label of 999999999 once sized a 6.94 EiB confusion matrix."""
+        truth = tmp_path / "truth.txt"
+        pred = tmp_path / "pred.txt"
+        save_labels(truth, [0, 0, 1, 1, 2, 2])
+        save_labels(pred, [0, 0, 1, 1, 999999999, 1])
+        assert run(["eval", "--pred", pred, "--truth", truth]) == 0
+        assert capsys.readouterr().out.strip() == "0.166667"
+
     def test_csv_accumulates_rows(self, tmp_path, capsys):
         path = tmp_path / "labels.txt"
         save_labels(path, [0, 1, 0, 1])
@@ -1099,13 +1108,16 @@ def test_commands_reach_layers_through_module_attributes(small_data_dir, tmp_pat
 
 def test_import_leaves_scipy_optimize_unloaded():
     """Only scoring needs scipy.optimize, and cluster never scores.  Only the
-    Lanczos embedding of a large affinity needs scipy.sparse.linalg."""
+    Lanczos embedding of a large affinity needs scipy.sparse.linalg.  Only
+    the kernels need scipy.linalg, and they import it when they run, so
+    neither ``import lrssc`` nor ``import lrssc.cli`` loads it."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    loaded = ("print(*(name in sys.modules for name in "
+              "('scipy.linalg', 'scipy.optimize', 'scipy.sparse.linalg')))")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, lrssc.cli; "
-         "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, lrssc; {loaded}; import lrssc.cli; {loaded}"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False False\n"
+    assert done.stdout == "False False False\n" * 2

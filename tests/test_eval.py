@@ -103,6 +103,39 @@ class TestClusteringError:
         with pytest.raises(ValueError):
             clustering_error(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
 
+    def test_large_label_values_scored_by_their_distinct_values(self):
+        """The confusion matrix is indexed by the labels that occur, so a
+        label of 999999999 costs what a label of 2 does."""
+        truth = np.array([0, 0, 1, 1, 2, 2, 7])
+        small = np.array([0, 0, 1, 2, 2, 2, 1])
+        big = np.where(small == 2, 999999999, small)
+        report, reference = clustering_error(big, truth), clustering_error(small, truth)
+        assert report.ce == reference.ce == pytest.approx(brute_force_ce(small, truth))
+        mapping = dict(report.matching)
+        assert sorted(mapping) == [0, 1, 2, 7, 999999999]
+        relabeled = np.array([mapping[p] for p in big])
+        assert np.count_nonzero(relabeled != truth) / truth.size == report.ce
+        # labels of either vector that the prediction never used
+        assert report.missing_clusters == (2, 7)
+        assert reference.missing_clusters == (7,)
+
+    def test_contiguous_labels_keep_the_square_matching(self):
+        """Where every value in [0, L) occurs, the matching is the assignment
+        on the L x L confusion matrix indexed by the label values."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            pred = rng.permutation(np.arange(40) % 4)
+            truth = rng.integers(0, 4, size=40)
+            confusion = np.zeros((4, 4), dtype=int)
+            np.add.at(confusion, (pred, truth), 1)
+            rows, cols = linear_sum_assignment(confusion, maximize=True)
+            report = clustering_error(pred, truth)
+            assert report.matching == tuple(zip(rows.tolist(), cols.tolist()))
+            assert report.ce == (40 - int(confusion[rows, cols].sum())) / 40
+            assert report.missing_clusters == ()
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_hungarian_equals_brute_force_random(self, data):

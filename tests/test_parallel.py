@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.linalg.cython_blas
 from scipy.linalg import lapack
 
-from lrssc import (NumericalError, SolverConfig, build_affinity, gmc_lrssc_solve,
+from lrssc import (NumericalError, SolverConfig, build_affinity, cli, gmc_lrssc_solve,
                    lrr_noiseless, lrr_noisy, parallel, spectral_cluster)
 
 _PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -112,6 +112,46 @@ def test_cli_run_as_main_module_warns_in_no_worker(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+
+
+def test_sweep_parent_never_loads_scipy_linalg(tmp_path):
+    """``lrssc sweep --jobs 2``: the parent only plans cells and gathers rows,
+    so it never loads scipy.linalg, while each worker starts its first task
+    with it already loaded from the server.  A wrapper of each cell, in a
+    module on the import path the workers get, reports whether it was
+    loaded as the cell started.  The rows, but for ``seconds``, are those
+    of ``--jobs 1``."""
+    (tmp_path / "probe.py").write_text(
+        "import sys\n\n"
+        "def loaded_then(fn, task):\n"
+        "    return 'scipy.linalg' in sys.modules, fn(task)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["sweep", "--pers", "10", "--trials", "2", "--algorithms", "gmc,lrr"]
+    code = (f"import sys; sys.path.insert(0, {str(tmp_path)!r})\n"
+            "from functools import partial\n"
+            "import probe\n"
+            "from lrssc import cli, parallel\n"
+            "parallel.usable_cores = lambda: 2\n"
+            "map_tasks, loaded = cli.map_tasks, []\n"
+            "def probed(fn, tasks, jobs):\n"
+            "    results = map_tasks(partial(probe.loaded_then, fn), tasks, jobs)\n"
+            "    loaded.extend(flag for flag, _ in results)\n"
+            "    return [row for _, row in results]\n"
+            "cli.map_tasks = probed\n"
+            f"code = cli.main({argv + ['--jobs', '2', '--out', str(tmp_path / 'jobs2.csv')]!r})\n"
+            "print(code, loaded, 'scipy.linalg' in sys.modules)\n")
+    done = _run_python(code, env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {[True] * 4} False"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(tmp_path / "jobs1.csv")]) == 0
+
+    def rows_without_seconds(name):
+        return [line.rsplit(",", 1)[0]
+                for line in (tmp_path / name).read_text().splitlines()]
+    assert rows_without_seconds("jobs2.csv") == rows_without_seconds("jobs1.csv")
+    assert len(rows_without_seconds("jobs1.csv")) == 5
 
 
 def test_server_exits_with_its_process():
