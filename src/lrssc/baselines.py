@@ -11,6 +11,7 @@ symmetric product V1 diag(shrink) V1^T over the kept singular directions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,10 @@ def lrr_noiseless(X) -> LrrSolution:
 
 
 def check_lrr_weight(lam) -> None:
-    """ValueError unless LRR's weight ``lam`` is finite and positive."""
+    """ValueError unless LRR's weight ``lam`` is a finite, positive number
+    (not a bool), in SolverConfig's words."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise ValueError(f"lam must be a number, got {lam!r}")
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if not lam > 0:

@@ -120,13 +120,10 @@ def gmc_penalty_separable(z, b):
     return float(np.sum(scaled_mc_penalty(z, b)))
 
 
-def entrywise_firm(M, params: ThresholdParams):
-    """Firm threshold applied entrywise to a matrix."""
-    return firm_threshold(np.asarray(M, dtype=float), params)
-
-def entrywise_hard(M, lam):
-    """Hard threshold applied entrywise to a matrix."""
-    return hard_threshold(np.asarray(M, dtype=float), lam)
+# The matrix names of the entrywise thresholds, which the C maps call (and
+# perfbench's spans wrap); the scalar operators already take arrays.
+entrywise_firm = firm_threshold
+entrywise_hard = hard_threshold
 
 
 # Below this multiple of sqrt(eps) * s_max a dead zone is left to the SVD.

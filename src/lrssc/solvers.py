@@ -130,8 +130,7 @@ class State:
     """ADMM iterate: J and its splits J = C_k, in update order.
 
     gmc and lrssc-convex have two splits, the low-rank C1 and the sparse C2;
-    s0l0 has one, its single C.  The last split is the sparse one, whose
-    Lagrangian terms skip the diagonal.
+    s0l0 has one, its single C.
     """
 
     J: np.ndarray
@@ -322,9 +321,10 @@ def _prox_point(J, split: Split) -> np.ndarray:
 
 
 def _hollow(C):
-    """A sparse split's map output with its diagonal zeroed, and no stats."""
+    """C with its diagonal zeroed, in place: the one home of the sparse maps'
+    zero-diagonal rule."""
     np.fill_diagonal(C, 0.0)
-    return C, None
+    return C
 
 
 def _gmc_low_rank(J, split, cfg):
@@ -339,7 +339,7 @@ def _gmc_sparse(J, split, cfg):
     """C2: firm threshold of the entries of J + Lambda2/mu2 at the
     :func:`_mc_shape` of tau_eff, diagonal zeroed."""
     return _hollow(prox.entrywise_firm(
-        _prox_point(J, split), _mc_shape(effective_weights(cfg)[1], split.mu, cfg.gamma)[0]))
+        _prox_point(J, split), _mc_shape(effective_weights(cfg)[1], split.mu, cfg.gamma)[0])), None
 
 
 def _s0l0_c_map(J, split, cfg):
@@ -359,8 +359,7 @@ def _s0l0_c_map(J, split, cfg):
     if cfg.tau == 0.0:
         P_rank, sv = prox.svt_hard(V, lam_eff / split.mu, return_spectrum=True)
         return P_rank, (np.count_nonzero(sv), 0)
-    P_sparse = prox.entrywise_hard(V, tau_eff / split.mu)
-    np.fill_diagonal(P_sparse, 0.0)
+    P_sparse = _hollow(prox.entrywise_hard(V, tau_eff / split.mu))
     nnz = np.count_nonzero(P_sparse)
     if cfg.lam == 0.0:
         return P_sparse, (0, nnz)
@@ -381,7 +380,7 @@ def _convex_low_rank(J, split, cfg):
 def _convex_sparse(J, split, cfg):
     """Soft-threshold twin of :func:`_gmc_sparse` (l1 prox)."""
     return _hollow(prox.soft_threshold(_prox_point(J, split),
-                                       effective_weights(cfg)[1] / split.mu))
+                                       effective_weights(cfg)[1] / split.mu)), None
 
 
 def _linf(M) -> float:
@@ -491,8 +490,12 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
     entry per split in update order.  For gmc and lrssc-convex the first is
     the singular values of C1 and the second None; without ``c_stats`` the
     spectrum comes from an SVD of C1.  For s0l0 it is ``((rank, nnz),)`` and
-    is required: C alone does not give the counts.  The residual J - C_k of
-    one split at a time is the only N x N temporary.
+    is required: C alone does not give the counts.
+
+    Each split's quadratic and dual terms take the full residual J - C_k,
+    diagonal included, the one :func:`_dual_step` and :func:`kkt_residuals`
+    use; a sparse map's zero diagonal lives in its C (:func:`_hollow`).  The
+    residual of one split at a time is the only N x N temporary.
     """
     algorithm = _algorithm(state, variant, cfg)
     X = np.asarray(X, dtype=float)
@@ -502,16 +505,10 @@ def lagrangian_value(X, state, cfg: SolverConfig, variant: str, *, c_stats=None)
     quadratic, dual = [], []
     for split in state.splits:
         R = state.J - split.C
-        if split is state.splits[-1]:
-            # the sparse split's terms skip the diagonal: add C's diagonal back
-            R[np.diag_indices_from(R)] += np.diag(split.C)
         quadratic.append(0.5 * split.mu * np.linalg.norm(R, "fro") ** 2)
         R *= split.Lambda
         dual.append(np.sum(R))
-    value = pen + fid
-    for term in quadratic + dual:
-        value += term
-    return float(value)
+    return float(sum(quadratic + dual, pen + fid))
 
 
 def kkt_residuals(X, state, cfg: SolverConfig, variant: str) -> KktResiduals:
@@ -589,13 +586,12 @@ def _solve(X, cfg: SolverConfig | None, variant: str):
             for split in state.splits:
                 split.C = None  # a C map reads only J, Lambda and mu
             gaps, c_stats = [], []
-            for split, (_, c_map) in zip(state.splits, algorithm.splits):
+            for split, (_, c_map), r_jc, mu in zip(state.splits, algorithm.splits,
+                                                   trace.r_jc, trace.mu):
                 split.C, stats = c_map(state.J, split, cfg)
                 c_stats.append(stats)
                 gaps.append(_dual_step(state.J, split))
-
-            for split, gap, r_jc, mu in zip(state.splits, gaps, trace.r_jc, trace.mu):
-                r_jc.append(gap)
+                r_jc.append(gaps[-1])
                 mu.append(split.mu)
             trace.r_jj.append(rj)
             trace.lagrangian.append(lagrangian_value(X, state, cfg, variant, c_stats=c_stats))

@@ -114,6 +114,13 @@ class TestNoisy:
         with pytest.raises(ValueError, match="lam must be finite, got inf"):
             lrr_noisy(X, np.inf)
 
+    @pytest.mark.parametrize("lam, shown", [(True, "True"), ("2", "'2'")])
+    def test_rejects_a_weight_that_is_not_a_number(self, lam, shown):
+        """A bool is no weight of 1 and a string reaches no numpy call: both
+        are rejected in SolverConfig's words."""
+        with pytest.raises(ValueError, match=re.escape(f"lam must be a number, got {shown}")):
+            lrr_noisy(np.eye(2), lam)
+
     def test_result_symmetric(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((8, 15))

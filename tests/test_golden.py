@@ -23,7 +23,11 @@ a change that is meant to move these outputs, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and say in the change what moved and why.
+and say in the change what moved and why.  The writer rewrites only what
+the checks reject, each field of a cluster case (its labels, stdout,
+iteration count or one trace column) on its own, and the sweep rows when
+they differ; it prints each field it moved.  A field the checks accept
+keeps its stored value, rounding in its last stored digit included.
 """
 
 import contextlib
@@ -147,22 +151,31 @@ def test_cluster_case_at_one_blas_thread(name, golden, workdir):
         set_threads(threads)
 
 
-def check_cluster_case(name, golden, workdir):
-    want = golden["cluster"][name]
-    got = cluster_case(name, workdir)
-    assert got["labels"] == want["labels"]
-    assert PRINTED.sub("#", got["stdout"]) == PRINTED.sub("#", want["stdout"])
-    assert all(_same_cell(float(v), float(g), digits=7) for v, g in
-               zip(PRINTED.findall(got["stdout"]), PRINTED.findall(want["stdout"])))
-    assert got["n_iters"] == want["n_iters"]
-    assert list(got["trace"]) == list(want["trace"])
+def case_differences(got: dict, want: dict) -> dict:
+    """What the check rejects in the cluster case ``got`` against the stored
+    ``want``: the field (``labels``, ``stdout``, ``n_iters``, ``columns``, the
+    trace's column names in order, or a trace column by name) and what is
+    wrong with it.  Empty when the case matches."""
+    diff = {key: f"{got[key]!r} != {want[key]!r}" for key in ("labels", "n_iters")
+            if got[key] != want[key]}
+    printed, stored = PRINTED.findall(got["stdout"]), PRINTED.findall(want["stdout"])
+    if (PRINTED.sub("#", got["stdout"]) != PRINTED.sub("#", want["stdout"])
+            or not all(_same_cell(float(v), float(g), digits=7) for v, g in zip(printed, stored))):
+        diff["stdout"] = f"{got['stdout']!r} != {want['stdout']!r}"
+    if list(got["trace"]) != list(want["trace"]):
+        diff["columns"] = f"{list(got['trace'])} != {list(want['trace'])}"
     for col, values in got["trace"].items():
-        if col in EXACT_COLUMNS:
-            assert values == want["trace"][col], col
-        else:
-            bad = [k for k, (v, g) in enumerate(zip(values, want["trace"][col]))
-                   if not _same_cell(v, g)]
-            assert not bad, f"{col} differs at iterations {bad}"
+        stored = want["trace"].get(col, [])
+        same = (lambda v, g: v == g) if col in EXACT_COLUMNS else _same_cell
+        bad = [k for k, v in enumerate(values) if k >= len(stored) or not same(v, stored[k])]
+        if bad or len(values) != len(stored):
+            diff[col] = f"differs at iterations {bad}"
+    return diff
+
+
+def check_cluster_case(name, golden, workdir):
+    diff = case_differences(cluster_case(name, workdir), golden["cluster"][name])
+    assert not diff, diff
 
 
 def test_sweep_rows(golden, tmp_path):
@@ -170,11 +183,28 @@ def test_sweep_rows(golden, tmp_path):
 
 
 def write_golden() -> None:
+    """Rewrite in ``GOLDEN`` only the fields the checks reject, printing each."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"cluster": {}, "sweep": None}
+    cluster = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        data = {"cluster": {name: cluster_case(name, workdir) for name in CASES},
-                "sweep": sweep_rows(workdir)}
-    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+        for name in CASES:
+            got, want = cluster_case(name, workdir), old["cluster"].get(name)
+            if want is None:
+                print(f"{name}: new case", file=sys.stderr)
+                cluster[name] = got
+                continue
+            moved = case_differences(got, want)
+            for field in moved:
+                print(f"{name}: moved {field}", file=sys.stderr)
+            cluster[name] = {key: got[key] if key in moved else want[key]
+                             for key in ("labels", "stdout", "n_iters")}
+            cluster[name]["trace"] = {col: values if col in moved else want["trace"][col]
+                                      for col, values in got["trace"].items()}
+        sweep = sweep_rows(workdir)
+    if sweep != old["sweep"]:
+        print("sweep: moved rows", file=sys.stderr)
+    GOLDEN.write_text(json.dumps({"cluster": cluster, "sweep": sweep}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

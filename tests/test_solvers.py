@@ -112,6 +112,16 @@ def registry_config(name, **overrides):
     return SolverConfig(**{**ALGORITHMS[name].defaults, **overrides})
 
 
+def full_residual_lagrangian(X, state, penalty):
+    """1/2 ||X - XJ||^2 + penalty + sum_k (mu_k/2 ||J - C_k||^2 + <Lambda_k, J - C_k>),
+    every residual J - C_k whole, its diagonal included."""
+    value = 0.5 * np.linalg.norm(X - X @ state.J) ** 2 + penalty
+    for split in state.splits:
+        R = state.J - split.C
+        value += 0.5 * split.mu * np.sum(R * R) + np.sum(split.Lambda * R)
+    return value
+
+
 class TestConfigValidation:
     def test_tau_defaults_to_complement(self):
         cfg = SolverConfig(lam=0.3)
@@ -458,6 +468,23 @@ class TestLagrangianValue:
         with pytest.raises(ValueError):
             lagrangian_value(np.zeros((2, 3)), state, cfg, S0L0, c_stats=np.zeros(3))
 
+    def test_gmc_terms_take_the_whole_residual_of_every_split(self):
+        """A C2 with a nonzero diagonal keeps it in J - C2: the value is the
+        formula with the scaled MC penalty, b_k = sqrt(mu_k gamma / weight_k),
+        and each split's residual whole."""
+        cfg = SolverConfig(gamma=0.6)
+        X = np.random.default_rng(3).standard_normal((4, 6))
+        state = random_state(TWO_SPLITS, 6, seed=11)
+        low_rank, sparse = state.splits
+        assert np.all(np.diag(sparse.C) != 0.0)
+        penalty = sum(
+            weight * np.sum(prox.scaled_mc_penalty(z, math.sqrt(split.mu * cfg.gamma / weight)))
+            for weight, z, split in zip(
+                effective_weights(cfg),
+                (np.linalg.svd(low_rank.C, compute_uv=False), sparse.C), state.splits))
+        assert lagrangian_value(X, state, cfg, GMC) == pytest.approx(
+            full_residual_lagrangian(X, state, penalty), rel=1e-12)
+
 
 # A config each record's settings rule rejects.
 REJECTED = {GMC: dict(gamma=0.0), S0L0: dict(lam=0.3, tau=0.3), CONVEX: dict(lam=0.0)}
@@ -633,6 +660,20 @@ class TestSolverRuns:
             oracle = lagrangian_value(X, state, cfg, variant,
                                       c_stats=c_stats if variant == S0L0 else None)
             assert trace.lagrangian[k] == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("var", [0.0, 0.2])
+    def test_s0l0_trace_lagrangian_takes_the_whole_residual(self, var):
+        """On criterion 6's trial-0 data, at s0l0's shipped defaults, every
+        iteration's Lagrangian is the formula with the whole residual J - C,
+        the one the J and dual steps use, at the counts the C step reported."""
+        data_seed = int(np.random.SeedSequence([2024, 0]).spawn(2)[0].generate_state(1)[0])
+        X = generate_synthetic(SyntheticSpec(noise_variance=var, seed=data_seed)).X
+        cfg = registry_config(S0L0)
+        _, trace = s0l0_lrssc_solve(X, cfg)
+        lam_eff, tau_eff = effective_weights(cfg)
+        for value, (state, ((rank, nnz),)) in zip(trace.lagrangian, redrive(X, S0L0, cfg)):
+            assert value == pytest.approx(
+                full_residual_lagrangian(X, state, lam_eff * rank + tau_eff * nnz), rel=1e-12)
 
     @pytest.mark.parametrize("dataset, lam", [("small_dataset", 0.5), ("small_dataset", 0.8),
                                               ("bench_dataset", 0.5)])

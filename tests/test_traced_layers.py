@@ -67,7 +67,7 @@ def test_lrr_records_its_rank(spans, matrix_csv, tmp_path):
     assert {"spectral.affinity", "spectral.embed", "spectral.kmeans"} <= set(by_name)
 
 
-@pytest.mark.parametrize("algorithm", ["s0l0", "lrssc-convex"])
+@pytest.mark.parametrize("algorithm", ["s0l0", "lrssc-convex", "gmc"])
 def test_iterative_solve_records_every_solver_layer(spans, matrix_csv, tmp_path, algorithm):
     """One Lagrangian per iteration, one exit KKT, and the SVT and entrywise
     steps of the C maps."""
